@@ -50,6 +50,7 @@ from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
     WignerLabel,
+    _fock_point_values,
     coherent_fock,
     coherent_values,
     displaced_polynomial,
@@ -101,11 +102,7 @@ def moyal_integral_star_single_mode(f, g, x1: float, x2: float, order: int = 56)
     f and g take (re, im) arrays.  Completely independent of both the
     matrix-unit composition rule and the bidifferential series.
     """
-    rule = gauss_hermite(order)
-    t = rule.nodes
-    s = 1.0 / math.sqrt(2.0)
-    u = s * t
-    cw = rule.weights * np.exp(t * t) * s
+    u, cw = gauss_hermite(order).scaled(1.0 / math.sqrt(2.0))
     U1, U2 = np.meshgrid(u, u, indexing="ij")
     wf = np.outer(cw, cw) * np.asarray(f(x1 + U1, x2 + U2), dtype=complex)
     wg = np.outer(cw, cw) * np.asarray(g(x1 + U1, x2 + U2), dtype=complex)
@@ -236,7 +233,7 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
             stack = [(0, root)]
             while stack:
                 depth, (rep, symbol) = stack.pop()
-                vals_ladder = np.einsum("mnkl,mnp,klp->p", rep.coeffs, wa, wb)
+                vals_ladder = _fock_point_values(rep.coeffs, wa, wb)
                 vals_oracle = symbol.eval(a, b)
                 worst = max(worst, _rel_residual(vals_ladder, vals_oracle))
                 if depth < max_len:
@@ -488,10 +485,7 @@ def check_plane_consistency(params: PhysParams) -> CheckResult:
     for n, l in cases:
         xs = np.linspace(-1.5, 1.5, 7) * params.gamma
         for plane, other_axis in ((("q1", "q2"), "q2"), (("q1", "p2"), "p2")):
-            scale = axis_scale(other_axis, params)
-            t = rule.nodes
-            cw = rule.weights * np.exp(t * t) * scale
-            ys = scale * t
+            ys, cw = rule.scaled(axis_scale(other_axis, params))
             for x in xs:
                 vals = marginal_2d(n, l, plane, np.full_like(ys, x), ys, params)
                 got = float(np.sum(cw * vals))
@@ -501,7 +495,7 @@ def check_plane_consistency(params: PhysParams) -> CheckResult:
 
 
 def check_plane_quadrature_consistency(params: PhysParams) -> CheckResult:
-    """Closed-form 2D densities versus direct 2D quumdrature of the Wigner function."""
+    """Closed-form 2D densities versus direct 2D quadrature of the Wigner function."""
     rng = np.random.default_rng(1007)
     worst = 0.0
     for n, l in [(2, 1), (1, 2), (0, 3), (2, 2)]:
@@ -607,9 +601,7 @@ def check_generating_axis(params: PhysParams) -> CheckResult:
     """q2-integrated plane generating function reproduces the q1-axis form."""
     rule = gauss_hermite(32)
     g_ = params.gamma
-    t = rule.nodes
-    cw = rule.weights * np.exp(t * t) * g_
-    q2s = g_ * t
+    q2s, cw = rule.scaled(g_)
     samples = [
         ((0j, 0j), (0j, 0j)),
         ((0.4 + 0.2j, -0.3j), (0.1 - 0.2j, 0.25 + 0.1j)),

@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mass", type=float)
     common.add_argument("--omega", type=float)
     common.add_argument("--cutoff", type=int)
-    common.add_argument("--quad-order", type=int)
+    common.add_argument("--quad-order", type=int,
+                        help="per-axis Gauss-Hermite order (minimum 16) for eval "
+                             "marginal2d on planes without a closed form")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--unit-norm", action="store_true",
                         help="divide density values by h^2")

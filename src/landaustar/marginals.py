@@ -10,6 +10,7 @@ nontrivial integral identities between the classical orthogonal polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -79,12 +80,21 @@ def marginal_1d(n: int, l: int, axis: str, x, params: PhysParams):
     """Closed-form 1D marginal density of the (n, l) state along an axis.
 
     N_axis * exp(-u^2) * sum_{j<=n} sum_{k<=l} A_{nljk} H_{2(n+l-j-k)}(u) with
-    u = x/scale.  Terms alternate in sign; they are accumulated in descending
-    degree order so results are reproducible and cancellation stays benign.
+    u = x/scale.
     """
     if n < 0 or l < 0 or n > 150 or l > 150:
         raise ValueError(f"quantum numbers out of range: ({n}, {l})")
     u = np.asarray(x, dtype=float) / axis_scale(axis, params)
+    out = axis_norm(axis, params) * np.exp(-u * u) * _hermite_sum(n, l, u)
+    return out if out.ndim else float(out)
+
+
+def _hermite_sum(n: int, l: int, u):
+    """The Hermite sum of the 1D densities, without their Gaussian and prefactor.
+
+    Terms alternate in sign; they are accumulated in descending degree order
+    so results are reproducible.
+    """
     pairs = sorted(
         ((j, k) for j in range(n + 1) for k in range(l + 1)),
         key=lambda jk: (-(n + l - jk[0] - jk[1]), jk),
@@ -92,8 +102,7 @@ def marginal_1d(n: int, l: int, axis: str, x, params: PhysParams):
     acc = np.zeros_like(u)
     for j, k in pairs:
         acc = acc + marginal_hermite_coeff(n, l, j, k) * hermite(2 * (n + l - j - k), u)
-    out = axis_norm(axis, params) * np.exp(-u * u) * acc
-    return out if out.ndim else float(out)
+    return acc
 
 
 def _position_plane_closed(n: int, l: int, q1, q2, params: PhysParams):
@@ -144,27 +153,30 @@ def marginal_2d_quadrature(n: int, l: int, plane, x, y, params: PhysParams,
     plane = tuple(plane)
     if len(plane) != 2 or plane[0] == plane[1] or any(ax not in AXES for ax in plane):
         raise ValueError(f"invalid plane {plane!r}")
+    return _complement_quadrature(n, l, plane, (x, y), params, rule)
+
+
+def _complement_quadrature(n: int, l: int, fixed, values, params: PhysParams,
+                           rule: QuadratureRule | None):
+    """Integrate the (n, l) Wigner function over the axes not in ``fixed``.
+
+    ``values`` holds one coordinate array per fixed axis, broadcast together
+    to the output shape.  Each output point is one tensor-rule sum over the
+    mesh of the complementary axes.
+    """
     if rule is None:
         rule = gauss_hermite(default_order(n, l))
-    others = [ax for ax in AXES if ax not in plane]
-    scales = [axis_scale(ax, params) for ax in others]
-    t = rule.nodes
-    cw = rule.weights * np.exp(t * t)
-    u = scales[0] * t
-    v = scales[1] * t
-    U, V = np.meshgrid(u, v, indexing="ij")
-    W2 = np.multiply.outer(cw, cw) * scales[0] * scales[1]
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.empty(np.broadcast(x, y).shape)
-    xb, yb = np.broadcast_arrays(x, y)
+    others = [ax for ax in AXES if ax not in fixed]
+    nodes, weights = zip(*(rule.scaled(axis_scale(ax, params)) for ax in others))
+    coords = dict(zip(others, np.meshgrid(*nodes, indexing="ij")))
+    w = functools.reduce(np.multiply.outer, weights)
+    values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    out = np.empty(values[0].shape)
     flat_out = out.reshape(-1)
-    for i, (xi, yi) in enumerate(zip(xb.reshape(-1), yb.reshape(-1))):
-        coords = {plane[0]: xi, plane[1]: yi, others[0]: U, others[1]: V}
-        a, b = mode_coords_arrays(coords["q1"], coords["q2"], coords["p1"],
-                                  coords["p2"], params)
-        flat_out[i] = np.sum(W2 * np.real(wigner_values(n, l, a, b)))
+    for i, point in enumerate(zip(*(v.reshape(-1) for v in values))):
+        coords.update(zip(fixed, point))
+        a, b = mode_coords_arrays(*(coords[ax] for ax in AXES), params)
+        flat_out[i] = np.sum(w * np.real(wigner_values(n, l, a, b)))
     return out if out.ndim else float(out)
 
 
@@ -183,34 +195,29 @@ def integral_equality_residuals(n: int, l: int, q1_samples, params: PhysParams,
         rule = gauss_hermite(default_order(n, l))
     g = params.gamma
     nq = axis_norm("q1", params)
-    t = rule.nodes
-    cw = rule.weights * np.exp(t * t)
+    q2, w_q2 = rule.scaled(g)
+    p2, w_p2 = rule.scaled(params.hbar / g)
+    n_lag = 4.0 * math.pi * math.exp(log_factorial(l) - log_factorial(n))
+    n_herm = 4.0 * math.pi * math.exp(
+        -log_factorial(n) - log_factorial(l) - (n + l) * math.log(2.0)
+    )
 
     out = []
     for q1 in q1_samples:
         y = q1 / g
-        lhs = 0.0
-        for j in range(n + 1):
-            for k in range(l + 1):
-                lhs += marginal_hermite_coeff(n, l, j, k) * hermite(2 * (n + l - j - k), y)
+        lhs = _hermite_sum(n, l, y)
 
         # position-plane branch, integrated over q2 with the Gaussian in q1 cancelled
-        q2 = g * t
         rho2 = (q1 ** 2 + q2 ** 2) / g ** 2
-        n_lag = 4.0 * math.pi * math.exp(log_factorial(l) - log_factorial(n))
         integrand = rho2 ** (n - l) * np.exp(-(q2 / g) ** 2) * laguerre(l, n - l, rho2) ** 2
-        rhs_lag = (n_lag / nq) * (params.hbar / g) ** 2 * g * np.sum(cw * integrand)
+        rhs_lag = (n_lag / nq) * (params.hbar / g) ** 2 * np.sum(w_q2 * integrand)
 
         # mixed-plane branch, integrated over p2
-        p2 = (params.hbar / g) * t
         w = g * p2 / params.hbar
-        n_herm = 4.0 * math.pi * math.exp(
-            -log_factorial(n) - log_factorial(l) - (n + l) * math.log(2.0)
-        )
         integrand = (np.exp(-w ** 2)
                      * hermite(n, (y - w) / math.sqrt(2.0)) ** 2
                      * hermite(l, (y + w) / math.sqrt(2.0)) ** 2)
-        rhs_herm = (n_herm / nq) * params.hbar * (params.hbar / g) * np.sum(cw * integrand)
+        rhs_herm = (n_herm / nq) * params.hbar * np.sum(w_p2 * integrand)
 
         out.append((float(q1), abs(lhs - rhs_lag), abs(lhs - rhs_herm)))
     return out
@@ -219,21 +226,6 @@ def integral_equality_residuals(n: int, l: int, q1_samples, params: PhysParams,
 def marginal_1d_quadrature(n: int, l: int, axis: str, x, params: PhysParams,
                            rule: QuadratureRule | None = None):
     """1D marginal by direct 3D quadrature of the Wigner function (oracle route)."""
-    if rule is None:
-        rule = gauss_hermite(default_order(n, l))
-    others = [ax for ax in AXES if ax != axis]
-    scales = [axis_scale(ax, params) for ax in others]
-    t = rule.nodes
-    cw = rule.weights * np.exp(t * t)
-    grids = np.meshgrid(*(s * t for s in scales), indexing="ij")
-    W3 = cw[:, None, None] * cw[None, :, None] * cw[None, None, :] * math.prod(scales)
-
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape if x.ndim else (1,))
-    for i, xi in enumerate(np.atleast_1d(x)):
-        coords = {axis: xi}
-        coords.update(zip(others, grids))
-        a, b = mode_coords_arrays(coords["q1"], coords["q2"], coords["p1"],
-                                  coords["p2"], params)
-        out[i] = np.sum(W3 * np.real(wigner_values(n, l, a, b)))
-    return out.reshape(x.shape) if x.ndim else float(out[0])
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}")
+    return _complement_quadrature(n, l, (axis,), (x,), params, rule)

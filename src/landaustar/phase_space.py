@@ -23,8 +23,8 @@ class PhysParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0 or self.omega <= 0:
-            raise ValueError("hbar, mass and omega must all be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.hbar, self.mass, self.omega)):
+            raise ValueError("hbar, mass and omega must all be positive and finite")
 
     @property
     def gamma(self) -> float:
@@ -34,11 +34,6 @@ class PhysParams:
     @property
     def planck_h(self) -> float:
         return 2.0 * math.pi * self.hbar
-
-    @property
-    def momentum_scale(self) -> float:
-        """Natural Gaussian width of momentum densities, hbar/gamma."""
-        return self.hbar / self.gamma
 
 
 @dataclass(frozen=True)
@@ -66,11 +61,6 @@ class PhasePoint:
 
     def tau_minus(self, params: PhysParams) -> float:
         return self.q1 / params.gamma - params.gamma * self.p2 / params.hbar
-
-    def zeta2(self, params: PhysParams) -> float:
-        """Dimensionless momentum-plane radius; accessor only, no consumer here."""
-        g = params.gamma
-        return g * g * (self.p1 ** 2 + self.p2 ** 2) / (4.0 * params.hbar ** 2)
 
 
 @dataclass(frozen=True)

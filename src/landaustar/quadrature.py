@@ -7,7 +7,7 @@ so a rescaled Gauss-Hermite rule integrates it exactly up to rounding.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,16 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
+
+    def scaled(self, width: float):
+        """Nodes x = width*t and weights width*w*exp(t^2) for a plain integral over x.
+
+        The factor exp(t^2) cancels the rule's own weight function, so
+        sum(weights * f(x)) estimates the integral of f; it is exact when f is
+        a polynomial of degree below 2*order times exp(-(x/width)^2).
+        """
+        t = self.nodes
+        return width * t, width * self.weights * np.exp(t * t)
 
 
 def gauss_hermite(order: int) -> QuadratureRule:
@@ -40,9 +50,8 @@ def integrate_nd(f, scales, rule: QuadratureRule):
     """Tensor-product Gauss-Hermite estimate of the integral of f over R^dims.
 
     ``scales`` holds one positive width per axis (dims = len(scales), 1..4);
-    the rule is rescaled per axis as x = scale*t with weight compensation
-    exp(+t^2).  ``f`` is called with ``dims`` broadcastable coordinate arrays
-    and must evaluate elementwise.  Exactness is the caller's contract: f has
+    the rule is rescaled per axis by QuadratureRule.scaled.  ``f`` is called
+    with ``dims`` broadcastable coordinate arrays and must evaluate elementwise.  Exactness is the caller's contract: f has
     to decay like the matching Gaussian times a polynomial of degree below
     2*order per axis.  Summation order is fixed, so results are reproducible.
     """
@@ -52,24 +61,19 @@ def integrate_nd(f, scales, rule: QuadratureRule):
         raise ValueError("integrate_nd supports 1 to 4 dimensions")
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be positive")
-    t = rule.nodes
-    cw = rule.weights * np.exp(t * t)
-    axes = [s * t for s in scales]
-    vol = math.prod(scales)
+    axes, weights = zip(*(rule.scaled(s) for s in scales))
 
     if dims == 1:
-        return vol * np.sum(cw * np.asarray(f(axes[0])))
+        return np.sum(weights[0] * np.asarray(f(axes[0])))
 
     # Slab over the first axis to bound memory at order^(dims-1).
     inner = np.meshgrid(*axes[1:], indexing="ij")
-    w_inner = cw
-    for _ in range(dims - 2):
-        w_inner = np.multiply.outer(w_inner, cw)
+    w_inner = functools.reduce(np.multiply.outer, weights[1:])
     slab_sums = np.empty(rule.order, dtype=complex)
     for i, x0 in enumerate(axes[0]):
         vals = np.asarray(f(np.full_like(inner[0], x0), *inner))
-        slab_sums[i] = cw[i] * np.sum(w_inner * vals)
-    total = vol * np.sum(slab_sums)
+        slab_sums[i] = weights[0][i] * np.sum(w_inner * vals)
+    total = np.sum(slab_sums)
     if abs(total.imag) == 0.0:
         return total.real
     return total

@@ -8,15 +8,19 @@ The basis is normalized so that this composition rule carries no extra
 factors; the pointwise evaluator (states module) owns the conversion back to
 function values.
 
-Representation B: a truncating bidifferential series acting on polynomial and
-polynomial-times-Gaussian symbols in the mode variables, plus the analogous
-exact series for polynomials in the canonical coordinates.  Representation B
-is deliberately independent of A and serves as its oracle in the test suite.
+Representation B: one terminating bidifferential series on sparse
+polynomial (optionally times Gaussian) symbols, with two pairings: a against
+abar and b against bbar for symbols in the mode variables, q against p for
+polynomials in the canonical coordinates.  Representation B is deliberately
+independent of A and serves as its oracle in the test suite.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .phase_space import PhysParams
-from .specfun import laguerre, log_factorial
+from .specfun import laguerre, laguerre_amplitude
 
 GENERATORS = ("a", "abar", "b", "bbar")
 
@@ -183,19 +187,31 @@ def fock_to_json_dict(f: FockRep) -> dict:
 
 
 def fock_from_json_dict(d: Mapping) -> FockRep:
+    """Inverse of fock_to_json_dict; rejects anything that function cannot write."""
     try:
-        cutoff = int(d["cutoff"])
+        cutoff = d["cutoff"]
         entries = d["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    if type(cutoff) is not int or cutoff < 2:
+        raise ValueError(f"cutoff must be an integer of at least 2, got {cutoff!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"entries must be a list, got {entries!r}")
     rep = FockRep.zero(cutoff)
     for pos, e in enumerate(entries):
-        if len(e) != 6:
+        try:
+            m1, n1, m2, n2, re, im = e
+            value = complex(re, im)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"malformed entry at position {pos}: {e!r}") from None
+        # type() rather than isinstance(): JSON true/false must not pass as 1/0
+        if not (type(m1) is type(n1) is type(m2) is type(n2) is int
+                and type(re) in (int, float) and type(im) in (int, float)
+                and cmath.isfinite(value)):
             raise ValueError(f"malformed entry at position {pos}: {e!r}")
-        m1, n1, m2, n2 = (int(x) for x in e[:4])
-        if not all(0 <= i < cutoff for i in (m1, n1, m2, n2)):
+        if not (0 <= m1 < cutoff and 0 <= n1 < cutoff and 0 <= m2 < cutoff and 0 <= n2 < cutoff):
             raise ValueError(f"entry index out of range at position {pos}: {e[:4]}")
-        rep.coeffs[m1, n1, m2, n2] = complex(float(e[4]), float(e[5]))
+        rep.coeffs[m1, n1, m2, n2] = value
     return rep
 
 
@@ -262,18 +278,9 @@ class StarPolynomial:
             (c.conjugate(), tuple(_CONJ_GEN[g] for g in reversed(w))) for c, w in self.terms
         )
 
-    def star_power(self, k: int) -> "StarPolynomial":
-        out = StarPolynomial.constant(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def is_real_observable(self) -> bool:
         """Word-level reality: the polynomial equals its formal conjugate."""
         return self.terms == self.conjugate().terms
-
-    def max_word_length(self) -> int:
-        return max((len(w) for _, w in self.terms), default=0)
 
     def normal_form(self) -> dict:
         """Reduce modulo the star commutators to normally ordered monomials.
@@ -335,151 +342,50 @@ def apply_star_polynomial(poly: StarPolynomial, f: FockRep, side: str = "left") 
 # Moyal bracket (dispatching on representation)
 # ---------------------------------------------------------------------------
 
-def moyal_bracket(f, g, params: PhysParams | None = None):
-    """f * g - g * f for FockRep, StarPolynomial or CanonicalPoly pairs."""
+def _bracket(f, g, params: PhysParams | None, combine):
     if isinstance(f, FockRep) and isinstance(g, FockRep):
-        return star(f, g) - star(g, f)
+        return combine(star(f, g), star(g, f))
     if isinstance(f, StarPolynomial) and isinstance(g, StarPolynomial):
-        return f * g - g * f
+        return combine(f * g, g * f)
     if isinstance(f, CanonicalPoly) and isinstance(g, CanonicalPoly):
         if params is None:
             raise ValueError("canonical-coordinate bracket needs params")
-        return canonical_star(f, g, params) - canonical_star(g, f, params)
+        return combine(canonical_star(f, g, params), canonical_star(g, f, params))
     raise TypeError(f"unsupported bracket operands: {type(f).__name__}, {type(g).__name__}")
+
+
+def moyal_bracket(f, g, params: PhysParams | None = None):
+    """f * g - g * f for FockRep, StarPolynomial or CanonicalPoly pairs."""
+    return _bracket(f, g, params, operator.sub)
 
 
 def anti_moyal_bracket(f, g, params: PhysParams | None = None):
     """f * g + g * f on the same supported pairs as moyal_bracket."""
-    if isinstance(f, FockRep) and isinstance(g, FockRep):
-        return star(f, g) + star(g, f)
-    if isinstance(f, StarPolynomial) and isinstance(g, StarPolynomial):
-        return f * g + g * f
-    if isinstance(f, CanonicalPoly) and isinstance(g, CanonicalPoly):
-        if params is None:
-            raise ValueError("canonical-coordinate bracket needs params")
-        return canonical_star(f, g, params) + canonical_star(g, f, params)
-    raise TypeError(f"unsupported bracket operands: {type(f).__name__}, {type(g).__name__}")
+    return _bracket(f, g, params, operator.add)
 
 
 # ---------------------------------------------------------------------------
-# Canonical-coordinate polynomials and their exact star product
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CanonicalPoly:
-    """Polynomial in (q1, q2, p1, p2): {(e_q1, e_q2, e_p1, e_p2): coeff}."""
-
-    coeffs: Mapping = field(default_factory=dict)
-
-    @staticmethod
-    def coordinate(name: str) -> "CanonicalPoly":
-        order = ("q1", "q2", "p1", "p2")
-        if name not in order:
-            raise ValueError(f"unknown coordinate {name!r}")
-        key = tuple(1 if c == name else 0 for c in order)
-        return CanonicalPoly({key: 1.0 + 0j})
-
-    @staticmethod
-    def constant(c) -> "CanonicalPoly":
-        return CanonicalPoly({(0, 0, 0, 0): complex(c)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0j) + v
-        return CanonicalPoly({k: v for k, v in out.items() if v != 0})
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, c):
-        return CanonicalPoly({k: complex(c) * v for k, v in self.coeffs.items()})
-
-    def pointwise_mul(self, other: "CanonicalPoly") -> "CanonicalPoly":
-        out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0j) + v1 * v2
-        return CanonicalPoly({k: v for k, v in out.items() if v != 0})
-
-    def diff(self, axis: int) -> "CanonicalPoly":
-        out: dict = {}
-        for k, v in self.coeffs.items():
-            if k[axis] > 0:
-                key = k[:axis] + (k[axis] - 1,) + k[axis + 1:]
-                out[key] = out.get(key, 0j) + v * k[axis]
-        return CanonicalPoly(out)
-
-    def total_degree(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
-
-    def eval(self, q1, q2, p1, p2) -> complex:
-        tot = 0j
-        for (e1, e2, e3, e4), v in self.coeffs.items():
-            tot += v * q1 ** e1 * q2 ** e2 * p1 ** e3 * p2 ** e4
-        return tot
-
-
-def canonical_star(f: CanonicalPoly, g: CanonicalPoly, params: PhysParams) -> CanonicalPoly:
-    """Exact bidifferential star product on canonical-coordinate polynomials.
-
-    The series terminates at the smaller total degree, so the output is an
-    exact polynomial.  Axes: q1, q2 differentiate against p1, p2.
-    """
-    hb = params.hbar
-    bound = min(f.total_degree(), g.total_degree())
-    Q = (0, 1)  # axis ids of q1, q2
-    P = (2, 3)
-    out = CanonicalPoly({})
-    # multi-indices r (q on f, p on g) and s (p on f, q on g), per plane
-    for r1 in range(bound + 1):
-        for r2 in range(bound + 1 - r1):
-            for s1 in range(bound + 1 - r1 - r2):
-                for s2 in range(bound + 1 - r1 - r2 - s1):
-                    order = r1 + r2 + s1 + s2
-                    coef = (0.5j * hb) ** order * (-1.0) ** (s1 + s2)
-                    coef /= (
-                        math.factorial(r1) * math.factorial(r2)
-                        * math.factorial(s1) * math.factorial(s2)
-                    )
-                    df = _iter_diff(f, ((Q[0], r1), (Q[1], r2), (P[0], s1), (P[1], s2)))
-                    if not df.coeffs:
-                        continue
-                    dg = _iter_diff(g, ((P[0], r1), (P[1], r2), (Q[0], s1), (Q[1], s2)))
-                    if not dg.coeffs:
-                        continue
-                    out = out + coef * df.pointwise_mul(dg)
-    return out
-
-
-def _iter_diff(poly: CanonicalPoly, spec) -> CanonicalPoly:
-    out = poly
-    for axis, count in spec:
-        for _ in range(count):
-            out = out.diff(axis)
-            if not out.coeffs:
-                return out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Polynomial-times-Gaussian symbols: the independent star-product oracle
+# Sparse symbols and the bidifferential series: the independent oracle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PolyGauss:
-    """Symbol P(a, abar, b, bbar) * exp(linear . vars) * exp(-2(a abar + b bbar))?
+    """Symbol P(x) * exp(linear . x) * exp(-2(x0 x1 + x2 x3))? in four variables x.
 
-    ``poly`` maps exponent quadruples (over a, abar, b, bbar) to coefficients;
-    ``gaussian`` switches the standard Gaussian factor on; ``linear`` holds the
-    four exponent-linear coefficients.  Closed under differentiation, which is
-    all the bidifferential series needs.
+    ``coeffs`` maps exponent quadruples to coefficients; ``gaussian`` switches
+    the Gaussian factor on; ``linear`` holds the four exponent-linear
+    coefficients.  For mode-variable symbols x = (a, abar, b, bbar) and the
+    Gaussian is the two-mode ground Gaussian.  Closed under differentiation,
+    which is all the bidifferential series needs.
     """
 
-    poly: Mapping
+    coeffs: Mapping = field(default_factory=dict)
     gaussian: bool = False
     linear: tuple = (0j, 0j, 0j, 0j)
+
+    @classmethod
+    def constant(cls, c):
+        return cls({(0, 0, 0, 0): complex(c)})
 
     @staticmethod
     def monomial(exponents, coeff=1.0) -> "PolyGauss":
@@ -494,24 +400,43 @@ class PolyGauss:
         return not self.gaussian and all(c == 0 for c in self.linear)
 
     def total_degree(self) -> int:
-        return max((sum(k) for k in self.poly), default=0)
+        return max((sum(k) for k in self.coeffs), default=0)
 
-    def scaled(self, c) -> "PolyGauss":
-        return PolyGauss({k: complex(c) * v for k, v in self.poly.items()},
-                         self.gaussian, self.linear)
+    def _with_coeffs(self, coeffs: dict, gaussian=None, linear=None):
+        """Same type and exponent (unless overridden), zero coefficients dropped."""
+        return type(self)({k: v for k, v in coeffs.items() if v != 0},
+                          self.gaussian if gaussian is None else gaussian,
+                          self.linear if linear is None else linear)
 
-    def add_poly(self, other: "PolyGauss") -> "PolyGauss":
+    def __add__(self, other):
         if (self.gaussian, self.linear) != (other.gaussian, other.linear):
             raise ValueError("cannot add symbols with different exponents")
-        out = dict(self.poly)
-        for k, v in other.poly.items():
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
             out[k] = out.get(k, 0j) + v
-        return PolyGauss({k: v for k, v in out.items() if v != 0}, self.gaussian, self.linear)
+        return self._with_coeffs(out)
 
-    def diff(self, var: int) -> "PolyGauss":
-        """Derivative with respect to vars[var], vars = (a, abar, b, bbar)."""
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, c):
+        return self._with_coeffs({k: complex(c) * v for k, v in self.coeffs.items()})
+
+    def pointwise_mul(self, other):
+        if self.gaussian and other.gaussian:
+            raise ValueError("product of two Gaussian symbols is outside this class")
         out: dict = {}
-        for k, v in self.poly.items():
+        for k1, v1 in self.coeffs.items():
+            for k2, v2 in other.coeffs.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                out[key] = out.get(key, 0j) + v1 * v2
+        linear = tuple(cx + cy for cx, cy in zip(self.linear, other.linear))
+        return self._with_coeffs(out, gaussian=self.gaussian or other.gaussian, linear=linear)
+
+    def diff(self, var: int):
+        """Derivative with respect to x[var]; the Gaussian pairs x[var] with x[var ^ 1]."""
+        out: dict = {}
+        for k, v in self.coeffs.items():
             if k[var] > 0:
                 key = k[:var] + (k[var] - 1,) + k[var + 1:]
                 out[key] = out.get(key, 0j) + v * k[var]
@@ -519,21 +444,21 @@ class PolyGauss:
             if self.linear[var] != 0:
                 out[k] = out.get(k, 0j) + v * self.linear[var]
             if self.gaussian:
-                partner = var + 1 if var % 2 == 0 else var - 1
+                partner = var ^ 1
                 key = k[:partner] + (k[partner] + 1,) + k[partner + 1:]
                 out[key] = out.get(key, 0j) - 2.0 * v
-        return PolyGauss({k: v for k, v in out.items() if v != 0}, self.gaussian, self.linear)
+        return self._with_coeffs(out)
 
     def eval(self, a, b):
-        """Pointwise value with abar = conj(a), bbar = conj(b); vectorized."""
+        """Pointwise value of a mode-variable symbol with abar = conj(a), bbar = conj(b)."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
         a, b = np.broadcast_arrays(a, b)
         shape = a.shape
         vals = np.stack([a.ravel(), np.conj(a).ravel(), b.ravel(), np.conj(b).ravel()])
-        if self.poly:
-            expo_mat = np.array(list(self.poly.keys()))            # (n_mono, 4)
-            coefs = np.array(list(self.poly.values()))             # (n_mono,)
+        if self.coeffs:
+            expo_mat = np.array(list(self.coeffs.keys()))          # (n_mono, 4)
+            coefs = np.array(list(self.coeffs.values()))           # (n_mono,)
             mono = np.prod(vals[None, :, :] ** expo_mat[:, :, None], axis=1)
             tot = coefs @ mono
         else:
@@ -543,6 +468,66 @@ class PolyGauss:
             expo = expo - 2.0 * (np.abs(vals[0]) ** 2 + np.abs(vals[2]) ** 2)
         out = (tot * np.exp(expo)).reshape(shape)
         return out if out.ndim else complex(out)
+
+
+class CanonicalPoly(PolyGauss):
+    """Polynomial in (q1, q2, p1, p2); its own type so brackets take the (q, p) pairing."""
+
+    @staticmethod
+    def coordinate(name: str) -> "CanonicalPoly":
+        order = ("q1", "q2", "p1", "p2")
+        if name not in order:
+            raise ValueError(f"unknown coordinate {name!r}")
+        return CanonicalPoly({tuple(1 if c == name else 0 for c in order): 1.0 + 0j})
+
+
+def _moyal_series(f: PolyGauss, g: PolyGauss, f_axes, g_axes, weights) -> PolyGauss:
+    """Sum over multi-indices k of prod_i (w_i^k_i / k_i!) (d^k f)(d^k g).
+
+    Component k_i differentiates f along f_axes[i] and g along g_axes[i] with
+    weight weights[i].  At least one operand must be a pure polynomial; the
+    series then terminates at its total degree (two non-polynomial symbols
+    would give a non-terminating series and are rejected).
+    """
+    if not f.is_polynomial and not g.is_polynomial:
+        raise ValueError("bidifferential series terminates only if one side is polynomial")
+    bound = min(s.total_degree() for s in (f, g) if s.is_polynomial)
+
+    def deriv(cache, axes, orders):
+        # each derivative is one step from a cached lower-order one
+        if orders not in cache:
+            i = next(i for i, o in enumerate(orders) if o > 0)
+            prev = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
+            cache[orders] = deriv(cache, axes, prev).diff(axes[i])
+        return cache[orders]
+
+    f_cache = {(0, 0, 0, 0): f}
+    g_cache = {(0, 0, 0, 0): g}
+    linear = tuple(cf + cg for cf, cg in zip(f.linear, g.linear))
+    result = f._with_coeffs({}, gaussian=f.gaussian or g.gaussian, linear=linear)
+    for orders in itertools.product(range(bound + 1), repeat=4):
+        if sum(orders) > bound:
+            continue
+        df = deriv(f_cache, f_axes, orders)
+        if not df.coeffs:
+            continue
+        dg = deriv(g_cache, g_axes, orders)
+        if not dg.coeffs:
+            continue
+        coef = (math.prod(w ** k for w, k in zip(weights, orders))
+                / math.prod(math.factorial(k) for k in orders))
+        result = result + coef * df.pointwise_mul(dg)
+    return result
+
+
+def canonical_star(f: CanonicalPoly, g: CanonicalPoly, params: PhysParams) -> CanonicalPoly:
+    """Exact bidifferential star product on canonical-coordinate polynomials.
+
+    q1, q2 on one side pair with p1, p2 on the other at weight +-i hbar/2; the
+    series terminates at the smaller total degree.
+    """
+    w = 0.5j * params.hbar
+    return _moyal_series(f, g, (0, 1, 2, 3), (2, 3, 0, 1), (w, w, -w, -w))
 
 
 def generator_symbol(name: str) -> PolyGauss:
@@ -572,80 +557,14 @@ def oracle_apply_word(word, symbol: PolyGauss, side: str = "left") -> PolyGauss:
     return out
 
 
-def bidifferential_star(f: PolyGauss, g: PolyGauss, max_order: int | None = None) -> PolyGauss:
+def bidifferential_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     """Star product via the bidifferential series on mode-variable symbols.
 
-    At least one operand must be a pure polynomial; the series then terminates
-    at its total degree (two Gaussians would give a non-terminating series and
-    are rejected).  This routine is the independent oracle for the matrix-unit
-    composition rule and the ladder actions.
+    a pairs with abar and b with bbar at weight +-1/2.  At least one operand
+    must be a pure polynomial.  This routine is the independent oracle for the
+    matrix-unit composition rule and the ladder actions.
     """
-    if not f.is_polynomial and not g.is_polynomial:
-        raise ValueError("bidifferential series terminates only if one side is polynomial")
-    if f.is_polynomial and g.is_polynomial:
-        bound = min(f.total_degree(), g.total_degree())
-    elif f.is_polynomial:
-        bound = f.total_degree()
-    else:
-        bound = g.total_degree()
-    if max_order is not None:
-        if max_order < bound:
-            raise ValueError(f"max_order {max_order} below required depth {bound}")
-        bound = min(bound, max_order)
-    # derivative caches keyed by (r, s, t, u)
-    df_cache = {(0, 0, 0, 0): f}
-    dg_cache = {(0, 0, 0, 0): g}
-
-    def deriv(cache, base_orders, sym_axes):
-        def get(orders):
-            if orders in cache:
-                return cache[orders]
-            for i in range(4):
-                if orders[i] > 0:
-                    prev = orders[:i] + (orders[i] - 1,) + orders[i + 1:]
-                    cache[orders] = get(prev).diff(sym_axes[i])
-                    return cache[orders]
-            raise AssertionError
-        return get(base_orders)
-
-    # series index (r, s, t, u): r pairs d/da on f with d/dabar on g, s the
-    # reverse (sign flip), t and u the same for the b mode.
-    f_axes = (0, 1, 2, 3)   # a, abar, b, bbar derivatives on f for (r, s, t, u)
-    g_axes = (1, 0, 3, 2)   # mirrored derivatives on g
-    result: PolyGauss | None = None
-    for r in range(bound + 1):
-        for s in range(bound + 1 - r):
-            for t in range(bound + 1 - r - s):
-                for u in range(bound + 1 - r - s - t):
-                    coef = (0.5) ** (r + t) * (-0.5) ** (s + u)
-                    coef /= (math.factorial(r) * math.factorial(s)
-                             * math.factorial(t) * math.factorial(u))
-                    df = deriv(df_cache, (r, s, t, u), f_axes)
-                    if not df.poly:
-                        continue
-                    dg = deriv(dg_cache, (r, s, t, u), g_axes)
-                    if not dg.poly:
-                        continue
-                    term = _polygauss_mul(df, dg).scaled(coef)
-                    result = term if result is None else result.add_poly(term)
-    if result is None:
-        gauss = f.gaussian or g.gaussian
-        linear = tuple(cf + cg for cf, cg in zip(f.linear, g.linear))
-        result = PolyGauss({}, gauss, linear)
-    return result
-
-
-def _polygauss_mul(x: PolyGauss, y: PolyGauss) -> PolyGauss:
-    if x.gaussian and y.gaussian:
-        raise ValueError("product of two Gaussian symbols is outside this class")
-    out: dict = {}
-    for k1, v1 in x.poly.items():
-        for k2, v2 in y.poly.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
-            out[key] = out.get(key, 0j) + v1 * v2
-    linear = tuple(cx + cy for cx, cy in zip(x.linear, y.linear))
-    return PolyGauss({k: v for k, v in out.items() if v != 0},
-                     x.gaussian or y.gaussian, linear)
+    return _moyal_series(f, g, (0, 1, 2, 3), (1, 0, 3, 2), (0.5, -0.5, 0.5, -0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +581,23 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     return expm(alpha * raise_ - np.conj(alpha) * lower)
 
 
-def displacement_matrix_closed(alpha: complex, cutoff: int) -> np.ndarray:
-    """Closed-form matrix elements sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{m-n}(|alpha|^2)."""
+def displacement_column(alpha: complex, n: int, cutoff: int) -> np.ndarray:
+    """Closed-form column n of the displacement matrix, rows 0..cutoff-1.
+
+    Element m is sqrt(lo!/hi!) z^(hi-lo) e^{-|alpha|^2/2} L_lo^(hi-lo)(|alpha|^2)
+    with lo, hi = min(m, n), max(m, n) and z = alpha below the diagonal,
+    -conj(alpha) above it.  These are the untruncated matrix elements.
+    """
     x = abs(alpha) ** 2
-    out = np.zeros((cutoff, cutoff), dtype=complex)
+    col = np.empty(cutoff, dtype=complex)
     for m in range(cutoff):
-        for n in range(cutoff):
-            lo, hi = min(m, n), max(m, n)
-            amp = math.exp(0.5 * (log_factorial(lo) - log_factorial(hi)) - 0.5 * x)
-            z = alpha if m >= n else -np.conj(alpha)
-            out[m, n] = amp * z ** (hi - lo) * laguerre(lo, hi - lo, x)
-    return out
+        lo, hi = min(m, n), max(m, n)
+        z = alpha if m >= n else -np.conj(alpha)
+        col[m] = (laguerre_amplitude(m, n) * math.exp(-0.5 * x)
+                  * z ** (hi - lo) * laguerre(lo, hi - lo, x))
+    return col
+
+
+def displacement_matrix_closed(alpha: complex, cutoff: int) -> np.ndarray:
+    """Closed-form matrix elements, one displacement_column per column."""
+    return np.stack([displacement_column(alpha, n, cutoff) for n in range(cutoff)], axis=1)

@@ -9,16 +9,18 @@ suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import comb, factorial, isfinite
 
 import numpy as np
 
-from .phase_space import PhasePoint, PhysParams, mode_coords_arrays, to_mode_coords
-from .specfun import laguerre, log_factorial
+from .phase_space import PhasePoint, PhysParams, to_mode_coords
+from .specfun import laguerre, laguerre_amplitude
 from .star import (
     FockRep,
+    PolyGauss,
     StarPolynomial,
+    displacement_column,
     displacement_matrix,
     matrix_unit,
 )
@@ -67,7 +69,7 @@ def matrix_unit_values(cutoff: int, z):
     for m in range(cutoff):
         for n in range(cutoff):
             lo, hi = min(m, n), max(m, n)
-            amp = 2.0 * (-1.0) ** lo * math.exp(0.5 * (log_factorial(lo) - log_factorial(hi)))
+            amp = 2.0 * (-1.0) ** lo * laguerre_amplitude(m, n)
             w = np.conj(z) if m > n else z
             out[m, n] = amp * (2.0 * w) ** (hi - lo) * laguerre(lo, hi - lo, x) * gauss
     return out
@@ -79,8 +81,19 @@ def fock_values(rep: FockRep, a, b):
     b = np.asarray(b, dtype=complex)
     wa = matrix_unit_values(rep.cutoff, a.ravel())
     wb = matrix_unit_values(rep.cutoff, b.ravel())
-    vals = np.einsum("mnkl,mnp,klp->p", rep.coeffs, wa, wb)
+    vals = _fock_point_values(rep.coeffs, wa, wb)
     return vals.reshape(a.shape) if a.shape else complex(vals[0])
+
+
+def _fock_point_values(coeffs, wa, wb):
+    """sum_{mnkl} coeffs[m, n, k, l] wa[m, n, p] wb[k, l, p] for every point p.
+
+    ``wa`` and ``wb`` are matrix_unit_values of the two modes at the points.
+    Contracting the first mode as one matrix product leaves an N^2 x points
+    array to sum against the second mode.
+    """
+    first = np.tensordot(coeffs, wa, axes=([0, 1], [0, 1]))
+    return np.einsum("klp,klp->p", first, wb)
 
 
 def fock_eval(rep: FockRep, pt: PhasePoint, params: PhysParams) -> complex:
@@ -104,21 +117,12 @@ def wigner_eval(label: WignerLabel, pt: PhasePoint, params: PhysParams) -> float
     return float(wigner_values(label.n, label.l, mc.a, mc.b))
 
 
-def wigner_eval_grid(label: WignerLabel, q1, q2, p1, p2, params: PhysParams):
-    a, b = mode_coords_arrays(q1, q2, p1, p2, params)
-    return np.real(wigner_values(label.n, label.l, a, b))
-
-
-def wigner_symbol(n: int, l: int) -> "PolyGauss":
+def wigner_symbol(n: int, l: int) -> PolyGauss:
     """Diagonal Wigner function as a polynomial-times-Gaussian symbol.
 
     Input form for the bidifferential star-product oracle; kept independent of
     the Fock-coefficient machinery.
     """
-    from math import comb, factorial
-
-    from .star import PolyGauss
-
     poly: dict = {}
     sign = 4.0 * (-1.0) ** (n + l)
     for i in range(n + 1):
@@ -189,12 +193,7 @@ def _displaced_projector(alpha1: complex, alpha2: complex, n: int, l: int,
 
 
 def _column_tail_weight(alpha: complex, n: int, cutoff: int) -> float:
-    x = abs(alpha) ** 2
-    inside = 0.0
-    for m in range(cutoff):
-        lo, hi = min(m, n), max(m, n)
-        amp = math.exp(0.5 * (log_factorial(lo) - log_factorial(hi)) - 0.5 * x)
-        inside += (amp * x ** ((hi - lo) / 2.0) * abs(laguerre(lo, hi - lo, x))) ** 2
+    inside = float(np.sum(np.abs(displacement_column(alpha, n, cutoff)) ** 2))
     return abs(1.0 - inside)
 
 
@@ -252,13 +251,19 @@ def parse_state_label(text: str):
             n, l = (int(x) for x in rest.split(","))
             return WignerLabel(n, l)
         if kind == "coherent":
-            r1, i1, r2, i2 = (float(x) for x in rest.split(","))
-            return CoherentLabel(complex(r1, i1), complex(r2, i2))
+            return CoherentLabel(*_parse_alphas(rest))
         if kind == "gencoherent":
             nl, _, alphas = rest.partition(":")
             n, l = (int(x) for x in nl.split(","))
-            r1, i1, r2, i2 = (float(x) for x in alphas.split(","))
-            return GeneralizedCoherentLabel(complex(r1, i1), complex(r2, i2), WignerLabel(n, l))
+            return GeneralizedCoherentLabel(*_parse_alphas(alphas), WignerLabel(n, l))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed state label {text!r}: {exc}") from exc
     raise ValueError(f"unknown state kind {kind!r} in label {text!r}")
+
+
+def _parse_alphas(text: str):
+    """'re1,im1,re2,im2' -> (alpha1, alpha2), all four parts finite."""
+    r1, i1, r2, i2 = (float(x) for x in text.split(","))
+    if not all(map(isfinite, (r1, i1, r2, i2))):
+        raise ValueError("displacement parts must be finite")
+    return complex(r1, i1), complex(r2, i2)

@@ -25,7 +25,6 @@ from .states import (
     coherent_fock,
     displaced_polynomial,
     generalized_coherent_fock,
-    state_fock,
     wigner_fock,
 )
 
@@ -53,10 +52,6 @@ class MomentReport:
     observable: str
     mean: complex
     variance: float
-
-
-def functional_for(label, params: PhysParams, cutoff: int = DEFAULT_CUTOFF) -> StateFunctional:
-    return StateFunctional(state_fock(label, cutoff), params)
 
 
 def expectation(f: StarPolynomial, s: StateFunctional) -> complex:
@@ -122,12 +117,9 @@ def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams,
         return 0.0
     if rule is None:
         rule = gauss_hermite(max(default_order(label.n, label.l), (k + 2) // 2 + label.n + label.l + 8))
-    scale = axis_scale(axis, params)
-    t = rule.nodes
-    cw = rule.weights * np.exp(t * t)
-    x = scale * t
+    x, w = rule.scaled(axis_scale(axis, params))
     dens = marginal_1d(label.n, label.l, axis, x, params)
-    return float(np.sum(cw * x ** k * dens) * scale / params.planck_h ** 2)
+    return float(np.sum(w * x ** k * dens) / params.planck_h ** 2)
 
 
 def uncertainty_product(n: int, l: int, j: int, params: PhysParams,

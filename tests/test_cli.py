@@ -196,6 +196,37 @@ def test_state_load_bad_entry(tmp_path, capsys):
     assert "position" in err or "range" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"cutoff": 4, "entries": [5]}',
+    '{"cutoff": 4, "entries": null}',
+    '{"cutoff": 4, "entries": [[0.7, 0, 0, 1.9, 1.0, 0.0]]}',
+    '{"cutoff": 0, "entries": []}',
+], ids=["entry-not-a-list", "entries-null", "fractional-index", "cutoff-zero"])
+def test_state_load_rejects_malformed_document(tmp_path, capsys, text):
+    path = tmp_path / "bad3.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "state", "load", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_hbar_is_a_config_conflict(capsys, value):
+    code, out, err = run_cli(capsys, "--hbar", value, "uncertainty", "0", "0")
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("label", ["coherent:nan,0,0,0", "gencoherent:1,0:inf,0,0,0"])
+def test_eval_rejects_non_finite_displacement(capsys, label):
+    code, out, err = run_cli(capsys, "eval", label, "--grid", "q1=0", "--cutoff", "8")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("hbar = 2.0\nmass = 1.0\n# comment\nomega = 0.5\n", encoding="utf-8")

@@ -277,6 +277,8 @@ def test_fallback_plane_by_quadrature():
 def test_invalid_plane_rejected():
     with pytest.raises(ValueError):
         marginal_2d_quadrature(0, 0, ("q1", "q1"), 0.0, 0.0, PARAMS)
+    with pytest.raises(ValueError):
+        marginal_1d_quadrature(0, 0, "q3", 0.0, PARAMS)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,6 @@ def test_point_accessors():
     g = PARAMS.gamma
     assert pt.tau_plus(PARAMS) == pytest.approx(1 / g + g * (-0.25))
     assert pt.tau_minus(PARAMS) == pytest.approx(1 / g - g * (-0.25))
-    assert pt.zeta2(PARAMS) == pytest.approx(g * g * (0.5 ** 2 + 0.25 ** 2) / 4.0)
 
 
 def test_mode_conjugates():
