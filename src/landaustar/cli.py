@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -136,18 +137,20 @@ def build_config(args) -> RunConfig:
 def parse_axis_spec(text: str) -> np.ndarray:
     """'lo:hi:count' -> linspace, plain number -> one pinned value."""
     parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise InputError(f"malformed grid axis {text!r}: expected 'value' or 'lo:hi:count'")
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) == 3:
-            lo, hi = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-            if count < 1:
-                raise InputError(f"grid count must be positive in {text!r}")
-            return np.linspace(lo, hi, count)
+        ends = [float(v) for v in parts[:2]]
+        count = int(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
         raise InputError(f"malformed grid axis {text!r}: {exc}") from exc
-    raise InputError(f"malformed grid axis {text!r}: expected 'value' or 'lo:hi:count'")
+    if not all(map(math.isfinite, ends)):
+        raise InputError(f"grid axis {text!r} must be finite")
+    if count is None:
+        return np.array(ends)
+    if count < 1:
+        raise InputError(f"grid count must be positive in {text!r}")
+    return np.linspace(*ends, count)
 
 
 def parse_named_grid(text: str, axes) -> dict:
@@ -323,6 +326,8 @@ def cmd_equalities(args, cfg: RunConfig) -> int:
         samples = [float(v) for v in args.samples.split(",")]
     except ValueError as exc:
         raise InputError(f"malformed samples {args.samples!r}") from exc
+    if not all(map(math.isfinite, samples)):
+        raise InputError(f"samples must be finite, got {args.samples!r}")
     rows = []
     for n, l in pairs:
         q1s = cfg.params.gamma * np.array(samples)

@@ -1,12 +1,21 @@
 """The Moyal star product in two exact representations.
 
-Representation A (FockRep): phase-space functions expanded over the two-mode
+Representation A: phase-space functions expanded over the two-mode
 matrix-unit basis.  The basis elements compose under the star product exactly
 like matrix units, u_{mn} * u_{m'n'} = delta_{n m'} u_{m n'}, so star products,
 ladder actions and phase-space integrals reduce to finite linear algebra.
 The basis is normalized so that this composition rule carries no extra
 factors; the pointwise evaluator (states module) owns the conversion back to
-function values.
+function values.  It comes in two storage forms, chosen by type:
+
+- ProductRep, a short sum of per-mode products c A (x) B of N x N matrices.
+  Every state the package constructs has this form, because the two modes
+  commute: star products, ladder actions and traces act on each mode's
+  matrix separately, at N^2 or N^3 cost instead of N^4.  Its dense tensor is
+  built only on request (``coeffs``).
+- FockRep, the dense cutoff^4 coefficient tensor, for general two-mode
+  functions: matrix units, JSON-loaded states, random tensors, and sums that
+  mix the two forms.
 
 Representation B: one terminating bidifferential series on sparse
 polynomial (optionally times Gaussian) symbols, with two pairings: a against
@@ -22,6 +31,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -87,7 +97,52 @@ class FockRep:
         return FockRep(self.cutoff, c * self.coeffs, self.overflow)
 
 
-def _check_cutoffs(f: FockRep, g: FockRep):
+@dataclass(frozen=True)
+class ProductRep:
+    """Sum over terms (c, A, B) of c A (x) B: per-mode factors of a two-mode tensor.
+
+    A and B are N x N coefficient matrices of the first and second mode, so the
+    dense tensor is coeffs[m1, n1, m2, n2] = sum c A[m1, n1] B[m2, n2].  Values
+    are immutable like FockRep's and ``overflow`` has the same meaning.
+    """
+
+    cutoff: int
+    terms: tuple
+    overflow: bool = False
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The dense cutoff^4 tensor, built on first use and kept."""
+        out = np.zeros((self.cutoff,) * 4, dtype=complex)
+        for c, a, b in self.terms:
+            out += np.multiply.outer(c * a, b)
+        return out
+
+    def conjugate(self) -> "ProductRep":
+        return ProductRep(self.cutoff, tuple((np.conj(c), a.conj().T, b.conj().T)
+                                             for c, a, b in self.terms), self.overflow)
+
+    def trace(self) -> complex:
+        return complex(sum(c * np.trace(a) * np.trace(b) for c, a, b in self.terms))
+
+    reality_residual = FockRep.reality_residual
+
+    def __add__(self, other):
+        _check_cutoffs(self, other)
+        if isinstance(other, ProductRep):
+            return ProductRep(self.cutoff, self.terms + other.terms,
+                              self.overflow or other.overflow)
+        return FockRep(self.cutoff, self.coeffs, self.overflow) + other
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, c) -> "ProductRep":
+        return ProductRep(self.cutoff, tuple((c * t, a, b) for t, a, b in self.terms),
+                          self.overflow)
+
+
+def _check_cutoffs(f, g):
     if f.cutoff != g.cutoff:
         raise ValueError(f"cutoff mismatch: {f.cutoff} != {g.cutoff}")
 
@@ -101,16 +156,21 @@ def matrix_unit(m1: int, n1: int, m2: int, n2: int, cutoff: int) -> FockRep:
     return rep
 
 
-def star(f: FockRep, g: FockRep) -> FockRep:
+def star(f, g):
     """Star product: matrix composition independently in each mode.
 
     Composition cannot raise indices, so the result stays within the cutoff.
+    Two ProductReps compose factor by factor; any other pair densely.
     """
     _check_cutoffs(f, g)
+    overflow = f.overflow or g.overflow
+    if isinstance(f, ProductRep) and isinstance(g, ProductRep):
+        return ProductRep(f.cutoff, tuple((cf * cg, af @ ag, bf @ bg)
+                                          for cf, af, bf in f.terms
+                                          for cg, ag, bg in g.terms), overflow)
     out = np.tensordot(f.coeffs, g.coeffs, axes=([1, 3], [0, 2]))
     # tensordot leaves axes ordered (m1, m2, n1, n2)
-    return FockRep(f.cutoff, np.ascontiguousarray(out.transpose(0, 2, 1, 3)),
-                   f.overflow or g.overflow)
+    return FockRep(f.cutoff, np.ascontiguousarray(out.transpose(0, 2, 1, 3)), overflow)
 
 
 def _mode_axis(gen: str, side: str) -> int:
@@ -121,13 +181,15 @@ def _mode_axis(gen: str, side: str) -> int:
     return 2 if left else 3
 
 
-def _apply_generator(gen: str, side: str, rep: FockRep) -> FockRep:
+def _apply_generator(gen: str, side: str, rep):
     """Ladder action of one generator from the given side.
 
     Left action of the annihilation function lowers the row index; left action
     of the creation function raises it (weight in the top slice is dropped and
     flagged).  Right actions mirror on the column index.
     """
+    if isinstance(rep, ProductRep):
+        return apply_star_polynomial(StarPolynomial.generator(gen), rep, side)
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
     n = rep.cutoff
@@ -158,15 +220,32 @@ def _apply_generator(gen: str, side: str, rep: FockRep) -> FockRep:
     return FockRep(n, out, overflow)
 
 
-def left_star_generator(gen: str, f: FockRep) -> FockRep:
+def left_star_generator(gen: str, f):
     return _apply_generator(gen, "left", f)
 
 
-def right_star_generator(gen: str, f: FockRep) -> FockRep:
+def right_star_generator(gen: str, f):
     return _apply_generator(gen, "right", f)
 
 
-def integrate(f: FockRep, params: PhysParams) -> complex:
+def _ladder_step(x: np.ndarray, gen: str, side: str) -> np.ndarray:
+    """One generator's ladder action on a single-mode N x N factor.
+
+    The ladder matrices have one nonzero diagonal, so the action is a shifted,
+    scaled copy: the same values as the matrix product, at N^2 cost.
+    """
+    s = np.sqrt(np.arange(1.0, x.shape[0]))[:, None]
+    out = np.zeros_like(x)
+    # a right action moves column indices: the left action on the transposes
+    rows, out_rows = (x, out) if side == "left" else (x.T, out.T)
+    if (gen in ("abar", "bbar")) == (side == "left"):  # raises the index
+        out_rows[1:] = s * rows[:-1]
+    else:
+        out_rows[:-1] = s * rows[1:]
+    return out
+
+
+def integrate(f, params: PhysParams) -> complex:
     """Phase-space integral of f: h^2 times the coefficient trace."""
     return params.planck_h ** 2 * f.trace()
 
@@ -322,10 +401,12 @@ def _normal_order_single(word, low: str, high: str) -> dict:
     return results
 
 
-def apply_star_polynomial(poly: StarPolynomial, f: FockRep, side: str = "left") -> FockRep:
+def apply_star_polynomial(poly: StarPolynomial, f, side: str = "left"):
     """Fold the ladder actions of each word over f, linearly in the polynomial."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if isinstance(f, ProductRep):
+        return _apply_product(poly, f, side)
     total = np.zeros_like(f.coeffs)
     overflow = f.overflow
     for c, word in poly.terms:
@@ -338,12 +419,59 @@ def apply_star_polynomial(poly: StarPolynomial, f: FockRep, side: str = "left") 
     return FockRep(f.cutoff, total, overflow)
 
 
+def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep:
+    """apply_star_polynomial on per-mode factors.
+
+    The modes commute, so each word acts as its first-mode letters on A and
+    its second-mode letters on B.  Letters are applied one at a time, each
+    partial product cached per term, so the overflow flag follows the dense
+    fold letter by letter: a raising letter that meets a nonzero top row
+    (column) of its own factor while the other factor is nonzero drops
+    weight.  The test is per term; the dense fold tests the sum of the terms,
+    which differs only where terms cancel exactly in the top slice.  Words
+    sharing their second-mode letters share one output term.
+    """
+    raising = ("abar", "bbar") if side == "left" else ("a", "b")
+    overflow = f.overflow
+    terms = []
+    for c0, a0, b0 in f.terms:
+        done = {"a": {(): a0}, "b": {(): b0}}
+
+        def factor(mode, letters):
+            cache = done[mode]
+            if letters not in cache:
+                cache[letters] = _ladder_step(factor(mode, letters[:-1]), letters[-1], side)
+            return cache[letters]
+
+        by_b_letters: dict = {}
+        for c, word in poly.terms:
+            applied = {"a": (), "b": ()}
+            for gen in (reversed(word) if side == "left" else word):
+                if gen not in GENERATORS:
+                    raise ValueError(f"unknown generator {gen!r}")
+                mode, other = ("a", "b") if gen in ("a", "abar") else ("b", "a")
+                if gen in raising and not overflow:
+                    own = factor(mode, applied[mode])
+                    top = own[-1] if side == "left" else own[:, -1]
+                    overflow = bool(np.any(top != 0)
+                                    and np.any(factor(other, applied[other]) != 0))
+                applied[mode] += (gen,)
+            by_b_letters.setdefault(applied["b"], []).append((c, applied["a"]))
+        for b_letters, group in by_b_letters.items():
+            b = factor("b", b_letters)
+            a = sum(c * factor("a", a_letters) for c, a_letters in group)
+            if np.any(a != 0) and np.any(b != 0):
+                terms.append((c0, a, b))
+    return ProductRep(f.cutoff, tuple(terms), overflow)
+
+
 # ---------------------------------------------------------------------------
 # Moyal bracket (dispatching on representation)
 # ---------------------------------------------------------------------------
 
 def _bracket(f, g, params: PhysParams | None, combine):
-    if isinstance(f, FockRep) and isinstance(g, FockRep):
+    reps = (FockRep, ProductRep)
+    if isinstance(f, reps) and isinstance(g, reps):
         return combine(star(f, g), star(g, f))
     if isinstance(f, StarPolynomial) and isinstance(g, StarPolynomial):
         return combine(f * g, g * f)
@@ -355,7 +483,7 @@ def _bracket(f, g, params: PhysParams | None, combine):
 
 
 def moyal_bracket(f, g, params: PhysParams | None = None):
-    """f * g - g * f for FockRep, StarPolynomial or CanonicalPoly pairs."""
+    """f * g - g * f for Fock-basis, StarPolynomial or CanonicalPoly pairs."""
     return _bracket(f, g, params, operator.sub)
 
 

@@ -2,9 +2,14 @@
 
 Wigner functions, the four-parameter generating function, displacement
 functions and standard/generalized coherent states, each available both as a
-pointwise closed form and as a FockRep built from ladder/displacement
-matrices.  The two routes are independent and are cross-checked in the test
-suite.
+pointwise closed form and in the matrix-unit basis, built from
+ladder/displacement matrices.  The two routes are independent and are
+cross-checked in the test suite.
+
+Every state here is a product over the two commuting modes, so the
+constructors return a ProductRep of one term: one N x N matrix per mode.
+The dense FockRep tensor is built only where a consumer asks for ``coeffs``
+(JSON dump, the reality residual); ``fock_values`` evaluates either form.
 """
 
 from __future__ import annotations
@@ -17,12 +22,11 @@ import numpy as np
 from .phase_space import PhasePoint, PhysParams, to_mode_coords
 from .specfun import laguerre, laguerre_amplitude
 from .star import (
-    FockRep,
     PolyGauss,
+    ProductRep,
     StarPolynomial,
     displacement_column,
     displacement_matrix,
-    matrix_unit,
 )
 
 TAIL_TOLERANCE = 1e-12
@@ -75,13 +79,20 @@ def matrix_unit_values(cutoff: int, z):
     return out
 
 
-def fock_values(rep: FockRep, a, b):
-    """Pointwise values of a FockRep at mode coordinates (a, b), vectorized."""
+def fock_values(rep, a, b):
+    """Pointwise values of a FockRep or ProductRep at mode coordinates (a, b), vectorized."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     wa = matrix_unit_values(rep.cutoff, a.ravel())
     wb = matrix_unit_values(rep.cutoff, b.ravel())
-    vals = _fock_point_values(rep.coeffs, wa, wb)
+    if isinstance(rep, ProductRep):
+        # each mode's factor contracts with its own basis values
+        vals = np.zeros(a.size, dtype=complex)
+        for c, ma, mb in rep.terms:
+            vals += (c * np.tensordot(ma, wa, axes=([0, 1], [0, 1]))
+                     * np.tensordot(mb, wb, axes=([0, 1], [0, 1])))
+    else:
+        vals = _fock_point_values(rep.coeffs, wa, wb)
     return vals.reshape(a.shape) if a.shape else complex(vals[0])
 
 
@@ -96,7 +107,7 @@ def _fock_point_values(coeffs, wa, wb):
     return np.einsum("klp,klp->p", first, wb)
 
 
-def fock_eval(rep: FockRep, pt: PhasePoint, params: PhysParams) -> complex:
+def fock_eval(rep, pt: PhasePoint, params: PhysParams) -> complex:
     mc = to_mode_coords(pt, params)
     return complex(fock_values(rep, mc.a, mc.b))
 
@@ -164,10 +175,13 @@ def coherent_eval(label: CoherentLabel, pt: PhasePoint, params: PhysParams) -> f
 # Fock-coefficient constructors
 # ---------------------------------------------------------------------------
 
-def wigner_fock(label: WignerLabel, cutoff: int) -> FockRep:
+def wigner_fock(label: WignerLabel, cutoff: int) -> ProductRep:
+    """Diagonal matrix unit |n><n| (x) |l><l|, one factor per mode."""
     if label.n >= cutoff or label.l >= cutoff:
         raise ValueError(f"label {label} exceeds cutoff {cutoff}")
-    return matrix_unit(label.n, label.n, label.l, label.l, cutoff)
+    ma, mb = np.zeros((cutoff, cutoff)), np.zeros((cutoff, cutoff))
+    ma[label.n, label.n] = mb[label.l, label.l] = 1.0
+    return ProductRep(cutoff, ((1.0, ma, mb),))
 
 
 def displacement_fock(alpha1: complex, alpha2: complex, cutoff: int):
@@ -176,20 +190,17 @@ def displacement_fock(alpha1: complex, alpha2: complex, cutoff: int):
 
 
 def _displaced_projector(alpha1: complex, alpha2: complex, n: int, l: int,
-                         cutoff: int) -> FockRep:
-    d1, d2 = displacement_fock(alpha1, alpha2, cutoff)
-    c1 = d1[:, n]
-    c2 = d2[:, l]
-    m1 = np.outer(c1, np.conj(c1))
-    m2 = np.outer(c2, np.conj(c2))
-    coeffs = np.einsum("ij,kl->ijkl", m1, m2)
-    # symmetrize so the reality condition holds exactly, not just to rounding
-    coeffs = 0.5 * (coeffs + np.conj(coeffs).transpose(1, 0, 3, 2))
+                         cutoff: int) -> ProductRep:
+    factors = []
+    for d, k in zip(displacement_fock(alpha1, alpha2, cutoff), (n, l)):
+        m = np.outer(d[:, k], np.conj(d[:, k]))
+        # symmetrize so the reality condition holds exactly, not just to rounding
+        factors.append(0.5 * (m + m.conj().T))
     # the truncated exponential stays unitary, so missing weight has to be
     # measured against the closed-form (untruncated) displacement column
     tail = (_column_tail_weight(alpha1, n, cutoff)
             + _column_tail_weight(alpha2, l, cutoff))
-    return FockRep(cutoff, coeffs, overflow=bool(tail > TAIL_TOLERANCE))
+    return ProductRep(cutoff, ((1.0, *factors),), overflow=bool(tail > TAIL_TOLERANCE))
 
 
 def _column_tail_weight(alpha: complex, n: int, cutoff: int) -> float:
@@ -197,12 +208,12 @@ def _column_tail_weight(alpha: complex, n: int, cutoff: int) -> float:
     return abs(1.0 - inside)
 
 
-def coherent_fock(label: CoherentLabel, cutoff: int) -> FockRep:
+def coherent_fock(label: CoherentLabel, cutoff: int) -> ProductRep:
     """Displaced ground projector; overflow flags truncated tail weight."""
     return _displaced_projector(label.alpha1, label.alpha2, 0, 0, cutoff)
 
 
-def generalized_coherent_fock(label: GeneralizedCoherentLabel, cutoff: int) -> FockRep:
+def generalized_coherent_fock(label: GeneralizedCoherentLabel, cutoff: int) -> ProductRep:
     if label.base.n >= cutoff or label.base.l >= cutoff:
         raise ValueError(f"base label {label.base} exceeds cutoff {cutoff}")
     return _displaced_projector(label.alpha1, label.alpha2, label.base.n, label.base.l, cutoff)
@@ -231,8 +242,8 @@ def displaced_polynomial(poly: StarPolynomial, alpha1: complex,
     return StarPolynomial.from_terms(out_terms)
 
 
-def state_fock(label, cutoff: int) -> FockRep:
-    """Build the FockRep of any supported state label."""
+def state_fock(label, cutoff: int) -> ProductRep:
+    """Build the per-mode product representation of any supported state label."""
     if isinstance(label, WignerLabel):
         return wigner_fock(label, cutoff)
     if isinstance(label, CoherentLabel):

@@ -227,6 +227,32 @@ def test_eval_rejects_non_finite_displacement(capsys, label):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "wigner:0,0", "--grid", "q1=nan"),
+    ("eval", "marginal1d:q1", "wigner:1,1", "--grid", "inf"),
+    ("eval", "wigner:0,0", "--grid", "q1=0:inf:3"),
+    ("equalities", "--pairs", "1,0", "--samples", "nan"),
+])
+def test_non_finite_grid_and_samples_are_input_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("label", ["wigner:2,1", "gencoherent:1,2:0.6,-0.3,0.2,0.5"])
+def test_state_dump_is_reproducible_and_reloads_exactly(tmp_path, capsys, label):
+    _, first, _ = run_cli(capsys, "state", "dump", label, "--cutoff", "8")
+    code, second, _ = run_cli(capsys, "state", "dump", label, "--cutoff", "8")
+    assert code == 0 and first == second
+    diag = [e for e in json.loads(first)["entries"] if e[0] == e[1] and e[2] == e[3]]
+    assert diag and all(e[5] == 0.0 for e in diag)
+    path = tmp_path / "state.json"
+    path.write_text(first, encoding="utf-8")
+    code, reloaded, _ = run_cli(capsys, "state", "load", str(path))
+    assert code == 0 and reloaded == first
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("hbar = 2.0\nmass = 1.0\n# comment\nomega = 0.5\n", encoding="utf-8")

@@ -6,10 +6,14 @@ import pytest
 
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
+    GENERATORS,
+    FockRep,
+    ProductRep,
     StarPolynomial,
     apply_star_polynomial,
     integrate,
     left_star_generator,
+    moyal_bracket,
     star,
 )
 from landaustar.states import (
@@ -26,6 +30,7 @@ from landaustar.states import (
     generalized_coherent_fock,
     generating_function,
     parse_state_label,
+    state_fock,
     wigner_eval,
     wigner_fock,
     wigner_values,
@@ -353,3 +358,107 @@ def test_parse_state_labels():
         parse_state_label("wigner:2")
     with pytest.raises(ValueError):
         parse_state_label("squeezed:1,2")
+
+
+# ---------------------------------------------------------------------------
+# per-mode product states against the dense reference
+# ---------------------------------------------------------------------------
+
+def random_star_polynomial(rng, n_terms=3, max_len=3):
+    terms = []
+    for _ in range(n_terms):
+        word = tuple(GENERATORS[i] for i in rng.integers(0, 4, size=rng.integers(0, max_len + 1)))
+        terms.append((complex(rng.normal(), rng.normal()), word))
+    return StarPolynomial.from_terms(terms)
+
+
+def dense(rep):
+    """The dense FockRep reference of a product state."""
+    return FockRep(rep.cutoff, rep.coeffs.copy(), rep.overflow)
+
+
+def assert_same_rep(got, want):
+    assert isinstance(got, ProductRep) and isinstance(want, FockRep)
+    scale = max(1.0, float(np.max(np.abs(want.coeffs))))
+    assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= 1e-12 * scale
+    assert got.overflow == want.overflow
+
+
+def product_state_labels(cutoff):
+    # the first label fills the top row of the first mode, so raising letters
+    # overflow on both routes; below cutoff 32 the last starts out truncated
+    return [
+        WignerLabel(cutoff - 1, 2),
+        WignerLabel(1, 3),
+        CoherentLabel(0.3 - 0.2j, 0.1j),
+        GeneralizedCoherentLabel(0.4j, -0.3 + 0.1j, WignerLabel(2, 1)),
+        GeneralizedCoherentLabel(1.5 + 0.5j, -1.0j, WignerLabel(1, 0)),
+    ]
+
+
+@pytest.mark.parametrize("cutoff", [6, 16, 32])
+def test_product_apply_matches_dense_reference(cutoff):
+    """Random star polynomials from both sides, applied once and twice."""
+    rng = np.random.default_rng(3100 + cutoff)
+    polys_per_state = 2 if cutoff == 32 else 4
+    flags = set()
+    for label in product_state_labels(cutoff):
+        rep = state_fock(label, cutoff)
+        ref = dense(rep)
+        for side in ("left", "right"):
+            for _ in range(polys_per_state):
+                f, g = random_star_polynomial(rng), random_star_polynomial(rng)
+                once = apply_star_polynomial(f, rep, side)
+                once_ref = apply_star_polynomial(f, ref, side)
+                assert_same_rep(once, once_ref)
+                # the second application acts on a sum of product terms
+                assert_same_rep(apply_star_polynomial(g, once, side),
+                                apply_star_polynomial(g, once_ref, side))
+                flags.add(once_ref.overflow)
+    assert flags == {False, True}
+
+
+def test_product_overflow_needs_a_live_other_factor():
+    """A raising letter on the top row drops weight only if the other mode is nonzero."""
+    rep = wigner_fock(WignerLabel(5, 0), 6)
+    # left action applies the last letter first: b empties the second mode
+    # before abar meets the filled top row of the first
+    dead = StarPolynomial.from_terms([(1.0, ("abar", "b"))])
+    live = StarPolynomial.from_terms([(1.0, ("b", "abar"))])
+    for poly, flagged in ((dead, False), (live, True)):
+        got = apply_star_polynomial(poly, rep)
+        assert_same_rep(got, apply_star_polynomial(poly, dense(rep)))
+        assert got.overflow is flagged
+
+
+@pytest.mark.parametrize("cutoff", [6, 16])
+def test_product_star_and_values_match_dense_reference(cutoff):
+    rng = np.random.default_rng(3200 + cutoff)
+    _, a, b = random_points(rng, 20)
+    reps = [state_fock(label, cutoff) for label in product_state_labels(cutoff)]
+    # a two-term state as well as the one-term constructions
+    reps.append(apply_star_polynomial(random_star_polynomial(rng), reps[3]))
+    for f in reps:
+        np.testing.assert_allclose(fock_values(f, a, b), fock_values(dense(f), a, b),
+                                   rtol=1e-12, atol=1e-12)
+        assert_same_rep(f.conjugate(), dense(f).conjugate())
+        for g in reps:
+            assert_same_rep(star(f, g), star(dense(f), dense(g)))
+            assert_same_rep(moyal_bracket(f, g), moyal_bracket(dense(f), dense(g)))
+        # mixed sums fall back to the dense tensor
+        mixed = f + dense(reps[0])
+        assert isinstance(mixed, FockRep)
+        np.testing.assert_array_equal(mixed.coeffs, f.coeffs + reps[0].coeffs)
+
+
+def test_constructed_states_are_exactly_real():
+    rng = np.random.default_rng(3300)
+    for _ in range(30):
+        n, l = (int(v) for v in rng.integers(0, 6, size=2))
+        a1, a2 = (complex(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(2))
+        for label in (WignerLabel(n, l), CoherentLabel(a1, a2),
+                      GeneralizedCoherentLabel(a1, a2, WignerLabel(n, l))):
+            rep = state_fock(label, 12)
+            assert rep.reality_residual() == 0.0
+            diag = np.einsum("iijj->ij", rep.coeffs)
+            assert np.all(diag.imag == 0.0)

@@ -10,6 +10,8 @@ from landaustar.states import (
     GeneralizedCoherentLabel,
     WignerLabel,
     coherent_fock,
+    fock_values,
+    state_fock,
     wigner_fock,
 )
 from landaustar.uncertainty import (
@@ -264,3 +266,32 @@ def test_overflow_propagates_through_expectation():
     poly = ABAR * ABAR  # raises past the cutoff
     rep = apply_star_polynomial(poly, s.state)
     assert rep.overflow
+
+
+@pytest.mark.parametrize("label", [
+    WignerLabel(2, 3),
+    CoherentLabel(0.7 - 0.3j, -0.2 + 0.4j),
+    GeneralizedCoherentLabel(0.5j, -0.4, WignerLabel(1, 2)),
+])
+def test_queries_on_product_states_build_no_dense_tensor(label):
+    rep = state_fock(label, 16)
+    s = StateFunctional(rep, PARAMS)
+    coords = coordinate_polynomials(PARAMS)
+    expectation(coords["q1"] * coords["p2"], s)
+    variance(coords["q2"], s)
+    robertson_schrodinger_slack(coords["q1"], coords["p1"], s)
+    fock_values(rep, np.array([0.1, -0.3j]), np.array([0.2 + 0.1j, 0.0]))
+    assert "coeffs" not in rep.__dict__
+
+
+def test_coherent_state_at_cutoff_128():
+    """|alpha| ~ 2.7 needs no truncation here; the dense tensor would take 4 GiB."""
+    label = CoherentLabel(1.9 + 1.9j, 0.5 - 0.3j)
+    rep = coherent_fock(label, 128)
+    assert not rep.overflow
+    s = StateFunctional(rep, PARAMS)
+    coords = coordinate_polynomials(PARAMS)
+    assert variance(coords["q1"], s) == pytest.approx(0.5 * PARAMS.gamma ** 2, abs=1e-12)
+    assert robertson_schrodinger_slack(coords["q1"], coords["p1"], s) == pytest.approx(
+        0.0, abs=1e-12)
+    assert "coeffs" not in rep.__dict__
