@@ -67,16 +67,6 @@ def log_factorial(n: int) -> float:
     return float(gammaln(n + 1))
 
 
-def laguerre_amplitude(m: int, n: int) -> float:
-    """sqrt(lo!/hi!) with lo, hi = min(m, n), max(m, n).
-
-    The normalization of the Laguerre form of matrix-unit and displacement
-    matrix elements, computed via log-gamma so large indices cannot overflow.
-    """
-    lo, hi = min(m, n), max(m, n)
-    return math.exp(0.5 * (log_factorial(lo) - log_factorial(hi)))
-
-
 def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 

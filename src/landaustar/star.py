@@ -22,6 +22,12 @@ polynomial (optionally times Gaussian) symbols, with two pairings: a against
 abar and b against bbar for symbols in the mode variables, q against p for
 polynomials in the canonical coordinates.  Representation B is deliberately
 independent of A and serves as its oracle in the test suite.
+
+Displacement matrices come two ways.  The closed Laguerre form
+(displacement_matrix_closed), vectorized over displacements, is the production
+route for basis-function values (states.matrix_unit_values).  The matrix
+exponential at the cutoff (displacement_matrix) is its independent oracle and
+builds the coherent-state factors, which need the truncated, unitary operator.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .phase_space import PhysParams
-from .specfun import laguerre, laguerre_amplitude
 
 GENERATORS = ("a", "abar", "b", "bbar")
 
@@ -173,14 +178,6 @@ def star(f, g):
     return FockRep(f.cutoff, np.ascontiguousarray(out.transpose(0, 2, 1, 3)), overflow)
 
 
-def _mode_axis(gen: str, side: str) -> int:
-    mode_first = gen in ("a", "abar")
-    left = side == "left"
-    if mode_first:
-        return 0 if left else 1
-    return 2 if left else 3
-
-
 def _apply_generator(gen: str, side: str, rep):
     """Ladder action of one generator from the given side.
 
@@ -192,32 +189,13 @@ def _apply_generator(gen: str, side: str, rep):
         return apply_star_polynomial(StarPolynomial.generator(gen), rep, side)
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    n = rep.cutoff
-    lower, raise_ = ladder_matrices(n)
-    axis = _mode_axis(gen, side)
-    creation = gen in ("abar", "bbar")
-    raising_index = creation == (side == "left")  # raises the acted-on index
-    mat = raise_ if creation else lower
-    # Left action is M @ C on the row axis, right action C @ M on the column
-    # axis; each case is a single (batched) matmul on a reshaped view.
-    c = np.ascontiguousarray(rep.coeffs)
-    shape = c.shape
-    if side == "left":
-        if axis == 0:
-            out = (mat @ c.reshape(n, -1)).reshape(shape)
-        else:  # axis == 2
-            out = np.matmul(mat, c.reshape(n * n, n, n)).reshape(shape)
-    else:
-        if axis == 3:
-            out = (c.reshape(-1, n) @ mat).reshape(shape)
-        else:  # axis == 1
-            out = np.matmul(mat.T, c.reshape(n, n, n * n)).reshape(shape)
-    overflow = rep.overflow
-    if raising_index:
-        top = np.take(rep.coeffs, n - 1, axis=axis)
-        if np.any(top != 0):
-            overflow = True
-    return FockRep(n, out, overflow)
+    # coefficient axes are (m1, n1, m2, n2): row, then column, of each mode
+    axis = (0 if gen in ("a", "abar") else 2) + (side == "right")
+    raising = _raises(gen, side)
+    c = np.moveaxis(rep.coeffs, axis, 0)
+    out = np.moveaxis(_ladder_step(c, raising), 0, axis)
+    overflow = rep.overflow or (raising and bool(np.any(c[-1] != 0)))
+    return FockRep(rep.cutoff, out, overflow)
 
 
 def left_star_generator(gen: str, f):
@@ -228,20 +206,25 @@ def right_star_generator(gen: str, f):
     return _apply_generator(gen, "right", f)
 
 
-def _ladder_step(x: np.ndarray, gen: str, side: str) -> np.ndarray:
-    """One generator's ladder action on a single-mode N x N factor.
+def _raises(gen: str, side: str) -> bool:
+    """Whether the generator's action from this side raises the acted-on index."""
+    return (gen in ("abar", "bbar")) == (side == "left")
+
+
+def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
+    """One ladder action along the leading axis of x.
 
     The ladder matrices have one nonzero diagonal, so the action is a shifted,
-    scaled copy: the same values as the matrix product, at N^2 cost.
+    scaled copy: the same values as the matrix product, at the cost of a copy.
+    Callers put the acted-on index first: a right action on an N x N factor
+    passes its transpose, the dense tensor a view with that axis moved.
     """
-    s = np.sqrt(np.arange(1.0, x.shape[0]))[:, None]
+    s = np.sqrt(np.arange(1.0, x.shape[0])).reshape((-1,) + (1,) * (x.ndim - 1))
     out = np.zeros_like(x)
-    # a right action moves column indices: the left action on the transposes
-    rows, out_rows = (x, out) if side == "left" else (x.T, out.T)
-    if (gen in ("abar", "bbar")) == (side == "left"):  # raises the index
-        out_rows[1:] = s * rows[:-1]
+    if raising:
+        out[1:] = s * x[:-1]
     else:
-        out_rows[:-1] = s * rows[1:]
+        out[:-1] = s * x[1:]
     return out
 
 
@@ -251,14 +234,11 @@ def integrate(f, params: PhysParams) -> complex:
 
 
 def fock_to_entries(f: FockRep):
-    """Nonzero coefficients as sorted [m1, n1, m2, n2, re, im] rows."""
-    idx = np.argwhere(f.coeffs != 0)
-    entries = []
-    for m1, n1, m2, n2 in idx:
-        c = f.coeffs[m1, n1, m2, n2]
-        entries.append([int(m1), int(n1), int(m2), int(n2), float(c.real), float(c.imag)])
-    entries.sort(key=lambda e: e[:4])
-    return entries
+    """Nonzero coefficients as [m1, n1, m2, n2, re, im] rows in index order."""
+    idx = np.argwhere(f.coeffs != 0)  # row-major, so already sorted
+    vals = f.coeffs[tuple(idx.T)]
+    return [i + [re, im] for i, re, im in zip(idx.tolist(), vals.real.tolist(),
+                                              vals.imag.tolist())]
 
 
 def fock_to_json_dict(f: FockRep) -> dict:
@@ -431,7 +411,6 @@ def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep
     which differs only where terms cancel exactly in the top slice.  Words
     sharing their second-mode letters share one output term.
     """
-    raising = ("abar", "bbar") if side == "left" else ("a", "b")
     overflow = f.overflow
     terms = []
     for c0, a0, b0 in f.terms:
@@ -440,7 +419,9 @@ def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep
         def factor(mode, letters):
             cache = done[mode]
             if letters not in cache:
-                cache[letters] = _ladder_step(factor(mode, letters[:-1]), letters[-1], side)
+                x, raising = factor(mode, letters[:-1]), _raises(letters[-1], side)
+                cache[letters] = (_ladder_step(x, raising) if side == "left"
+                                  else _ladder_step(x.T, raising).T)
             return cache[letters]
 
         by_b_letters: dict = {}
@@ -450,7 +431,7 @@ def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep
                 if gen not in GENERATORS:
                     raise ValueError(f"unknown generator {gen!r}")
                 mode, other = ("a", "b") if gen in ("a", "abar") else ("b", "a")
-                if gen in raising and not overflow:
+                if _raises(gen, side) and not overflow:
                     own = factor(mode, applied[mode])
                     top = own[-1] if side == "left" else own[:, -1]
                     overflow = bool(np.any(top != 0)
@@ -702,30 +683,62 @@ def bidifferential_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Single-mode displacement matrix exp(alpha*raise - conj(alpha)*lower).
 
-    Computed by scaling-and-squaring matrix exponential at the working cutoff;
-    the closed Laguerre form below pins down the convention independently.
+    Computed by scaling-and-squaring matrix exponential at the working cutoff:
+    the truncated operator, whose columns the coherent constructors use.  The
+    closed form below pins down the convention independently.
     """
     lower, raise_ = ladder_matrices(cutoff)
     return expm(alpha * raise_ - np.conj(alpha) * lower)
 
 
-def displacement_column(alpha: complex, n: int, cutoff: int) -> np.ndarray:
-    """Closed-form column n of the displacement matrix, rows 0..cutoff-1.
+def displacement_matrix_closed(alpha, cutoff: int) -> np.ndarray:
+    """Closed-form (untruncated) displacement matrix elements, vectorized over alpha.
 
-    Element m is sqrt(lo!/hi!) z^(hi-lo) e^{-|alpha|^2/2} L_lo^(hi-lo)(|alpha|^2)
-    with lo, hi = min(m, n), max(m, n) and z = alpha below the diagonal,
-    -conj(alpha) above it.  These are the untruncated matrix elements.
+    Returns shape (cutoff, cutoff, *alpha.shape).  With lo, hi = min(m, n),
+    max(m, n), d = hi - lo and x = |alpha|^2, element (m, n) is (z/|alpha|)^d g_lo,
+    where z = alpha below the diagonal and -conj(alpha) above it, and
+
+        g_lo = sqrt(lo!/hi!) |alpha|^d e^{-x/2} L_lo^d(x)
+
+    is real.  The Laguerre recurrence in lo, normalized to
+
+        g_{k+1} = ((2k+1+d-x) g_k - sqrt(k(k+d)) g_{k-1}) / sqrt((k+1)(k+1+d)),
+
+    advances every diagonal at once, one array step per k.  Each g_k has the
+    size of a unitary matrix element, at most 1, so no step can overflow.
     """
-    x = abs(alpha) ** 2
-    col = np.empty(cutoff, dtype=complex)
-    for m in range(cutoff):
-        lo, hi = min(m, n), max(m, n)
-        z = alpha if m >= n else -np.conj(alpha)
-        col[m] = (laguerre_amplitude(m, n) * math.exp(-0.5 * x)
-                  * z ** (hi - lo) * laguerre(lo, hi - lo, x))
-    return col
-
-
-def displacement_matrix_closed(alpha: complex, cutoff: int) -> np.ndarray:
-    """Closed-form matrix elements, one displacement_column per column."""
-    return np.stack([displacement_column(alpha, n, cutoff) for n in range(cutoff)], axis=1)
+    alpha = np.asarray(alpha, dtype=complex)
+    shape, alpha = alpha.shape, alpha.reshape(-1)
+    rho = np.abs(alpha)
+    x = rho * rho
+    # alpha/|alpha|, or 0 at alpha = 0, where only the main diagonal is nonzero
+    phase = alpha * np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
+    # first[d] = g_0 = e^{-x/2} rho^d / sqrt(d!) of diagonal d; below[d] and
+    # above[d] are the phases (z/|alpha|)^d under and over the main diagonal
+    first = np.empty((cutoff, alpha.size))
+    below = np.empty((cutoff, alpha.size), dtype=complex)
+    first[0] = np.exp(-0.5 * x)
+    below[0] = 1.0
+    for d in range(1, cutoff):
+        np.multiply(first[d - 1], rho, out=first[d])
+        first[d] *= 1.0 / math.sqrt(d)
+        np.multiply(below[d - 1], phase, out=below[d])
+    above = np.conj(below)
+    above[1::2] *= -1.0
+    diag = np.arange(cutoff)[:, None]
+    out = np.empty((cutoff, cutoff, alpha.size), dtype=complex)
+    prev, cur = None, first  # cur[d] = g_k of diagonal d
+    for k in range(cutoff):
+        m = cutoff - k
+        np.multiply(below[:m], cur, out=out[k:, k])
+        np.multiply(above[1:m], cur[1:], out=out[k, k + 1:])
+        if m == 1:
+            break
+        dd = diag[:m - 1]
+        nxt = (2 * k + 1 + dd) - x
+        nxt *= cur[:m - 1]
+        if k:
+            nxt -= np.sqrt(k * (k + dd)) * prev[:m - 1]
+        nxt *= 1.0 / np.sqrt((k + 1) * (k + 1 + dd))
+        prev, cur = cur, nxt
+    return out.reshape((cutoff, cutoff) + shape)

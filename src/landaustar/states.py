@@ -6,6 +6,11 @@ pointwise closed form and in the matrix-unit basis, built from
 ladder/displacement matrices.  The two routes are independent and are
 cross-checked in the test suite.
 
+The basis functions themselves are displaced parity elements,
+u_mn(z) = 2 (-1)^n <m|D(2 conj z)|n> in each mode, so their values come from the
+closed-form displacement kernel (star.displacement_matrix_closed), the same
+Laguerre family as the coherent states' displacement columns.
+
 Every state here is a product over the two commuting modes, so the
 constructors return a ProductRep of one term: one N x N matrix per mode.
 The dense FockRep tensor is built only where a consumer asks for ``coeffs``
@@ -20,13 +25,13 @@ from math import comb, factorial, isfinite
 import numpy as np
 
 from .phase_space import PhasePoint, PhysParams, to_mode_coords
-from .specfun import laguerre, laguerre_amplitude
+from .specfun import laguerre
 from .star import (
     PolyGauss,
     ProductRep,
     StarPolynomial,
-    displacement_column,
     displacement_matrix,
+    displacement_matrix_closed,
 )
 
 TAIL_TOLERANCE = 1e-12
@@ -65,17 +70,12 @@ def matrix_unit_values(cutoff: int, z):
     Returns an array of shape (cutoff, cutoff, *z.shape); entry (m, n) is the
     basis function with m creation and n annihilation factors around the mode
     Gaussian, normalized to compose like matrix units under the star product.
+    It is the displaced parity element u_mn(z) = 2 (-1)^n <m|D(2 conj z)|n>,
+    so every entry comes from the closed-form displacement kernel.
     """
     z = np.asarray(z, dtype=complex)
-    x = 4.0 * np.abs(z) ** 2
-    gauss = np.exp(-0.5 * x)
-    out = np.empty((cutoff, cutoff) + z.shape, dtype=complex)
-    for m in range(cutoff):
-        for n in range(cutoff):
-            lo, hi = min(m, n), max(m, n)
-            amp = 2.0 * (-1.0) ** lo * laguerre_amplitude(m, n)
-            w = np.conj(z) if m > n else z
-            out[m, n] = amp * (2.0 * w) ** (hi - lo) * laguerre(lo, hi - lo, x) * gauss
+    out = displacement_matrix_closed(2.0 * np.conj(z), cutoff)
+    out *= (2.0 * (-1.0) ** np.arange(cutoff)).reshape((1, cutoff) + (1,) * z.ndim)
     return out
 
 
@@ -198,14 +198,9 @@ def _displaced_projector(alpha1: complex, alpha2: complex, n: int, l: int,
         factors.append(0.5 * (m + m.conj().T))
     # the truncated exponential stays unitary, so missing weight has to be
     # measured against the closed-form (untruncated) displacement column
-    tail = (_column_tail_weight(alpha1, n, cutoff)
-            + _column_tail_weight(alpha2, l, cutoff))
+    tail = sum(abs(1.0 - np.sum(np.abs(displacement_matrix_closed(alpha, cutoff)[:, k]) ** 2))
+               for alpha, k in ((alpha1, n), (alpha2, l)))
     return ProductRep(cutoff, ((1.0, *factors),), overflow=bool(tail > TAIL_TOLERANCE))
-
-
-def _column_tail_weight(alpha: complex, n: int, cutoff: int) -> float:
-    inside = float(np.sum(np.abs(displacement_column(alpha, n, cutoff)) ** 2))
-    return abs(1.0 - inside)
 
 
 def coherent_fock(label: CoherentLabel, cutoff: int) -> ProductRep:

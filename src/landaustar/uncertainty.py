@@ -17,7 +17,7 @@ import numpy as np
 from .marginals import axis_scale, marginal_1d
 from .phase_space import PhysParams
 from .quadrature import QuadratureRule, default_order, gauss_hermite
-from .star import FockRep, StarPolynomial, apply_star_polynomial
+from .star import FockRep, ProductRep, StarPolynomial, apply_star_polynomial
 from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
@@ -40,7 +40,7 @@ _BBAR = StarPolynomial.generator("bbar")
 class StateFunctional:
     """Normalized positive linear functional on the star algebra."""
 
-    state: FockRep
+    state: FockRep | ProductRep
     params: PhysParams
 
     def __call__(self, f: StarPolynomial) -> complex:
@@ -185,7 +185,7 @@ def coherent_moment_predictions(label: CoherentLabel, params: PhysParams) -> dic
 
 def coherent_uncertainties(label: CoherentLabel, params: PhysParams,
                            cutoff: int = DEFAULT_CUTOFF):
-    """Per-coordinate moment reports for a coherent state, from its FockRep."""
+    """Per-coordinate moment reports for a coherent state, from its coefficients."""
     s = StateFunctional(coherent_fock(label, cutoff), params)
     coords = coordinate_polynomials(params)
     reports = {}

@@ -18,9 +18,11 @@ from landaustar.star import (
     displacement_matrix,
     displacement_matrix_closed,
     fock_from_json_dict,
+    fock_to_entries,
     fock_to_json_dict,
     generator_symbol,
     integrate,
+    ladder_matrices,
     left_star_generator,
     matrix_unit,
     moyal_bracket,
@@ -117,6 +119,45 @@ def test_overflow_flag_on_creation():
     assert np.all(res.coeffs == 0)
     inner = matrix_unit(2, 2, 0, 0, 6)
     assert not left_star_generator("abar", inner).overflow
+
+
+# Acted-on coefficient axis, einsum of the ladder matrix along it, and
+# whether the action raises that index, spelled out independently of the
+# shifted-copy implementation both storage forms share.
+DENSE_LADDER = {
+    ("a", "left"): (0, "ij,jnkl->inkl", False),
+    ("abar", "left"): (0, "ij,jnkl->inkl", True),
+    ("a", "right"): (1, "mjkl,ji->mikl", True),
+    ("abar", "right"): (1, "mjkl,ji->mikl", False),
+    ("b", "left"): (2, "ij,mnjl->mnil", False),
+    ("bbar", "left"): (2, "ij,mnjl->mnil", True),
+    ("b", "right"): (3, "mnkj,ji->mnki", True),
+    ("bbar", "right"): (3, "mnkj,ji->mnki", False),
+}
+
+
+@pytest.mark.parametrize("gen, side", sorted(DENSE_LADDER))
+def test_dense_ladder_action_matches_ladder_matrix(gen, side):
+    cutoff = 6
+    axis, subscripts, raising = DENSE_LADDER[(gen, side)]
+    lower, raise_ = ladder_matrices(cutoff)
+    mat = raise_ if gen in ("abar", "bbar") else lower
+    act = left_star_generator if side == "left" else right_star_generator
+    rng = np.random.default_rng(17)
+    shape = (cutoff,) * 4
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rep = FockRep(cutoff, coeffs)
+    res = act(gen, rep)
+    want = (np.einsum(subscripts, mat, coeffs) if side == "left"
+            else np.einsum(subscripts, coeffs, mat))
+    np.testing.assert_allclose(res.coeffs, want, rtol=0, atol=1e-14)
+    assert res.overflow == raising
+    # with the top slice of the acted-on axis empty nothing is dropped
+    inner = coeffs.copy()
+    np.moveaxis(inner, axis, 0)[-1] = 0
+    assert not act(gen, FockRep(cutoff, inner)).overflow
+    # the flag is sticky
+    assert act(gen, FockRep(cutoff, inner, overflow=True)).overflow
 
 
 def test_moyal_bracket_generators_normal_form():
@@ -307,6 +348,17 @@ def test_serialization_round_trip():
     assert entries == sorted(entries, key=lambda e: e[:4])
 
 
+def test_entries_match_a_sorted_loop():
+    rng = np.random.default_rng(16)
+    shape = (5,) * 4
+    coeffs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.3)
+    coeffs.flat[[3, 40, 41]] = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0)]
+    want = sorted([int(m1), int(n1), int(m2), int(n2), float(c.real), float(c.imag)]
+                  for (m1, n1, m2, n2), c in np.ndenumerate(coeffs) if c != 0)
+    got = fock_to_entries(FockRep(5, coeffs))
+    assert json.dumps(got) == json.dumps(want)
+
+
 def test_serialization_rejects_bad_docs():
     with pytest.raises(ValueError):
         fock_from_json_dict({"entries": []})
@@ -323,6 +375,19 @@ def test_displacement_matrix_routes_agree():
         via_expm = displacement_matrix(alpha, 32)
         closed = displacement_matrix_closed(alpha, 32)
         assert float(np.max(np.abs(via_expm[:9, :9] - closed[:9, :9]))) <= 1e-9
+
+
+def test_displacement_kernel_is_vectorized():
+    rng = np.random.default_rng(15)
+    alphas = rng.uniform(-1.4, 1.4, (2, 3)) + 1j * rng.uniform(-1.4, 1.4, (2, 3))
+    alphas[1, 2] = 0.0
+    closed = displacement_matrix_closed(alphas, 32)
+    assert closed.shape == (32, 32, 2, 3)
+    for i, j in np.ndindex(alphas.shape):
+        assert np.array_equal(closed[:, :, i, j], displacement_matrix_closed(alphas[i, j], 32))
+        via_expm = displacement_matrix(alphas[i, j], 32)
+        assert float(np.max(np.abs(via_expm[:9, :9] - closed[:9, :9, i, j]))) <= 1e-9
+    np.testing.assert_array_equal(closed[:, :, 1, 2], np.eye(32))
 
 
 def test_anti_bracket_on_polynomials():

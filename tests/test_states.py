@@ -238,6 +238,19 @@ def test_coherent_constant_reconciliation():
         assert abs(via_fock.imag) <= 1e-11
 
 
+def test_coherent_values_at_cutoff_96():
+    """The Fock route stays exact far above the cutoffs the checks use."""
+    label = CoherentLabel(2.5 + 1.5j, -1j)
+    rep = coherent_fock(label, 96)
+    assert not rep.overflow
+    rng = np.random.default_rng(27)
+    # around the displacement, where the state lives and high indices matter
+    a = label.alpha1 + rng.normal(scale=0.6, size=25) + 1j * rng.normal(scale=0.6, size=25)
+    b = label.alpha2 + rng.normal(scale=0.6, size=25) + 1j * rng.normal(scale=0.6, size=25)
+    np.testing.assert_allclose(fock_values(rep, a, b), coherent_values(label, a, b),
+                               rtol=0, atol=1e-9)
+
+
 def test_coherent_tail_weight_flag():
     """Truncated displacement weight raises the sticky flag."""
     label = CoherentLabel(2.0 + 0j, 0j)
