@@ -22,6 +22,7 @@ import numpy as np
 from . import checks
 from .marginals import (
     AXES,
+    CLOSED_FORM_PLANES,
     integral_equality_residuals,
     marginal_1d,
     marginal_2d,
@@ -248,7 +249,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             raise InputError("2D marginals are defined for wigner:n,l states")
         grid = parse_named_grid(args.grid, plane)
         x, y = np.meshgrid(grid[plane[0]], grid[plane[1]], indexing="ij")
-        rule = gauss_hermite(max(cfg.quad_order, label.n + label.l + 8))
+        rule = None if plane in CLOSED_FORM_PLANES else gauss_hermite(
+            max(cfg.quad_order, label.n + label.l + 8))
         vals = marginal_2d(label.n, label.l, plane, x.reshape(-1), y.reshape(-1),
                            cfg.params, rule) / norm
         rows = [(float(x.reshape(-1)[i]), float(y.reshape(-1)[i]), float(vals[i]))

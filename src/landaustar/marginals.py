@@ -1,11 +1,19 @@
 """Marginal probability densities along coordinate axes and planes.
 
-The 1D densities come out of a single Hermite expansion whose coefficients
-are combinatorial; two of the coordinate planes also have closed forms
-(Laguerre on the position plane, Hermite on the mixed q1-p2 plane).  Every
-closed form here is cross-checked against direct quadrature of the Wigner
-function in the test suite, and equating the two evaluation routes yields
-nontrivial integral identities between the classical orthogonal polynomials.
+Every coordinate axis mixes the two modes 50:50.  In the rotated modes the
+(n, l) state spreads over the states |k, n+l-k> with weights w_k, the squared
+components of a J_x eigenvector of spin (n+l)/2 (Wigner's small d at pi/2), so
+its 1D density is the positive mixture 4 sqrt(pi) N_axis sum_k w_k phi_k(u)^2
+of squared normalized Hermite functions.  Every term is non-negative and every
+phi_k is bounded, so the sum neither cancels nor overflows at any (n, l) in
+range.  The paper writes the same density as an alternating Hermite double sum;
+that form (_hermite_sum) is kept as the route of the integral equalities and
+as the test oracle.  Two of the coordinate planes also have closed forms:
+|<n|D|l>|^2 on the position plane and phi_n^2 phi_l^2 on the mixed q1-p2
+plane.  Every closed form here is cross-checked against direct quadrature of
+the Wigner function in the test suite, and equating the two evaluation routes
+yields nontrivial integral identities between the classical orthogonal
+polynomials.
 """
 
 from __future__ import annotations
@@ -14,14 +22,31 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .phase_space import PhysParams, mode_coords_arrays
 from .quadrature import QuadratureRule, default_order, gauss_hermite
-from .specfun import hermite, laguerre, log_factorial, marginal_hermite_coeff
+from .specfun import (
+    hermite,
+    hermite_function,
+    hermite_functions,
+    laguerre,
+    log_factorial,
+    marginal_hermite_coeff,
+)
+from .star import displacement_amplitude
 from .states import wigner_values
 
 AXES = ("q1", "q2", "p1", "p2")
 CLOSED_FORM_PLANES = (("q1", "q2"), ("q1", "p2"))
+# Largest quantum number the closed-form 1D and 2D densities accept.
+MAX_QUANTUM_NUMBER = 150
+
+
+def _check_quantum_numbers(n: int, l: int):
+    if not (0 <= n <= MAX_QUANTUM_NUMBER and 0 <= l <= MAX_QUANTUM_NUMBER):
+        raise ValueError(f"quantum numbers out of range: ({n}, {l}); "
+                         f"need 0 <= n, l <= {MAX_QUANTUM_NUMBER}")
 
 
 def axis_scale(axis: str, params: PhysParams) -> float:
@@ -79,21 +104,48 @@ def axis_generating(axis: str, alpha, beta, x, params: PhysParams) -> complex:
 def marginal_1d(n: int, l: int, axis: str, x, params: PhysParams):
     """Closed-form 1D marginal density of the (n, l) state along an axis.
 
-    N_axis * exp(-u^2) * sum_{j<=n} sum_{k<=l} A_{nljk} H_{2(n+l-j-k)}(u) with
-    u = x/scale.
+    4 sqrt(pi) N_axis sum_{k=0}^{n+l} w_k phi_k(u)^2 with u = x/scale, where
+    phi_k are the normalized Hermite functions and w_k = V[k, n]^2 with V the
+    eigenvectors of J_x in the spin-(n+l)/2 block (_mixture_weights).  This
+    equals the paper's N_axis exp(-u^2) sum_{j<=n} sum_{k<=l} A_{nljk}
+    H_{2(n+l-j-k)}(u) (_hermite_sum), but its terms are all non-negative and
+    bounded: the paper's terms alternate in sign and cancel to nothing from
+    n+l ~ 20 on.  One recurrence of n+l steps serves every point.
     """
-    if n < 0 or l < 0 or n > 150 or l > 150:
-        raise ValueError(f"quantum numbers out of range: ({n}, {l})")
+    _check_quantum_numbers(n, l)
     u = np.asarray(x, dtype=float) / axis_scale(axis, params)
-    out = axis_norm(axis, params) * np.exp(-u * u) * _hermite_sum(n, l, u)
+    acc = np.zeros_like(u)
+    for w, phi in zip(_mixture_weights(n, l), hermite_functions(n + l, u)):
+        acc += w * phi * phi
+    out = 4.0 * math.sqrt(math.pi) * axis_norm(axis, params) * acc
     return out if out.ndim else float(out)
 
 
-def _hermite_sum(n: int, l: int, u):
-    """The Hermite sum of the 1D densities, without their Gaussian and prefactor.
+def _mixture_weights(n: int, l: int) -> np.ndarray:
+    """Weights w_k, k = 0..n+l, of the 1D densities; non-negative, summing to 1.
 
-    Terms alternate in sign; they are accumulated in descending degree order
-    so results are reproducible.
+    w_k = V[k, n]^2, where V holds the eigenvectors (eigenvalues -j..j in
+    ascending order, j = (n+l)/2) of the tridiagonal J_x with zero diagonal
+    and off-diagonal sqrt((j-m)(j+m+1))/2, m = -j..j-1.  Only the eigenvector
+    for eigenvalue n - j is computed.
+    """
+    if n + l == 0:
+        return np.ones(1)
+    j = 0.5 * (n + l)
+    m = np.arange(n + l) - j
+    _, v = eigh_tridiagonal(np.zeros(n + l + 1), 0.5 * np.sqrt((j - m) * (j + m + 1)),
+                            select="i", select_range=(n, n))
+    return v[:, 0] ** 2
+
+
+def _hermite_sum(n: int, l: int, u):
+    """The paper's Hermite sum of the 1D densities, without their Gaussian and prefactor.
+
+    sum_{j<=n} sum_{k<=l} A_{nljk} H_{2(n+l-j-k)}(u).  Used only by
+    integral_equality_residuals, whose identities are stated in it, and as
+    the small-(n, l) oracle of marginal_1d: its terms alternate in sign, so
+    it loses every digit to cancellation from n+l ~ 20 on.  Terms are
+    accumulated in descending degree order so results are reproducible.
     """
     pairs = sorted(
         ((j, k) for j in range(n + 1) for k in range(l + 1)),
@@ -106,44 +158,46 @@ def _hermite_sum(n: int, l: int, u):
 
 
 def _position_plane_closed(n: int, l: int, q1, q2, params: PhysParams):
-    """Laguerre closed form on the (q1, q2) plane; needs n >= l as written."""
-    rho2 = (np.asarray(q1, dtype=float) ** 2 + np.asarray(q2, dtype=float) ** 2) / params.gamma ** 2
-    norm = 4.0 * math.pi * math.exp(log_factorial(l) - log_factorial(n))
-    amp = norm * (params.hbar / params.gamma) ** 2
-    return amp * rho2 ** (n - l) * np.exp(-rho2) * laguerre(l, n - l, rho2) ** 2
+    """Closed form on the (q1, q2) plane: 4 pi (hbar/gamma)^2 |<n|D(rho)|l>|^2.
+
+    rho = |q1 + i q2|/gamma; in Laguerre form (l!/n!) rho^{2(n-l)} e^{-rho^2}
+    L_l^{n-l}(rho^2)^2 for n >= l, evaluated by the normalized recurrence of
+    star.displacement_amplitude, so it is symmetric in (n, l) and bounded.
+    """
+    rho = np.hypot(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)) / params.gamma
+    g = displacement_amplitude(rho, n, l)
+    return 4.0 * math.pi * (params.hbar / params.gamma) ** 2 * g * g
 
 
 def _mixed_plane_closed(n: int, l: int, q1, p2, params: PhysParams):
-    """Hermite closed form on the (q1, p2) plane."""
+    """Closed form on the (q1, p2) plane: 4 pi^2 hbar phi_n(tau_-/sqrt 2)^2 phi_l(tau_+/sqrt 2)^2.
+
+    tau_-+ = q1/gamma -+ gamma p2/hbar and phi_k are the normalized Hermite
+    functions, i.e. H_n^2 H_l^2 e^{-(tau_+^2 + tau_-^2)/2} / (n! l! 2^{n+l})
+    times 4 pi hbar.
+    """
     y = np.asarray(q1, dtype=float) / params.gamma
     w = params.gamma * np.asarray(p2, dtype=float) / params.hbar
-    tau_m = y - w
-    tau_p = y + w
-    norm = 4.0 * math.pi * math.exp(
-        -log_factorial(n) - log_factorial(l) - (n + l) * math.log(2.0)
-    )
-    gauss = np.exp(-0.5 * (tau_p ** 2 + tau_m ** 2))
-    return (norm * params.hbar * gauss
-            * hermite(n, tau_m / math.sqrt(2.0)) ** 2
-            * hermite(l, tau_p / math.sqrt(2.0)) ** 2)
+    phi_n = hermite_function(n, (y - w) / math.sqrt(2.0))
+    phi_l = hermite_function(l, (y + w) / math.sqrt(2.0))
+    return 4.0 * math.pi ** 2 * params.hbar * (phi_n * phi_l) ** 2
 
 
 def marginal_2d(n: int, l: int, plane, x, y, params: PhysParams,
                 rule: QuadratureRule | None = None):
     """2D marginal density on a coordinate plane, vectorized over (x, y).
 
-    The (q1, q2) and (q1, p2) planes use closed forms (the position plane is
-    symmetric in the quantum numbers, so n < l is folded to the printed n >= l
-    branch); any other plane integrates the Wigner function over the two
-    complementary axes by Gauss-Hermite quadrature.
+    The (q1, q2) and (q1, p2) planes use closed forms for 0 <= n, l <=
+    MAX_QUANTUM_NUMBER and ignore ``rule``; any other plane integrates the
+    Wigner function over the two complementary axes by Gauss-Hermite
+    quadrature.
     """
     plane = tuple(plane)
-    if plane == ("q1", "q2"):
-        if n >= l:
-            return _position_plane_closed(n, l, x, y, params)
-        return _position_plane_closed(l, n, x, y, params)
-    if plane == ("q1", "p2"):
-        return _mixed_plane_closed(n, l, x, y, params)
+    if plane in CLOSED_FORM_PLANES:
+        _check_quantum_numbers(n, l)
+        closed = _position_plane_closed if plane == ("q1", "q2") else _mixed_plane_closed
+        out = closed(n, l, x, y, params)
+        return out if out.ndim else float(out)
     return marginal_2d_quadrature(n, l, plane, x, y, params, rule)
 
 

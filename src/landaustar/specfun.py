@@ -2,9 +2,12 @@
 
 Hermite and generalized Laguerre polynomials are evaluated by three-term
 recurrence (never from expanded monomial coefficients, which lose accuracy
-past degree ~20).  The Hermite-expansion coefficients of the 1D marginal
-densities are assembled in log space so large quantum numbers cannot
-overflow.
+past degree ~20).  The raw polynomials grow like x^n, so the densities use
+the Gaussian-weighted functions instead: normalized Hermite functions and
+e^{-x/2} L_n(x), whose recurrences start from the Gaussian and keep every
+iterate bounded, at any degree.  The Hermite-expansion coefficients of the
+paper's 1D marginal formula are assembled in log space so large quantum
+numbers cannot overflow.
 """
 
 from __future__ import annotations
@@ -15,6 +18,15 @@ import numpy as np
 from scipy.special import gammaln
 
 DEGREE_CAP = 300
+# Past this radius exp(-r^2/2) has underflowed to 0, and so has every
+# Gaussian-weighted function of r here; clamping there keeps r^2 finite.
+FAR_RADIUS = 1e150
+
+
+def bounded_abs2(z):
+    """|z|^2 with |z| clamped at FAR_RADIUS, so the square cannot overflow."""
+    r = np.minimum(np.abs(z), FAR_RADIUS)
+    return r * r
 
 
 def hermite(n: int, x):
@@ -31,6 +43,42 @@ def hermite(n: int, x):
     for k in range(1, n):
         h0, h1 = h1, 2.0 * x * h1 - 2.0 * k * h0
     return h1 if h1.ndim else float(h1)
+
+
+def hermite_functions(kmax: int, u):
+    """Yield the normalized Hermite functions phi_0(u), ..., phi_kmax(u).
+
+    phi_k(u) = H_k(u) e^{-u^2/2} / sqrt(2^k k! sqrt(pi)), by the recurrence
+    phi_{k+1} = sqrt(2/(k+1)) u phi_k - sqrt(k/(k+1)) phi_{k-1} from
+    phi_0 = pi^{-1/4} e^{-u^2/2}.  Every phi_k is bounded by pi^{-1/4}, so
+    no step overflows.
+    """
+    u = np.asarray(u, dtype=float)
+    prev, cur = 0.0, math.pi ** -0.25 * np.exp(-0.5 * bounded_abs2(u))
+    yield cur
+    for k in range(kmax):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1)) * prev
+        yield cur
+
+
+def hermite_function(k: int, u):
+    """The normalized Hermite function phi_k(u) of hermite_functions."""
+    for phi in hermite_functions(k, u):
+        pass
+    return phi
+
+
+def laguerre_function(n: int, x):
+    """e^{-x/2} L_n(x) for x >= 0, by the Laguerre recurrence started from e^{-x/2}.
+
+    |L_k(x)| <= e^{x/2} on x >= 0, so every iterate is bounded by 1 and no
+    step overflows; x must be finite (see bounded_abs2).
+    """
+    x = np.asarray(x, dtype=float)
+    prev, cur = 0.0, np.exp(-0.5 * x)
+    for k in range(n):
+        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
+    return cur
 
 
 def laguerre(n: int, alpha: int, x):

@@ -44,6 +44,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .phase_space import PhysParams
+from .specfun import bounded_abs2
 
 GENERATORS = ("a", "abar", "b", "bbar")
 
@@ -705,12 +706,13 @@ def displacement_matrix_closed(alpha, cutoff: int) -> np.ndarray:
         g_{k+1} = ((2k+1+d-x) g_k - sqrt(k(k+d)) g_{k-1}) / sqrt((k+1)(k+1+d)),
 
     advances every diagonal at once, one array step per k.  Each g_k has the
-    size of a unitary matrix element, at most 1, so no step can overflow.
+    size of a unitary matrix element, at most 1, so no step can overflow; x is
+    bounded by bounded_abs2, so a huge alpha gives exact zeros, not nan.
     """
     alpha = np.asarray(alpha, dtype=complex)
     shape, alpha = alpha.shape, alpha.reshape(-1)
     rho = np.abs(alpha)
-    x = rho * rho
+    x = bounded_abs2(rho)
     # alpha/|alpha|, or 0 at alpha = 0, where only the main diagonal is nonzero
     phase = alpha * np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
     # first[d] = g_0 = e^{-x/2} rho^d / sqrt(d!) of diagonal d; below[d] and
@@ -734,11 +736,34 @@ def displacement_matrix_closed(alpha, cutoff: int) -> np.ndarray:
         np.multiply(above[1:m], cur[1:], out=out[k, k + 1:])
         if m == 1:
             break
-        dd = diag[:m - 1]
-        nxt = (2 * k + 1 + dd) - x
-        nxt *= cur[:m - 1]
-        if k:
-            nxt -= np.sqrt(k * (k + dd)) * prev[:m - 1]
-        nxt *= 1.0 / np.sqrt((k + 1) * (k + 1 + dd))
-        prev, cur = cur, nxt
+        prev, cur = cur, _laguerre_step(k, diag[:m - 1], x, cur[:m - 1],
+                                        prev[:m - 1] if k else None)
     return out.reshape((cutoff, cutoff) + shape)
+
+
+def _laguerre_step(k: int, d, x, cur, prev):
+    """g_{k+1} of diagonal d from g_k (``cur``) and g_{k-1} (``prev``, None at k = 0)."""
+    nxt = (2 * k + 1 + d) - x
+    nxt *= cur
+    if k:
+        nxt -= np.sqrt(k * (k + d)) * prev
+    nxt *= 1.0 / np.sqrt((k + 1) * (k + 1 + d))
+    return nxt
+
+
+def displacement_amplitude(rho, m: int, n: int):
+    """The real g_lo of element (m, n) in displacement_matrix_closed, at |alpha| = rho.
+
+    |<m|D(alpha)|n>| = |g_lo| with lo = min(m, n); vectorized over rho.  Runs
+    the same normalized recurrence on the one diagonal d = |m - n| only.
+    """
+    rho = np.asarray(rho, dtype=float)
+    lo, d = min(m, n), abs(m - n)
+    x = bounded_abs2(rho)
+    cur, prev = np.exp(-0.5 * x), None
+    for j in range(1, d + 1):
+        cur = cur * rho
+        cur *= 1.0 / math.sqrt(j)
+    for k in range(lo):
+        prev, cur = cur, _laguerre_step(k, d, x, cur, prev)
+    return cur

@@ -25,7 +25,7 @@ from math import comb, factorial, isfinite
 import numpy as np
 
 from .phase_space import PhasePoint, PhysParams, to_mode_coords
-from .specfun import laguerre
+from .specfun import bounded_abs2, laguerre_function
 from .star import (
     PolyGauss,
     ProductRep,
@@ -115,12 +115,13 @@ def fock_eval(rep, pt: PhasePoint, params: PhysParams) -> complex:
 def wigner_values(n: int, l: int, a, b):
     """Diagonal Wigner function at mode coordinates, vectorized.
 
-    (-1)^(n+l) L_n(4|a|^2) L_l(4|b|^2) * 4 exp(-2(|a|^2 + |b|^2)).
+    (-1)^(n+l) L_n(4|a|^2) L_l(4|b|^2) * 4 exp(-2(|a|^2 + |b|^2)), each mode's
+    Gaussian carried by its Laguerre recurrence, so no factor overflows.
     """
-    xa = 4.0 * np.abs(np.asarray(a, dtype=complex)) ** 2
-    xb = 4.0 * np.abs(np.asarray(b, dtype=complex)) ** 2
+    xa = 4.0 * bounded_abs2(np.asarray(a, dtype=complex))
+    xb = 4.0 * bounded_abs2(np.asarray(b, dtype=complex))
     sign = (-1.0) ** (n + l)
-    return sign * laguerre(n, 0, xa) * laguerre(l, 0, xb) * 4.0 * np.exp(-0.5 * (xa + xb))
+    return sign * 4.0 * laguerre_function(n, xa) * laguerre_function(l, xb)
 
 
 def wigner_eval(label: WignerLabel, pt: PhasePoint, params: PhysParams) -> float:
@@ -161,8 +162,8 @@ def generating_function(alpha1, beta1, alpha2, beta2, pt: PhasePoint,
 
 def coherent_values(label: CoherentLabel, a, b):
     """Normalized coherent projector: the ground Gaussian displaced in mode space."""
-    da = np.abs(np.asarray(a, dtype=complex) - label.alpha1) ** 2
-    db = np.abs(np.asarray(b, dtype=complex) - label.alpha2) ** 2
+    da = bounded_abs2(np.asarray(a, dtype=complex) - label.alpha1)
+    db = bounded_abs2(np.asarray(b, dtype=complex) - label.alpha2)
     return 4.0 * np.exp(-2.0 * (da + db))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from landaustar.cli import main
-from landaustar.marginals import axis_norm
+from landaustar.marginals import axis_norm, marginal_1d_quadrature
 from landaustar.phase_space import PhysParams
 
 PARAMS = PhysParams()
@@ -312,3 +313,57 @@ def test_verify_reports_are_reproducible(capsys):
     _, first, _ = run_cli(capsys, "verify", "marginals")
     _, second, _ = run_cli(capsys, "verify", "marginals")
     assert first == second
+
+
+
+def _rows(out):
+    return np.array([[float(v) for v in line.split(",")]
+                     for line in out.strip().splitlines()[1:]])
+
+
+def test_uncertainty_at_large_quantum_numbers(capsys):
+    code, out, _ = run_cli(capsys, "uncertainty", "21", "20")
+    assert code == 0
+    assert _rows(out)[0, 4] == pytest.approx(21.0 * PARAMS.hbar, rel=1e-10)
+
+
+def test_eval_marginal_at_large_quantum_numbers(capsys):
+    code, out, _ = run_cli(capsys, "eval", "marginal1d:q1", "wigner:30,30",
+                           "--grid", "-1:1:3")
+    assert code == 0
+    x, vals = _rows(out).T
+    assert np.all(vals >= 0.0)
+    np.testing.assert_allclose(vals, marginal_1d_quadrature(30, 30, "q1", x, PARAMS),
+                               rtol=1e-8)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("--cutoff", "102", "eval", "marginal2d:q1,p2", "wigner:100,0",
+      "--grid", "q1=0,p2=20"), 6.046149930934953e-221),
+    (("--cutoff", "152", "eval", "marginal2d:q1,q2", "wigner:150,0",
+      "--grid", "q1=30,q2=0"),
+     4.0 * math.pi / PARAMS.gamma ** 2 * math.exp(-450.0 + 150 * math.log(450.0)
+                                                  - math.lgamma(151))),
+    (("eval", "gencoherent:1,0:0.5,0,0,0", "--grid", "q1=1e200,q2=0,p1=0,p2=0"), 0.0),
+    (("eval", "wigner:1,0", "--grid", "q1=1e200,q2=0,p1=0,p2=0"), 0.0),
+    (("eval", "coherent:1,0,0,0", "--grid", "q1=1e200,q2=0,p1=0,p2=0"), 0.0),
+    (("eval", "marginal1d:q1", "wigner:1,1", "--grid", "1e200"), 0.0),
+])
+def test_far_points_and_large_quantum_numbers_give_true_values(capsys, argv, want):
+    """Overflowing intermediates once printed nan or inf here with exit 0."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _rows(out)[0, -1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_plane_needs_no_quadrature_rule(capsys):
+    """n + l + 8 = 308 exceeds the largest Gauss-Hermite order; the plane uses none."""
+    code, out, _ = run_cli(capsys, "--cutoff", "302", "eval", "marginal2d:q1,q2",
+                           "wigner:150,150", "--grid", "q1=0:2:3,q2=1")
+    assert code == 0
+    vals = _rows(out)[:, 2]
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+    code, _, err = run_cli(capsys, "--cutoff", "302", "eval", "marginal2d:q1,p1",
+                           "wigner:150,150", "--grid", "q1=0,p1=0")
+    assert code == 2
+    assert "order" in err

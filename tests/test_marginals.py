@@ -17,7 +17,7 @@ from landaustar.marginals import (
     position_plane_generating,
 )
 from landaustar.phase_space import PhasePoint, PhysParams
-from landaustar.quadrature import gauss_hermite
+from landaustar.quadrature import QuadratureRule, gauss_hermite
 from landaustar.states import generating_function
 
 PARAMS = PhysParams()
@@ -344,3 +344,146 @@ def test_structural_identities_other_units(params):
     closed = marginal_2d(2, 1, ("q1", "p2"), x, y, params)
     quad = marginal_2d_quadrature(2, 1, ("q1", "p2"), x, y, params)
     assert quad == pytest.approx(float(closed), rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the whole accepted range of quantum numbers
+# ---------------------------------------------------------------------------
+
+def _rule(order):
+    """Gauss-Hermite rule past gauss_hermite's order cap, for degree-600 integrands."""
+    from scipy.special import roots_hermite
+
+    return QuadratureRule(order, *roots_hermite(order))
+
+
+@pytest.mark.parametrize("n,l", [(20, 20), (30, 30), (60, 60), (100, 0), (150, 150)])
+def test_large_quantum_number_1d_marginals(n, l):
+    """Norm h^2, no negative value and <u^2> = (n+l+1)/2 on every axis."""
+    rule = _rule(n + l + 2)
+    for axis in AXES:
+        scale = axis_scale(axis, PARAMS)
+        x, w = rule.scaled(scale)
+        dens = marginal_1d(n, l, axis, x, PARAMS)
+        assert np.min(dens) >= 0.0
+        assert np.sum(w * dens) == pytest.approx(H2, rel=1e-10)
+        second = np.sum(w * (x / scale) ** 2 * dens) / H2
+        assert second == pytest.approx((n + l + 1) / 2, rel=1e-10)
+
+
+def _paper_hermite_sum_exact(n, l, u):
+    """sum_{j,k} A_{nljk} H_{2(n+l-j-k)}(u) in exact rational arithmetic at rational u."""
+    from fractions import Fraction
+
+    h = [Fraction(1), 2 * u]
+    for k in range(1, 2 * (n + l)):
+        h.append(2 * u * h[k] - 2 * k * h[k - 1])
+    total = Fraction(0)
+    for j in range(n + 1):
+        for k in range(l + 1):
+            coeff = Fraction(4 * math.factorial(j) * math.factorial(k)
+                             * math.comb(n, j) ** 2 * math.comb(l, k) ** 2,
+                             math.factorial(n) * math.factorial(l) * 4 ** (n + l - j - k))
+            total += coeff * h[2 * (n + l - j - k)]
+    return total
+
+
+def test_mixture_equals_paper_expansion():
+    """marginal_1d is the paper's Hermite expansion, for every n, l <= 6 and axis.
+
+    The expansion is evaluated exactly on quarter-integer u, so the comparison
+    holds pointwise to 1e-12 relative.  The float route _hermite_sum cancels
+    terms up to 2.5e-11 of the peak at (6, 6), so it is compared to 1e-10.
+    """
+    from fractions import Fraction
+
+    from landaustar.marginals import _hermite_sum
+
+    us = [Fraction(k, 4) for k in range(-24, 25)]
+    uf = np.array([float(u) for u in us])
+    gauss = np.exp(-uf * uf)
+    for n in range(7):
+        for l in range(7):
+            exact = gauss * np.array([float(_paper_hermite_sum_exact(n, l, u)) for u in us])
+            paper = gauss * _hermite_sum(n, l, uf)
+            for axis in AXES:
+                got = marginal_1d(n, l, axis, uf * axis_scale(axis, PARAMS), PARAMS)
+                got = got / axis_norm(axis, PARAMS)
+                np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got, paper, rtol=0, atol=1e-10 * np.max(exact))
+
+
+def _old_position_plane(n, l, q1, q2, params):
+    """The raw-polynomial Laguerre form on the (q1, q2) plane, folded to n >= l."""
+    from landaustar.specfun import laguerre, log_factorial
+
+    n, l = max(n, l), min(n, l)
+    rho2 = (q1 ** 2 + q2 ** 2) / params.gamma ** 2
+    norm = 4.0 * math.pi * math.exp(log_factorial(l) - log_factorial(n))
+    return (norm * (params.hbar / params.gamma) ** 2 * rho2 ** (n - l) * np.exp(-rho2)
+            * laguerre(l, n - l, rho2) ** 2)
+
+
+def _old_mixed_plane(n, l, q1, p2, params):
+    """The raw-polynomial Hermite form on the (q1, p2) plane."""
+    from landaustar.specfun import hermite, log_factorial
+
+    y = q1 / params.gamma
+    w = params.gamma * p2 / params.hbar
+    norm = 4.0 * math.pi * math.exp(
+        -log_factorial(n) - log_factorial(l) - (n + l) * math.log(2.0))
+    return (norm * params.hbar * np.exp(-0.5 * ((y + w) ** 2 + (y - w) ** 2))
+            * hermite(n, (y - w) / math.sqrt(2.0)) ** 2
+            * hermite(l, (y + w) / math.sqrt(2.0)) ** 2)
+
+
+@pytest.mark.parametrize("params", [PARAMS, PhysParams(hbar=0.7, mass=2.3, omega=1.9)])
+def test_plane_closed_forms_match_raw_polynomial_forms(params):
+    for plane, old in ((("q1", "q2"), _old_position_plane), (("q1", "p2"), _old_mixed_plane)):
+        gx = np.linspace(-4.0, 4.0, 33) * axis_scale(plane[0], params)
+        gy = np.linspace(-4.0, 4.0, 33) * axis_scale(plane[1], params)
+        X, Y = np.meshgrid(gx, gy, indexing="ij")
+        for n in range(7):
+            for l in range(7):
+                want = old(n, l, X, Y, params)
+                got = marginal_2d(n, l, plane, X, Y, params)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
+
+
+@pytest.mark.parametrize("n,l", [(100, 0), (0, 100), (100, 100), (150, 0)])
+def test_large_quantum_number_plane_closed_forms(n, l):
+    rule = _rule(n + l + 2)
+    for plane in (("q1", "q2"), ("q1", "p2")):
+        x, wx = rule.scaled(axis_scale(plane[0], PARAMS))
+        y, wy = rule.scaled(axis_scale(plane[1], PARAMS))
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        dens = marginal_2d(n, l, plane, X, Y, PARAMS)
+        assert np.all(np.isfinite(dens))
+        assert np.min(dens) >= 0.0
+        assert np.sum(np.outer(wx, wy) * dens) == pytest.approx(H2, rel=1e-10)
+
+
+def test_plane_closed_forms_far_from_the_peak():
+    # 40-digit reference: 4 pi^2 hbar phi_100(-20)^2 phi_0(20)^2
+    assert marginal_2d(100, 0, ("q1", "p2"), 0.0, 20.0, PARAMS) == pytest.approx(
+        6.046149930934953e-221, rel=1e-12)
+    # the position plane of (150, 0) is a Poisson weight in rho^2 = 450
+    x = 30.0 ** 2 / GAMMA ** 2
+    want = 4.0 * math.pi / GAMMA ** 2 * math.exp(-x + 150 * math.log(x) - math.lgamma(151))
+    assert marginal_2d(150, 0, ("q1", "q2"), 30.0, 0.0, PARAMS) == pytest.approx(
+        want, rel=1e-12)
+
+
+def test_huge_coordinates_give_zero_densities():
+    assert marginal_1d(3, 2, "q1", 1e200, PARAMS) == 0.0
+    for plane in (("q1", "q2"), ("q1", "p2")):
+        assert marginal_2d(3, 2, plane, 1e200, 0.0, PARAMS) == 0.0
+
+
+def test_closed_planes_share_the_range_guard():
+    for plane in (("q1", "q2"), ("q1", "p2")):
+        for n, l in ((151, 0), (0, 151), (-1, 0)):
+            with pytest.raises(ValueError):
+                marginal_2d(n, l, plane, 0.0, 0.0, PARAMS)
+    with pytest.raises(ValueError):
+        marginal_1d(0, 151, "p2", 0.0, PARAMS)
