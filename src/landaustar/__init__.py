@@ -32,7 +32,6 @@ from .states import (
     coherent_eval,
     coherent_fock,
     displaced_polynomial,
-    displacement_fock,
     generalized_coherent_fock,
     generating_function,
     parse_state_label,

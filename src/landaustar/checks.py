@@ -54,7 +54,6 @@ from .states import (
     coherent_fock,
     coherent_values,
     displaced_polynomial,
-    displacement_fock,
     fock_values,
     generalized_coherent_fock,
     generating_function,
@@ -903,7 +902,7 @@ def check_displaced_polynomial(params: PhysParams) -> CheckResult:
     e11[1, 1] = 1.0
     worst = 0.0
     for a1, a2 in ((0.6 - 0.3j, 0.2 + 0.4j), (1.0j, -0.5 + 0.1j)):
-        d1, d2 = displacement_fock(a1, a2, big)
+        d1, d2 = displacement_matrix(a1, big), displacement_matrix(a2, big)
         x_small = wigner_fock(WignerLabel(1, 1), small)
         for poly in polys:
             shifted = displaced_polynomial(poly, a1, a2)

@@ -47,6 +47,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_CONFLICT = 3
 
+# largest accepted |grid value|: the coordinate scaling of a value near the
+# largest double overflows before any kernel sees it
+MAX_GRID_VALUE = 1e300
+
 
 class ConfigConflict(Exception):
     pass
@@ -147,6 +151,9 @@ def parse_axis_spec(text: str) -> np.ndarray:
         raise InputError(f"malformed grid axis {text!r}: {exc}") from exc
     if not all(map(math.isfinite, ends)):
         raise InputError(f"grid axis {text!r} must be finite")
+    if any(abs(v) > MAX_GRID_VALUE for v in ends):
+        raise InputError(f"grid axis {text!r} is out of range: |value| must be at most "
+                         f"{MAX_GRID_VALUE:g}")
     if count is None:
         return np.array(ends)
     if count < 1:

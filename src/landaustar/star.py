@@ -25,9 +25,9 @@ independent of A and serves as its oracle in the test suite.
 
 Displacement matrices come two ways.  The closed Laguerre form
 (displacement_matrix_closed), vectorized over displacements, is the production
-route for basis-function values (states.matrix_unit_values).  The matrix
-exponential at the cutoff (displacement_matrix) is its independent oracle and
-builds the coherent-state factors, which need the truncated, unitary operator.
+route: basis-function values (states.matrix_unit_values) and the columns
+D(alpha)|n> of the coherent-state factors.  The matrix exponential at the
+cutoff (displacement_matrix) is only its independent oracle.
 """
 
 from __future__ import annotations
@@ -685,8 +685,8 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Single-mode displacement matrix exp(alpha*raise - conj(alpha)*lower).
 
     Computed by scaling-and-squaring matrix exponential at the working cutoff:
-    the truncated operator, whose columns the coherent constructors use.  The
-    closed form below pins down the convention independently.
+    the truncated operator, kept as the independent oracle of the closed form
+    below, which the package computes with.
     """
     lower, raise_ = ladder_matrices(cutoff)
     return expm(alpha * raise_ - np.conj(alpha) * lower)

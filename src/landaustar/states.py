@@ -13,6 +13,9 @@ Laguerre family as the coherent states' displacement columns.
 
 Every state here is a product over the two commuting modes, so the
 constructors return a ProductRep of one term: one N x N matrix per mode.
+A coherent factor is the outer product of the closed displacement column
+D(alpha)|n>, normalized over the kept levels; the weight the column loses
+past the cutoff sets ``overflow``.
 The dense FockRep tensor is built only where a consumer asks for ``coeffs``
 (JSON dump, the reality residual); ``fock_values`` evaluates either form.
 """
@@ -30,7 +33,6 @@ from .star import (
     PolyGauss,
     ProductRep,
     StarPolynomial,
-    displacement_matrix,
     displacement_matrix_closed,
 )
 
@@ -185,27 +187,30 @@ def wigner_fock(label: WignerLabel, cutoff: int) -> ProductRep:
     return ProductRep(cutoff, ((1.0, ma, mb),))
 
 
-def displacement_fock(alpha1: complex, alpha2: complex, cutoff: int):
-    """Per-mode displacement matrices in the matrix-unit basis."""
-    return displacement_matrix(alpha1, cutoff), displacement_matrix(alpha2, cutoff)
-
-
 def _displaced_projector(alpha1: complex, alpha2: complex, n: int, l: int,
                          cutoff: int) -> ProductRep:
-    factors = []
-    for d, k in zip(displacement_fock(alpha1, alpha2, cutoff), (n, l)):
-        m = np.outer(d[:, k], np.conj(d[:, k]))
+    """D |n><n| D^dagger (x) D |l><l| D^dagger from closed displacement columns.
+
+    Each mode's factor is the outer product of the column D(alpha)|k> over the
+    kept levels, normalized to unit trace; the weight 1 - |col|^2 the column
+    loses past the cutoff is the tail that sets ``overflow``.
+    """
+    factors, tail = [], 0.0
+    for alpha, k in ((alpha1, n), (alpha2, l)):
+        col = displacement_matrix_closed(alpha, cutoff)[:, k]
+        norm = float(np.linalg.norm(col))
+        if norm == 0.0:
+            raise ValueError(f"displacement {alpha} leaves no weight below cutoff {cutoff}")
+        tail += abs(1.0 - norm ** 2)
+        v = col / norm
+        m = np.outer(v, np.conj(v))
         # symmetrize so the reality condition holds exactly, not just to rounding
         factors.append(0.5 * (m + m.conj().T))
-    # the truncated exponential stays unitary, so missing weight has to be
-    # measured against the closed-form (untruncated) displacement column
-    tail = sum(abs(1.0 - np.sum(np.abs(displacement_matrix_closed(alpha, cutoff)[:, k]) ** 2))
-               for alpha, k in ((alpha1, n), (alpha2, l)))
     return ProductRep(cutoff, ((1.0, *factors),), overflow=bool(tail > TAIL_TOLERANCE))
 
 
 def coherent_fock(label: CoherentLabel, cutoff: int) -> ProductRep:
-    """Displaced ground projector; overflow flags truncated tail weight."""
+    """Displaced ground projector, trace 1; overflow flags tail weight past the cutoff."""
     return _displaced_projector(label.alpha1, label.alpha2, 0, 0, cutoff)
 
 

@@ -185,8 +185,14 @@ def coherent_moment_predictions(label: CoherentLabel, params: PhysParams) -> dic
 
 def coherent_uncertainties(label: CoherentLabel, params: PhysParams,
                            cutoff: int = DEFAULT_CUTOFF):
-    """Per-coordinate moment reports for a coherent state, from its coefficients."""
-    s = StateFunctional(coherent_fock(label, cutoff), params)
+    """Per-coordinate moment reports for a coherent state, from its coefficients.
+
+    Refuses a cutoff that truncates the state: its moments would be wrong.
+    """
+    rep = coherent_fock(label, cutoff)
+    if rep.overflow:
+        raise ValueError(f"cutoff {cutoff} truncates the coherent state {label}")
+    s = StateFunctional(rep, params)
     coords = coordinate_polynomials(params)
     reports = {}
     for name, poly in coords.items():

@@ -241,6 +241,31 @@ def test_non_finite_grid_and_samples_are_input_errors(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "marginal1d:p1", "wigner:1,1", "--grid", "1.7e308"),
+    ("eval", "marginal2d:q1,p2", "wigner:1,1", "--grid", "q1=0,p2=1.7e308"),
+    ("eval", "gencoherent:1,1:0,0,0,0", "--grid", "q1=1.7e308,p2=1.7e308"),
+    ("eval", "wigner:0,0", "--grid", "q1=-1.7e308:0:3"),
+])
+def test_grid_values_beyond_1e300_are_input_errors(capsys, argv):
+    """The coordinate scaling overflowed here and printed nan with exit 0."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "1e+300" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "marginal1d:p1", "wigner:1,1", "--grid", "1e300"),
+    ("eval", "marginal2d:q1,p2", "wigner:1,1", "--grid", "q1=0,p2=1e300"),
+    ("eval", "gencoherent:1,1:0,0,0,0", "--grid", "q1=1e300,p2=1e300"),
+])
+def test_grid_value_1e300_is_accepted_and_far(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _rows(out)[0, -1] == 0.0
+
+
 @pytest.mark.parametrize("label", ["wigner:2,1", "gencoherent:1,2:0.6,-0.3,0.2,0.5"])
 def test_state_dump_is_reproducible_and_reloads_exactly(tmp_path, capsys, label):
     _, first, _ = run_cli(capsys, "state", "dump", label, "--cutoff", "8")

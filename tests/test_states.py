@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from landaustar.star import (
     ProductRep,
     StarPolynomial,
     apply_star_polynomial,
+    displacement_matrix,
     integrate,
     left_star_generator,
     moyal_bracket,
@@ -24,7 +26,6 @@ from landaustar.states import (
     coherent_fock,
     coherent_values,
     displaced_polynomial,
-    displacement_fock,
     fock_eval,
     fock_values,
     generalized_coherent_fock,
@@ -256,6 +257,44 @@ def test_coherent_tail_weight_flag():
     label = CoherentLabel(2.0 + 0j, 0j)
     assert coherent_fock(label, 6).overflow
     assert not coherent_fock(label, 30).overflow
+    # a flagged state is still normalized over the levels it keeps
+    assert coherent_fock(label, 6).trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_displacement_past_every_kept_level_is_refused():
+    """A column that underflows below the cutoff has no state to normalize."""
+    with pytest.raises(ValueError, match="cutoff 8"):
+        coherent_fock(CoherentLabel(40.0 + 0j, 0j), 8)
+
+
+def test_displaced_states_need_no_matrix_exponential(monkeypatch):
+    """Coherent factors come from the closed displacement column alone."""
+    # the package re-exports the function star, which shadows the module name
+    star_module = importlib.import_module("landaustar.star")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix exponential called while building a state")
+
+    monkeypatch.setattr(star_module, "expm", refuse)
+    alphas = (1.9 + 1.9j, 0.3 - 1.2j)
+    for cutoff in (16, 128):
+        for rep in (coherent_fock(CoherentLabel(*alphas), cutoff),
+                    generalized_coherent_fock(
+                        GeneralizedCoherentLabel(*alphas, WignerLabel(3, 2)), cutoff)):
+            assert rep.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_generalized_factors_match_expm_columns():
+    """Each factor is the outer product of the untruncated column D(alpha)|k>."""
+    a1, a2 = 1.2 - 0.9j, -0.4 + 1.1j
+    rep = generalized_coherent_fock(GeneralizedCoherentLabel(a1, a2, WignerLabel(3, 2)), 32)
+    assert not rep.overflow
+    ((c, fa, fb),) = rep.terms
+    assert c == 1.0
+    for factor, alpha, k in ((fa, a1, 3), (fb, a2, 2)):
+        # the exponential at cutoff 96 is untruncated on the 32 kept levels
+        col = displacement_matrix(alpha, 96)[:32, k]
+        np.testing.assert_allclose(factor, np.outer(col, np.conj(col)), rtol=0, atol=1e-13)
 
 
 def test_coherent_projection_property():
@@ -289,13 +328,13 @@ def test_only_ground_state_is_coherent():
 # ---------------------------------------------------------------------------
 
 def test_displacement_zero_is_identity():
-    d1, d2 = displacement_fock(0j, 0j, 10)
+    d1, d2 = displacement_matrix(0j, 10), displacement_matrix(0j, 10)
     np.testing.assert_allclose(d1, np.eye(10), atol=1e-14)
     np.testing.assert_allclose(d2, np.eye(10), atol=1e-14)
 
 
 def test_displacement_star_unitarity():
-    d1, _ = displacement_fock(0.9 - 0.7j, 0j, 32)
+    d1 = displacement_matrix(0.9 - 0.7j, 32)
     prod = d1 @ d1.conj().T
     np.testing.assert_allclose(prod[:16, :16], np.eye(16), atol=1e-10)
     prod = d1.conj().T @ d1
@@ -307,7 +346,7 @@ def test_displacement_shifts_annihilation():
 
     alpha = 1.1 + 0.4j
     cutoff, block = 64, 16
-    d = displacement_fock(alpha, 0j, cutoff)[0]
+    d = displacement_matrix(alpha, cutoff)
     lower, _ = ladder_matrices(cutoff)
     got = d.conj().T @ lower @ d
     want = lower + alpha * np.eye(cutoff)

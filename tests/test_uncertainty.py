@@ -227,6 +227,18 @@ def test_coherent_variance_independent_of_displacement():
     assert max(abs(v - values[0]) for v in values) <= 1e-10
 
 
+def test_coherent_uncertainties_refuse_a_truncating_cutoff():
+    label = CoherentLabel(5.0 + 0j, 0j)
+    with pytest.raises(ValueError, match="cutoff 32"):
+        coherent_uncertainties(label, PARAMS, cutoff=32)
+    reports = coherent_uncertainties(label, PARAMS, cutoff=96)
+    pred = coherent_moment_predictions(label, PARAMS)
+    for axis in ("q1", "p1", "q2", "p2"):
+        assert abs(reports[axis].mean - pred[f"{axis}_mean"]) <= 1e-9
+        want = pred["var_q"] if axis[0] == "q" else pred["var_p"]
+        assert reports[axis].variance == pytest.approx(want, abs=1e-9)
+
+
 def test_coherent_ground_case():
     reports = coherent_uncertainties(CoherentLabel(0j, 0j), PARAMS, cutoff=16)
     for axis in ("q1", "q2"):
