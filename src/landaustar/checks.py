@@ -27,7 +27,7 @@ from .marginals import (
     marginal_2d_quadrature,
     position_plane_generating,
 )
-from .phase_space import PhasePoint, PhysParams, mode_coords_arrays
+from .phase_space import PhysParams, mode_coords_arrays
 from .quadrature import gauss_hermite, integrate_nd
 from .star import (
     CanonicalPoly,
@@ -114,19 +114,16 @@ def moyal_integral_star_single_mode(f, g, x1: float, x2: float, order: int = 56)
 def mixed_param_derivative(fn, orders, radius: float = 0.5, points: int = 10) -> complex:
     """Mixed derivative of an entire function at zero via contour quadrature.
 
-    ``fn`` maps a tuple of complex parameters to a complex value; ``orders``
-    gives the derivative order per parameter.  Trapezoidal samples on circles
-    of the given radius converge spectrally for entire integrands.
+    ``fn`` maps a tuple of complex parameter arrays to an array of values,
+    elementwise; it is called once, on the whole grid of contour nodes.
+    ``orders`` gives the derivative order per parameter.  Trapezoidal samples
+    on circles of the given radius converge spectrally for entire integrands.
     """
     nvars = len(orders)
     theta = 2.0 * math.pi * np.arange(points) / points
     ring = radius * np.exp(1j * theta)
-    grids = np.meshgrid(*([ring] * nvars), indexing="ij")
-    vals = np.empty(grids[0].shape, dtype=complex)
-    for idx in np.ndindex(*vals.shape):
-        vals[idx] = fn(tuple(g[idx] for g in grids))
-    out = vals
-    for axis, n in enumerate(orders):
+    out = fn(tuple(np.meshgrid(*([ring] * nvars), indexing="ij")))
+    for n in orders:
         phase = np.exp(-1j * n * theta)
         out = np.tensordot(out, phase, axes=(0, 0)) / points
         out = out * math.factorial(n) / radius ** n
@@ -583,12 +580,8 @@ def check_generating_plane(params: PhysParams) -> CheckResult:
     for alpha, beta in samples:
         for q1, q2 in pts:
             def gfun(p1, p2):
-                out = np.empty(p1.shape, dtype=complex)
-                for idx in np.ndindex(*p1.shape):
-                    pt = PhasePoint(q1, q2, float(p1[idx]), float(p2[idx]))
-                    out[idx] = generating_function(alpha[0], beta[0], alpha[1], beta[1],
-                                                   pt, params)
-                return out
+                return generating_function(alpha[0], beta[0], alpha[1], beta[1],
+                                           *mode_coords_arrays(q1, q2, p1, p2, params))
 
             got = integrate_nd(gfun, (sp, sp), rule)
             want = position_plane_generating(alpha, beta, q1, q2, params)
@@ -609,9 +602,7 @@ def check_generating_axis(params: PhysParams) -> CheckResult:
     worst = 0.0
     for alpha, beta in samples:
         for q1 in (0.0, 0.5 * g_, 1.3 * g_):
-            vals = np.array([position_plane_generating(alpha, beta, q1, q2, params)
-                             for q2 in q2s])
-            got = np.sum(cw * vals)
+            got = np.sum(cw * position_plane_generating(alpha, beta, q1, q2s, params))
             want = axis_generating("q1", alpha, beta, q1, params)
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     # momentum-axis spot check at zero parameters

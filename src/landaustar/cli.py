@@ -23,6 +23,7 @@ from . import checks
 from .marginals import (
     AXES,
     CLOSED_FORM_PLANES,
+    axis_scale,
     integral_equality_residuals,
     marginal_1d,
     marginal_2d,
@@ -50,6 +51,9 @@ EXIT_CONFIG_CONFLICT = 3
 # largest accepted |grid value|: the coordinate scaling of a value near the
 # largest double overflows before any kernel sees it
 MAX_GRID_VALUE = 1e300
+# largest accepted |grid value| in axis units (x / axis_scale), which bounds
+# the mode coordinates under extreme units such as --mass 1e-300
+_MAX_AXIS_UNITS = 1e305
 
 
 class ConfigConflict(Exception):
@@ -161,6 +165,20 @@ def parse_axis_spec(text: str) -> np.ndarray:
     return np.linspace(*ends, count)
 
 
+def _refuse_far_values(grid: dict, params: PhysParams):
+    """Input error for any grid value beyond _MAX_AXIS_UNITS axis units.
+
+    The bound is compared in Python floats, so the check cannot overflow.
+    """
+    for axis, values in grid.items():
+        limit = _MAX_AXIS_UNITS * axis_scale(axis, params)
+        worst = float(np.max(np.abs(values)))
+        if worst > limit:
+            raise InputError(f"grid value {worst:g} on {axis} is out of range for these "
+                             f"units: |{axis}| must be at most {limit:g} "
+                             f"({_MAX_AXIS_UNITS:g} axis units)")
+
+
 def parse_named_grid(text: str, axes) -> dict:
     """'q1=-3:3:7,q2=0,...' -> {axis: 1-D array}; missing axes pin to 0."""
     grid = {ax: np.array([0.0]) for ax in axes}
@@ -220,6 +238,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
     if target == "wigner":
         grid = parse_named_grid(args.grid, AXES)
+        _refuse_far_values(grid, cfg.params)
         mesh = np.meshgrid(*(grid[ax] for ax in AXES), indexing="ij")
         flat = [m.reshape(-1) for m in mesh]
         a, b = mode_coords_arrays(*flat, cfg.params)
@@ -242,6 +261,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if not isinstance(label, WignerLabel):
             raise InputError("1D marginals are defined for wigner:n,l states")
         xs = parse_axis_spec(args.grid if args.grid else "0")
+        _refuse_far_values({detail: xs}, cfg.params)
         vals = np.atleast_1d(marginal_1d(label.n, label.l, detail, xs, cfg.params)) / norm
         rows = [(float(x), float(v)) for x, v in zip(xs, vals)]
         meta = {"axis": detail, "n": label.n, "l": label.l, "params": params_doc(cfg.params)}
@@ -255,6 +275,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if not isinstance(label, WignerLabel):
             raise InputError("2D marginals are defined for wigner:n,l states")
         grid = parse_named_grid(args.grid, plane)
+        _refuse_far_values(grid, cfg.params)
         x, y = np.meshgrid(grid[plane[0]], grid[plane[1]], indexing="ij")
         rule = None if plane in CLOSED_FORM_PLANES else gauss_hermite(
             max(cfg.quad_order, label.n + label.l + 8))

@@ -147,19 +147,18 @@ def wigner_symbol(n: int, l: int) -> PolyGauss:
     return PolyGauss(poly, gaussian=True)
 
 
-def generating_function(alpha1, beta1, alpha2, beta2, pt: PhasePoint,
-                        params: PhysParams) -> complex:
-    """Four-parameter generating function of all Wigner functions.
+def generating_function(alpha1, beta1, alpha2, beta2, a, b):
+    """Four-parameter generating function of all Wigner functions, vectorized.
 
-    exp(-a.b) exp(2(alpha1*abar + beta1*a + alpha2*bbar + beta2*b)) times the
-    two-mode ground Gaussian; parameter derivatives at zero produce the
-    matrix-unit basis functions.
+    exp(-alpha.beta) exp(2(alpha1*abar + beta1*a + alpha2*bbar + beta2*b)) times
+    the two-mode ground Gaussian at mode coordinates (a, b), which broadcast with
+    the parameters; parameter derivatives at zero give the matrix-unit basis.
     """
-    mc = to_mode_coords(pt, params)
-    a, b = mc.a, mc.b
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     dot = alpha1 * beta1 + alpha2 * beta2
     lin = alpha1 * np.conj(a) + beta1 * a + alpha2 * np.conj(b) + beta2 * b
-    return complex(np.exp(-dot + 2.0 * lin - 2.0 * (abs(a) ** 2 + abs(b) ** 2)))
+    out = np.exp(-dot + 2.0 * lin - 2.0 * (abs(a) ** 2 + abs(b) ** 2))
+    return out if out.ndim else complex(out)
 
 
 def coherent_values(label: CoherentLabel, a, b):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .marginals import axis_scale, marginal_1d
 from .phase_space import PhysParams
-from .quadrature import QuadratureRule, default_order, gauss_hermite
+from .quadrature import default_order, gauss_hermite
 from .star import FockRep, ProductRep, StarPolynomial, apply_star_polynomial
 from .states import (
     CoherentLabel,
@@ -104,8 +104,7 @@ def angular_momentum_polynomial(params: PhysParams) -> StarPolynomial:
     return params.hbar * (_BBAR * _B - _ABAR * _A)
 
 
-def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams,
-                      rule: QuadratureRule | None = None) -> float:
+def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams) -> float:
     """k-th moment of a coordinate in a Wigner state, via its 1D marginal.
 
     Odd moments vanish by the evenness of the marginals and are returned as
@@ -115,24 +114,22 @@ def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams,
         raise ValueError("moment order must be in 0..8")
     if k % 2 == 1:
         return 0.0
-    if rule is None:
-        rule = gauss_hermite(max(default_order(label.n, label.l), (k + 2) // 2 + label.n + label.l + 8))
+    rule = gauss_hermite(max(default_order(label.n, label.l), (k + 2) // 2 + label.n + label.l + 8))
     x, w = rule.scaled(axis_scale(axis, params))
     dens = marginal_1d(label.n, label.l, axis, x, params)
     return float(np.sum(w * x ** k * dens) / params.planck_h ** 2)
 
 
-def uncertainty_product(n: int, l: int, j: int, params: PhysParams,
-                        rule: QuadratureRule | None = None) -> float:
+def uncertainty_product(n: int, l: int, j: int, params: PhysParams) -> float:
     """Delta q_j * Delta p_j in the (n, l) Wigner state, from marginal moments."""
     if j not in (1, 2):
         raise ValueError("pair index must be 1 or 2")
     label = WignerLabel(n, l)
     q_axis, p_axis = f"q{j}", f"p{j}"
-    var_q = coordinate_moment(q_axis, 2, label, params, rule) \
-        - coordinate_moment(q_axis, 1, label, params, rule) ** 2
-    var_p = coordinate_moment(p_axis, 2, label, params, rule) \
-        - coordinate_moment(p_axis, 1, label, params, rule) ** 2
+    var_q = coordinate_moment(q_axis, 2, label, params) \
+        - coordinate_moment(q_axis, 1, label, params) ** 2
+    var_p = coordinate_moment(p_axis, 2, label, params) \
+        - coordinate_moment(p_axis, 1, label, params) ** 2
     return math.sqrt(var_q * var_p)
 
 
@@ -143,6 +140,8 @@ def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,
     (Df)^2 (Dg)^2 - [ -<{f,g}>^2/4 + <{df,dg}_+>^2/4 ].  For real observables
     the bracket mean is purely imaginary and the anti-bracket mean purely
     real; the stray components are asserted small and dropped before squaring.
+    A real observable has the same terms as its conjugate, so each variance
+    reuses the star applications already made: six in all.
     """
     if not f.is_real_observable() or not g.is_real_observable():
         raise ValueError("both observables must be real-valued star polynomials")
@@ -159,7 +158,9 @@ def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,
     if abs(anti.imag) > 1e-12 * max(1.0, abs(anti)):
         raise ValueError(f"anti-bracket mean not purely real: {anti}")
     bound = 0.25 * (bracket.imag ** 2 + anti.real ** 2)
-    return variance(f, s) * variance(g, s) - bound
+    var_f = float((apply_star_polynomial(f, fs, side="left").trace() - mean_f * mean_f).real)
+    var_g = float((apply_star_polynomial(g, gs, side="left").trace() - mean_g * mean_g).real)
+    return var_f * var_g - bound
 
 
 def coherent_moment_predictions(label: CoherentLabel, params: PhysParams) -> dict:

@@ -266,6 +266,36 @@ def test_grid_value_1e300_is_accepted_and_far(capsys, argv):
     assert _rows(out)[0, -1] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mass", "1e-300", "eval", "marginal1d:p1", "wigner:1,1", "--grid", "1e300"),
+    ("--hbar", "1e-300", "eval", "gencoherent:1,1:0,0,0,0", "--grid", "q1=1e300"),
+    ("--hbar", "1e-300", "eval", "wigner:1,1", "--grid", "q1=1e300"),
+])
+def test_grid_values_beyond_1e305_axis_units_are_input_errors(capsys, argv):
+    """Extreme units overflowed the coordinate scaling: nan, or 0 after a warning."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "axis units" in err
+
+
+@pytest.mark.parametrize("pairs", ["30,30;100,0", "150,0"])
+def test_equalities_past_n_plus_l_16_are_input_errors(capsys, pairs):
+    """The alternating sum cancelled to residuals of 1e12 or nan with exit 0."""
+    code, out, err = run_cli(capsys, "equalities", "--pairs", pairs, "--samples", "0,1")
+    assert code == 2
+    assert out == ""
+    assert "n + l <= 16" in err
+
+
+def test_equalities_at_n_plus_l_16_still_pass(capsys):
+    code, out, _ = run_cli(capsys, "equalities", "--pairs", "16,0;9,7")
+    assert code == 0
+    rows = _rows(out)
+    assert rows.shape == (6, 5)
+    assert np.all(rows[:, 3:] <= 1e-8)
+
+
 @pytest.mark.parametrize("label", ["wigner:2,1", "gencoherent:1,2:0.6,-0.3,0.2,0.5"])
 def test_state_dump_is_reproducible_and_reloads_exactly(tmp_path, capsys, label):
     _, first, _ = run_cli(capsys, "state", "dump", label, "--cutoff", "8")

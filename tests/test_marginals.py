@@ -16,7 +16,7 @@ from landaustar.marginals import (
     marginal_2d_quadrature,
     position_plane_generating,
 )
-from landaustar.phase_space import PhasePoint, PhysParams
+from landaustar.phase_space import PhysParams, mode_coords_arrays
 from landaustar.quadrature import QuadratureRule, gauss_hermite
 from landaustar.states import generating_function
 
@@ -63,14 +63,12 @@ def test_plane_generating_matches_momentum_integral_of_g():
         ((0.4 + 0.2j, -0.3j), (0.1 - 0.2j, 0.25 + 0.1j)),
         ((0.2 - 0.5j, 0.3 + 0.1j), (-0.2 + 0.4j, 0.15j)),
     ]
+    p1, p2 = np.meshgrid(sp * t, sp * t, indexing="ij")
     for alpha, beta in samples:
         for q1, q2 in ((0.0, 0.0), (0.8, -0.5)):
-            total = 0j
-            for i, p1 in enumerate(sp * t):
-                for j, p2 in enumerate(sp * t):
-                    pt = PhasePoint(q1, q2, float(p1), float(p2))
-                    total += cw[i] * cw[j] * generating_function(
-                        alpha[0], beta[0], alpha[1], beta[1], pt, PARAMS)
+            total = np.sum(np.outer(cw, cw) * generating_function(
+                alpha[0], beta[0], alpha[1], beta[1],
+                *mode_coords_arrays(q1, q2, p1, p2, PARAMS)))
             want = position_plane_generating(alpha, beta, q1, q2, PARAMS)
             assert abs(total - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -84,6 +82,44 @@ def test_plane_generating_derivative_gives_first_excited_density():
         got = 4.0 * mixed_param_derivative(fn, (1, 1, 0, 0), radius=0.5, points=12)
         want = marginal_2d(1, 0, ("q1", "q2"), q1, q2, PARAMS)
         assert got.real == pytest.approx(float(want), rel=1e-7, abs=1e-7)
+
+
+def _broadcast_params(seed):
+    """Four complex parameter arrays that broadcast to a (3, 4) grid."""
+    rng = np.random.default_rng(seed)
+    ps = 0.4 * (rng.normal(size=(4, 3, 4)) + 1j * rng.normal(size=(4, 3, 4)))
+    return ps[0], ps[1, :1, :], ps[2, :, :1], ps[3]
+
+
+def test_plane_generating_broadcasts_like_scalar_calls():
+    a1, a2, b1, b2 = _broadcast_params(31)
+    q2s = np.linspace(-1.2, 0.9, 4)
+    got = position_plane_generating((a1, a2), (b1, b2), 0.7, q2s, PARAMS)
+    assert got.shape == (3, 4)
+    want = np.empty((3, 4), dtype=complex)
+    for i, j in np.ndindex(3, 4):
+        scalar = position_plane_generating(
+            (complex(a1[i, j]), complex(a2[0, j])), (complex(b1[i, 0]), complex(b2[i, j])),
+            0.7, float(q2s[j]), PARAMS)
+        assert type(scalar) is complex
+        want[i, j] = scalar
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_axis_generating_broadcasts_like_scalar_calls(axis):
+    a1, a2, b1, b2 = _broadcast_params(32)
+    xs = np.linspace(-1.1, 1.3, 4) * axis_scale(axis, PARAMS)
+    got = axis_generating(axis, (a1, a2), (b1, b2), xs, PARAMS)
+    assert got.shape == (3, 4)
+    want = np.empty((3, 4), dtype=complex)
+    for i, j in np.ndindex(3, 4):
+        scalar = axis_generating(
+            axis, (complex(a1[i, j]), complex(a2[0, j])),
+            (complex(b1[i, 0]), complex(b2[i, j])), float(xs[j]), PARAMS)
+        assert type(scalar) is complex
+        want[i, j] = scalar
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_axis_generating_zero_parameters():
@@ -108,9 +144,7 @@ def test_axis_generating_consistent_with_plane_integral():
     ]
     for alpha, beta in samples:
         for q1 in (0.0, 0.9):
-            vals = np.array([position_plane_generating(alpha, beta, q1, q2, PARAMS)
-                             for q2 in q2s])
-            got = np.sum(cw * vals)
+            got = np.sum(cw * position_plane_generating(alpha, beta, q1, q2s, PARAMS))
             want = axis_generating("q1", alpha, beta, q1, PARAMS)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -312,6 +346,12 @@ def test_integral_equality_residuals(n, l, samples):
 def test_integral_equality_requires_ordered_pair():
     with pytest.raises(ValueError):
         integral_equality_residuals(1, 2, [0.0], PARAMS)
+
+
+def test_integral_equality_refuses_n_plus_l_past_16():
+    integral_equality_residuals(16, 0, [0.0], PARAMS)
+    with pytest.raises(ValueError, match="n \\+ l <= 16"):
+        integral_equality_residuals(9, 8, [0.0], PARAMS)
 
 
 @pytest.mark.parametrize("params", [PhysParams(hbar=0.7, mass=2.3, omega=1.9),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from landaustar.checks import mixed_param_derivative
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
     GENERATORS,
@@ -101,7 +102,7 @@ def test_generating_function_at_zero_parameters():
     rng = np.random.default_rng(22)
     pts, a, b = random_points(rng, 10)
     for pt, av, bv in zip(pts, a, b):
-        got = generating_function(0, 0, 0, 0, pt, PARAMS)
+        got = generating_function(0, 0, 0, 0, av, bv)
         want = math.exp(-2.0 * (abs(av) ** 2 + abs(bv) ** 2))
         assert got == pytest.approx(want, rel=1e-13)
         assert got == pytest.approx(wigner_eval(WignerLabel(0, 0), pt, PARAMS) / 4.0,
@@ -111,18 +112,13 @@ def test_generating_function_at_zero_parameters():
 def _wigner_from_generating(n, l, pt, radius=0.5, points=16):
     """Extract the (n, l) Wigner value from parameter contours of G."""
     mc = to_mode_coords(pt, PARAMS)
-    a, b = mc.a, mc.b
-    theta = 2.0 * math.pi * np.arange(points) / points
-    ring = radius * np.exp(1j * theta)
-    a1, b1, a2, b2 = np.meshgrid(ring, ring, ring, ring, indexing="ij")
-    vals = np.exp(-(a1 * b1 + a2 * b2)
-                  + 2.0 * (a1 * np.conj(a) + b1 * a + a2 * np.conj(b) + b2 * b)
-                  - 2.0 * (abs(a) ** 2 + abs(b) ** 2))
-    for order in (n, n, l, l):
-        phase = np.exp(-1j * order * theta)
-        vals = np.tensordot(vals, phase, axes=(0, 0)) * (
-            math.factorial(order) / (points * radius ** order))
-    return 4.0 / (math.factorial(n) * math.factorial(l)) * complex(vals)
+
+    def fn(ps):
+        a1, b1, a2, b2 = ps
+        return generating_function(a1, b1, a2, b2, mc.a, mc.b)
+
+    deriv = mixed_param_derivative(fn, (n, n, l, l), radius=radius, points=points)
+    return 4.0 / (math.factorial(n) * math.factorial(l)) * deriv
 
 
 @pytest.mark.parametrize("n,l", [(0, 0), (1, 0), (1, 1), (2, 1)])
@@ -137,19 +133,23 @@ def test_generating_function_produces_wigner(n, l):
 
 
 def test_vectorized_sampler_matches_public_generating_function():
-    """The contour sampler above must agree with the public evaluator."""
+    """G on a (3, 4) broadcast grid of parameters and mode coordinates equals
+    its elementwise scalar calls."""
     rng = np.random.default_rng(27)
-    pts, _, _ = random_points(rng, 4)
-    for pt in pts:
-        for ps in rng.normal(size=(3, 8)):
-            a1, b1, a2, b2 = (complex(ps[2 * i], ps[2 * i + 1]) * 0.4 for i in range(4))
-            mc = to_mode_coords(pt, PARAMS)
-            direct = np.exp(-(a1 * b1 + a2 * b2)
-                            + 2.0 * (a1 * np.conj(mc.a) + b1 * mc.a
-                                     + a2 * np.conj(mc.b) + b2 * mc.b)
-                            - 2.0 * (abs(mc.a) ** 2 + abs(mc.b) ** 2))
-            public = generating_function(a1, b1, a2, b2, pt, PARAMS)
-            assert complex(direct) == pytest.approx(public, rel=1e-13)
+    _, a, b = random_points(rng, 4)
+    a, b = a[:3].reshape(3, 1), b.reshape(1, 4)
+    ps = 0.4 * (rng.normal(size=(4, 3, 4)) + 1j * rng.normal(size=(4, 3, 4)))
+    a1, b1, a2, b2 = ps[0], ps[1, :1, :], ps[2, :, :1], ps[3]
+    got = generating_function(a1, b1, a2, b2, a, b)
+    assert got.shape == (3, 4)
+    want = np.empty((3, 4), dtype=complex)
+    for i, j in np.ndindex(3, 4):
+        scalar = generating_function(complex(a1[i, j]), complex(b1[0, j]),
+                                     complex(a2[i, 0]), complex(b2[i, j]),
+                                     complex(a[i, 0]), complex(b[0, j]))
+        assert type(scalar) is complex
+        want[i, j] = scalar
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_generating_function_left_star_eigenvalue():
