@@ -22,14 +22,12 @@ import numpy as np
 from . import checks
 from .marginals import (
     AXES,
-    CLOSED_FORM_PLANES,
     axis_scale,
     integral_equality_residuals,
     marginal_1d,
     marginal_2d,
 )
 from .phase_space import PhysParams, mode_coords_arrays
-from .quadrature import gauss_hermite
 from .star import fock_from_json_dict, fock_to_json_dict
 from .states import (
     CoherentLabel,
@@ -68,13 +66,10 @@ class InputError(Exception):
 class RunConfig:
     params: PhysParams
     cutoff: int = 32
-    quad_order: int = 16
     fmt: str = "csv"
     unit_norm: bool = False
 
     def __post_init__(self):
-        if self.quad_order < 16:
-            raise ConfigConflict(f"quad-order must be at least 16, got {self.quad_order}")
         if self.cutoff < 2:
             raise ConfigConflict(f"cutoff must be at least 2, got {self.cutoff}")
 
@@ -134,7 +129,6 @@ def build_config(args) -> RunConfig:
         raise ConfigConflict(str(exc)) from exc
     return RunConfig(params=params,
                      cutoff=getattr(args, "cutoff", 32),
-                     quad_order=getattr(args, "quad_order", 16),
                      fmt=getattr(args, "format", "csv"),
                      unit_norm=getattr(args, "unit_norm", False))
 
@@ -277,10 +271,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         grid = parse_named_grid(args.grid, plane)
         _refuse_far_values(grid, cfg.params)
         x, y = np.meshgrid(grid[plane[0]], grid[plane[1]], indexing="ij")
-        rule = None if plane in CLOSED_FORM_PLANES else gauss_hermite(
-            max(cfg.quad_order, label.n + label.l + 8))
         vals = marginal_2d(label.n, label.l, plane, x.reshape(-1), y.reshape(-1),
-                           cfg.params, rule) / norm
+                           cfg.params) / norm
         rows = [(float(x.reshape(-1)[i]), float(y.reshape(-1)[i]), float(vals[i]))
                 for i in range(vals.size)]
         meta = {"plane": list(plane), "n": label.n, "l": label.l,
@@ -406,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mass", type=float)
     common.add_argument("--omega", type=float)
     common.add_argument("--cutoff", type=int)
-    common.add_argument("--quad-order", type=int,
-                        help="per-axis Gauss-Hermite order (minimum 16) for eval "
-                             "marginal2d on planes without a closed form")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--unit-norm", action="store_true",
                         help="divide density values by h^2")

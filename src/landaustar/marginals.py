@@ -8,12 +8,11 @@ of squared normalized Hermite functions.  Every term is non-negative and every
 phi_k is bounded, so the sum neither cancels nor overflows at any (n, l) in
 range.  The paper writes the same density as an alternating Hermite double sum;
 that form (_hermite_sum) is kept as the route of the integral equalities and
-as the test oracle.  Two of the coordinate planes also have closed forms:
-|<n|D|l>|^2 on the position plane and phi_n^2 phi_l^2 on the mixed q1-p2
-plane.  Every closed form here is cross-checked against direct quadrature of
-the Wigner function in the test suite, and equating the two evaluation routes
-yields nontrivial integral identities between the classical orthogonal
-polynomials.
+as the test oracle.  All six coordinate planes have closed forms, of three
+shapes (see marginal_2d).  Direct quadrature of the Wigner function is kept
+only as the oracle every closed form is checked against, and equating the
+two routes yields nontrivial integral identities between the classical
+orthogonal polynomials.
 """
 
 from __future__ import annotations
@@ -27,10 +26,12 @@ from scipy.linalg import eigh_tridiagonal
 from .phase_space import PhysParams, mode_coords_arrays
 from .quadrature import QuadratureRule, default_order, gauss_hermite
 from .specfun import (
+    bounded_abs2,
     hermite,
     hermite_function,
     hermite_functions,
     laguerre,
+    laguerre_functions,
     log_factorial,
     marginal_hermite_coeff,
 )
@@ -38,7 +39,6 @@ from .star import displacement_amplitude
 from .states import wigner_values
 
 AXES = ("q1", "q2", "p1", "p2")
-CLOSED_FORM_PLANES = (("q1", "q2"), ("q1", "p2"))
 # Largest quantum number the closed-form 1D and 2D densities accept.
 MAX_QUANTUM_NUMBER = 150
 # Largest n + l of the integral equalities: the paper's alternating Hermite
@@ -162,53 +162,71 @@ def _hermite_sum(n: int, l: int, u):
     return acc
 
 
-def _position_plane_closed(n: int, l: int, q1, q2, params: PhysParams):
-    """Closed form on the (q1, q2) plane: 4 pi (hbar/gamma)^2 |<n|D(rho)|l>|^2.
-
-    rho = |q1 + i q2|/gamma; in Laguerre form (l!/n!) rho^{2(n-l)} e^{-rho^2}
-    L_l^{n-l}(rho^2)^2 for n >= l, evaluated by the normalized recurrence of
-    star.displacement_amplitude, so it is symmetric in (n, l) and bounded.
-    """
-    rho = np.hypot(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)) / params.gamma
-    g = displacement_amplitude(rho, n, l)
-    return 4.0 * math.pi * (params.hbar / params.gamma) ** 2 * g * g
+def _radial_shape(n: int, l: int, u, v):
+    """g(rho)^2/pi at rho = |u + iv|: |<n|D(rho)|l>|^2/pi by star.displacement_amplitude."""
+    g = displacement_amplitude(np.hypot(u, v), n, l)
+    return g * g / math.pi
 
 
-def _mixed_plane_closed(n: int, l: int, q1, p2, params: PhysParams):
-    """Closed form on the (q1, p2) plane: 4 pi^2 hbar phi_n(tau_-/sqrt 2)^2 phi_l(tau_+/sqrt 2)^2.
-
-    tau_-+ = q1/gamma -+ gamma p2/hbar and phi_k are the normalized Hermite
-    functions, i.e. H_n^2 H_l^2 e^{-(tau_+^2 + tau_-^2)/2} / (n! l! 2^{n+l})
-    times 4 pi hbar.
-    """
-    y = np.asarray(q1, dtype=float) / params.gamma
-    w = params.gamma * np.asarray(p2, dtype=float) / params.hbar
-    phi_n = hermite_function(n, (y - w) / math.sqrt(2.0))
-    phi_l = hermite_function(l, (y + w) / math.sqrt(2.0))
-    return 4.0 * math.pi ** 2 * params.hbar * (phi_n * phi_l) ** 2
+def _mixed_shape(n: int, l: int, u, v):
+    """phi_n((u - v)/sqrt 2)^2 phi_l((u + v)/sqrt 2)^2, phi_k the normalized Hermite functions."""
+    s = math.sqrt(2.0)
+    return (hermite_function(n, (u - v) / s) * hermite_function(l, (u + v) / s)) ** 2
 
 
-def marginal_2d(n: int, l: int, plane, x, y, params: PhysParams,
-                rule: QuadratureRule | None = None):
-    """2D marginal density on a coordinate plane, vectorized over (x, y).
+def _conjugate_shape(n: int, l: int, u, v):
+    """The signed (1/pi) sum_k (-1)^k w_k e^{-r^2} L_k(2r^2) at r = |u + iv|."""
+    x = 2.0 * bounded_abs2(np.hypot(u, v))
+    signed = _mixture_weights(n, l) * (-1.0) ** np.arange(n + l + 1)
+    acc = np.zeros_like(x)
+    for w, f in zip(signed, laguerre_functions(n + l, x)):
+        acc += w * f
+    return acc / math.pi
 
-    The (q1, q2) and (q1, p2) planes use closed forms for 0 <= n, l <=
-    MAX_QUANTUM_NUMBER and ignore ``rule``; any other plane integrates the
-    Wigner function over the two complementary axes by Gauss-Hermite
-    quadrature.
+
+# Each plane's unit-integral density in axis units.  The position plane fixes
+# a + conj(b) and the momentum plane a - conj(b); W depends on |a| and |b|
+# only, which swapping the two leaves alone.  The conjugate planes (q_j, p_j)
+# see one 50:50 mode, in the reduced state sum_k w_k |k><k|.  A 90 degree
+# rotation of (q, p) maps (q1, p2) onto (q2, -p1).
+_PLANE_SHAPES = {
+    ("q1", "q2"): _radial_shape,
+    ("p1", "p2"): _radial_shape,
+    ("q1", "p2"): _mixed_shape,
+    ("q2", "p1"): lambda n, l, u, v: _mixed_shape(n, l, u, -v),
+    ("q1", "p1"): _conjugate_shape,
+    ("q2", "p2"): _conjugate_shape,
+}
+
+
+def marginal_2d(n: int, l: int, plane, x, y, params: PhysParams):
+    """Closed-form 2D marginal density on any coordinate plane, vectorized over (x, y).
+
+    (h/s_x)(h/s_y) times the plane's shape at u = x/s_x, v = y/s_y (s the
+    axis_scale; never h^2, which overflows first), in either axis order and
+    for 0 <= n, l <= MAX_QUANTUM_NUMBER.  The shapes: radial on (q1, q2) and
+    (p1, p2), Hermite products on (q1, p2) and (q2, p1), and a signed one-mode
+    Wigner function on the conjugate planes (q1, p1) and (q2, p2).
     """
     plane = tuple(plane)
-    if plane in CLOSED_FORM_PLANES:
-        _check_quantum_numbers(n, l)
-        closed = _position_plane_closed if plane == ("q1", "q2") else _mixed_plane_closed
-        out = closed(n, l, x, y, params)
-        return out if out.ndim else float(out)
-    return marginal_2d_quadrature(n, l, plane, x, y, params, rule)
+    if plane[::-1] in _PLANE_SHAPES:
+        plane, x, y = plane[::-1], y, x
+    if plane not in _PLANE_SHAPES:
+        raise ValueError(f"invalid plane {plane!r}")
+    _check_quantum_numbers(n, l)
+    sx, sy = (axis_scale(ax, params) for ax in plane)
+    u = np.asarray(x, dtype=float) / sx
+    v = np.asarray(y, dtype=float) / sy
+    pref = (params.planck_h / sx) * (params.planck_h / sy)
+    if not math.isfinite(pref):
+        raise ValueError(f"2D densities overflow in these units: (h/s_x)(h/s_y) = {pref}")
+    out = pref * _PLANE_SHAPES[plane](n, l, u, v)
+    return out if out.ndim else float(out)
 
 
 def marginal_2d_quadrature(n: int, l: int, plane, x, y, params: PhysParams,
                            rule: QuadratureRule | None = None):
-    """Any-plane 2D marginal via quadrature over the complementary axes."""
+    """Any-plane 2D marginal via quadrature over the complementary axes (oracle route)."""
     plane = tuple(plane)
     if len(plane) != 2 or plane[0] == plane[1] or any(ax not in AXES for ax in plane):
         raise ValueError(f"invalid plane {plane!r}")

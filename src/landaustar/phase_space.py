@@ -25,6 +25,10 @@ class PhysParams:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.hbar, self.mass, self.omega)):
             raise ValueError("hbar, mass and omega must all be positive and finite")
+        g = self.gamma if self.mass * self.omega > 0 else math.inf  # the product can underflow
+        if not (0.0 < g < math.inf and 0.0 < self.hbar / g < math.inf):
+            raise ValueError("these units put the axis scales gamma and hbar/gamma "
+                             "outside the floating-point range")
 
     @property
     def gamma(self) -> float:
@@ -48,19 +52,6 @@ class PhasePoint:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.q1, self.q2, self.p1, self.p2))):
             raise ValueError("phase-space coordinates must be finite")
-
-    def z(self, params: PhysParams) -> complex:
-        """Dimensionless position-plane coordinate (q1 + i q2)/gamma."""
-        return complex(self.q1, self.q2) / params.gamma
-
-    def rho2(self, params: PhysParams) -> float:
-        return abs(self.z(params)) ** 2
-
-    def tau_plus(self, params: PhysParams) -> float:
-        return self.q1 / params.gamma + params.gamma * self.p2 / params.hbar
-
-    def tau_minus(self, params: PhysParams) -> float:
-        return self.q1 / params.gamma - params.gamma * self.p2 / params.hbar
 
 
 @dataclass(frozen=True)

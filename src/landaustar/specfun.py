@@ -5,9 +5,10 @@ recurrence (never from expanded monomial coefficients, which lose accuracy
 past degree ~20).  The raw polynomials grow like x^n, so the densities use
 the Gaussian-weighted functions instead: normalized Hermite functions and
 e^{-x/2} L_n(x), whose recurrences start from the Gaussian and keep every
-iterate bounded, at any degree.  The Hermite-expansion coefficients of the
-paper's 1D marginal formula are assembled in log space so large quantum
-numbers cannot overflow.
+iterate bounded, at any degree; a generator yields every degree up to a
+maximum, for the densities that sum over them.  The Hermite-expansion
+coefficients of the paper's 1D marginal formula are assembled in log space so
+large quantum numbers cannot overflow.
 """
 
 from __future__ import annotations
@@ -68,37 +69,35 @@ def hermite_function(k: int, u):
     return phi
 
 
-def laguerre_function(n: int, x):
-    """e^{-x/2} L_n(x) for x >= 0, by the Laguerre recurrence started from e^{-x/2}.
+def laguerre_functions(kmax: int, x):
+    """Yield e^{-x/2} L_k(x), k = 0..kmax, for x >= 0, by the Laguerre recurrence from e^{-x/2}.
 
     |L_k(x)| <= e^{x/2} on x >= 0, so every iterate is bounded by 1 and no
     step overflows; x must be finite (see bounded_abs2).
     """
     x = np.asarray(x, dtype=float)
     prev, cur = 0.0, np.exp(-0.5 * x)
-    for k in range(n):
+    yield cur
+    for k in range(kmax):
         prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
-    return cur
+        yield cur
+
+
+def laguerre_function(n: int, x):
+    """The function e^{-x/2} L_n(x) of laguerre_functions."""
+    for f in laguerre_functions(n, x):
+        pass
+    return f
 
 
 def laguerre(n: int, alpha: int, x):
-    """Generalized Laguerre polynomial L_n^alpha(x).
-
-    Negative integer upper index is reduced through
-    L_n^{-k}(x) = (-x)^k ((n-k)!/n!) L_{n-k}^{k}(x), valid for 0 < k <= n.
-    """
+    """Generalized Laguerre polynomial L_n^alpha(x), for alpha >= 0."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     if n > DEGREE_CAP:
         raise ValueError(f"Laguerre degree {n} exceeds the cap {DEGREE_CAP}")
     if alpha < 0:
-        k = -alpha
-        if k > n:
-            raise ValueError(f"invalid index pair n={n}, alpha={alpha}: need n + alpha >= 0")
-        x = np.asarray(x, dtype=float)
-        scale = math.exp(gammaln(n - k + 1) - gammaln(n + 1))
-        out = (-x) ** k * scale * laguerre(n - k, k, x)
-        return out if np.ndim(out) else float(out)
+        raise ValueError(f"upper index must be non-negative, got alpha={alpha}")
     x = np.asarray(x, dtype=float)
     l0 = np.ones_like(x)
     if n == 0:

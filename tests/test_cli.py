@@ -331,11 +331,6 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
-def test_quad_order_conflict(capsys):
-    code, _, err = run_cli(capsys, "--quad-order", "8", "uncertainty", "0", "0")
-    assert code == 3
-
-
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "uncertainty", "0", "0", "--out", str(out_path))
@@ -352,8 +347,9 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_verify_subset_via_entry_point():
-    """End-to-end console invocation, including exit status."""
+def test_verify_subset_via_entry_point(capsys):
+    """End-to-end console invocation, including exit status, and a byte-equal
+    report from an in-process run."""
     proc = subprocess.run(
         [sys.executable, "-m", "landaustar", "verify", "marginals"],
         capture_output=True, text=True)
@@ -362,12 +358,9 @@ def test_verify_subset_via_entry_point():
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert any("integral-equality n=2 l=1" in line for line in lines)
     assert lines[-1].endswith("checks passed")
-
-
-def test_verify_reports_are_reproducible(capsys):
-    _, first, _ = run_cli(capsys, "verify", "marginals")
-    _, second, _ = run_cli(capsys, "verify", "marginals")
-    assert first == second
+    code, out, _ = run_cli(capsys, "verify", "marginals")
+    assert code == 0
+    assert out == proc.stdout
 
 
 
@@ -412,13 +405,42 @@ def test_far_points_and_large_quantum_numbers_give_true_values(capsys, argv, wan
 
 
 def test_closed_form_plane_needs_no_quadrature_rule(capsys):
-    """n + l + 8 = 308 exceeds the largest Gauss-Hermite order; the plane uses none."""
+    """n + l + 8 = 308 exceeds the largest Gauss-Hermite order; no plane uses one."""
     code, out, _ = run_cli(capsys, "--cutoff", "302", "eval", "marginal2d:q1,q2",
                            "wigner:150,150", "--grid", "q1=0:2:3,q2=1")
     assert code == 0
     vals = _rows(out)[:, 2]
     assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
-    code, _, err = run_cli(capsys, "--cutoff", "302", "eval", "marginal2d:q1,p1",
+    # the conjugate plane at the origin is 4 pi hbar times the parity delta_nl
+    code, out, _ = run_cli(capsys, "--cutoff", "302", "eval", "marginal2d:q1,p1",
                            "wigner:150,150", "--grid", "q1=0,p1=0")
+    assert code == 0
+    assert _rows(out)[0, 2] == pytest.approx(12.566370614359172, rel=0, abs=1e-12)
+
+
+def test_plane_prefactor_does_not_overflow_at_large_hbar(capsys):
+    """h^2 overflows at hbar = 1e200; the density (h/gamma)^2 g^2/pi does not."""
+    code, out, _ = run_cli(capsys, "--hbar", "1e200", "eval", "marginal2d:q1,q2",
+                           "wigner:0,0", "--grid", "q1=1,q2=0")
+    assert code == 0
+    assert out == "q1,q2,value\n1,0,6.2831853071795858e+200\n"
+    # a prefactor beyond the float range is refused, not printed as inf
+    code, out, err = run_cli(capsys, "--hbar", "1e300", "--mass", "1e300", "eval",
+                             "marginal2d:q1,q2", "wigner:0,0", "--grid", "q1=0,q2=0")
     assert code == 2
-    assert "order" in err
+    assert out == ""
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--hbar", "1e300", "--mass", "1e-300", "uncertainty", "0", "0"),
+    ("--hbar", "1e-300", "--mass", "1e300", "uncertainty", "0", "0"),
+    ("--mass", "1e-300", "--omega", "1e-300", "eval", "marginal2d:q1,q2", "wigner:1,0",
+     "--grid", "q1=0,q2=0"),
+])
+def test_units_outside_the_float_range_are_config_conflicts(capsys, argv):
+    """gamma or hbar/gamma overflowed or vanished: a traceback with exit 1."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "gamma" in err

@@ -25,6 +25,9 @@ NQ = axis_norm("q1", PARAMS)
 NP_ = axis_norm("p1", PARAMS)
 GAMMA = PARAMS.gamma
 H2 = PARAMS.planck_h ** 2
+# the six coordinate planes: radial, conjugate, mixed, mixed, conjugate, radial
+PLANES = (("q1", "q2"), ("q1", "p1"), ("q1", "p2"), ("q2", "p1"), ("q2", "p2"), ("p1", "p2"))
+CONJUGATE_PLANES = (("q1", "p1"), ("q2", "p2"))
 
 
 def test_axis_scales_and_norms():
@@ -283,7 +286,7 @@ def test_swapped_quantum_numbers_use_symmetry():
 
 def test_plane_positivity_on_grid():
     # offset grids dodge the exact zero lines (rho = 0, tau = 0, Hermite roots)
-    for plane in (("q1", "q2"), ("q1", "p2")):
+    for plane in (p for p in PLANES if p not in CONJUGATE_PLANES):
         gx = np.linspace(-3.9, 4.1, 41) * axis_scale(plane[0], PARAMS)
         gy = np.linspace(-3.8, 4.2, 41) * axis_scale(plane[1], PARAMS)
         X, Y = np.meshgrid(gx, gy, indexing="ij")
@@ -294,7 +297,7 @@ def test_plane_positivity_on_grid():
 
 
 def test_fallback_plane_by_quadrature():
-    """Planes without a closed form integrate the Wigner function directly."""
+    """The (q2, p1) plane integrates over p1 to the q2 density, and is positive."""
     val = marginal_2d(1, 1, ("q2", "p1"), 0.5, -0.3, PARAMS)
     # cross-check against the 1D density by integrating out the second axis
     rule = gauss_hermite(24)
@@ -308,7 +311,27 @@ def test_fallback_plane_by_quadrature():
     assert val > 0
 
 
+@pytest.mark.parametrize("params", [PARAMS, PhysParams(hbar=0.7, mass=2.3, omega=1.9)])
+@pytest.mark.parametrize("plane", PLANES)
+def test_every_plane_matches_quadrature(plane, params):
+    """Both axis orders against the Wigner quadrature with a rule 8 orders up."""
+    rng = np.random.default_rng(33)
+    sx, sy = (axis_scale(ax, params) for ax in plane)
+    bound = (params.planck_h / sx) * (params.planck_h / sy) / math.pi
+    for n, l in [(n, l) for n in range(7) for l in range(7)] + [(12, 18)]:
+        x = np.append(0.0, rng.uniform(-2.5, 2.5, 4)) * sx
+        y = np.append(0.0, rng.uniform(-2.5, 2.5, 4)) * sy
+        order = max(16, n + l + 8) + 8
+        quad = marginal_2d_quadrature(n, l, plane, x, y, params, gauss_hermite(order))
+        for got in (marginal_2d(n, l, plane, x, y, params),
+                    marginal_2d(n, l, plane[::-1], y, x, params)):
+            np.testing.assert_allclose(got, quad, rtol=1e-10, atol=1e-13 * bound)
+
+
 def test_invalid_plane_rejected():
+    for plane in (("q1", "q1"), ("q1", "q3"), ("q1", "q2", "p1")):
+        with pytest.raises(ValueError):
+            marginal_2d(0, 0, plane, 0.0, 0.0, PARAMS)
     with pytest.raises(ValueError):
         marginal_2d_quadrature(0, 0, ("q1", "q1"), 0.0, 0.0, PARAMS)
     with pytest.raises(ValueError):
@@ -490,17 +513,33 @@ def test_plane_closed_forms_match_raw_polynomial_forms(params):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
 
 
-@pytest.mark.parametrize("n,l", [(100, 0), (0, 100), (100, 100), (150, 0)])
+@pytest.mark.parametrize("n,l", [(20, 20), (60, 40), (100, 0), (0, 100), (100, 50),
+                                 (100, 100), (150, 0), (150, 150)])
 def test_large_quantum_number_plane_closed_forms(n, l):
-    rule = _rule(n + l + 2)
-    for plane in (("q1", "q2"), ("q1", "p2")):
+    """Norm h^2 on every plane, and the second axis integrates to marginal_1d."""
+    rule = _rule(n + l + 40)
+    for plane in PLANES:
         x, wx = rule.scaled(axis_scale(plane[0], PARAMS))
         y, wy = rule.scaled(axis_scale(plane[1], PARAMS))
         X, Y = np.meshgrid(x, y, indexing="ij")
         dens = marginal_2d(n, l, plane, X, Y, PARAMS)
         assert np.all(np.isfinite(dens))
-        assert np.min(dens) >= 0.0
+        if plane not in CONJUGATE_PLANES:
+            assert np.min(dens) >= 0.0
         assert np.sum(np.outer(wx, wy) * dens) == pytest.approx(H2, rel=1e-10)
+        m1d = marginal_1d(n, l, plane[0], x, PARAMS)
+        np.testing.assert_allclose(np.sum(wy * dens, axis=1), m1d,
+                                   rtol=0, atol=1e-10 * np.max(m1d))
+
+
+@pytest.mark.parametrize("plane", CONJUGATE_PLANES)
+def test_conjugate_planes_at_the_origin_give_hong_ou_mandel_parity(plane):
+    """The one-mode parity sum_k (-1)^k w_k is delta_nl: 4 pi hbar delta_nl at the origin."""
+    ns = list(range(12)) + [40, 99, 100, 149, 150]
+    for n in ns:
+        for l in ns:
+            got = marginal_2d(n, l, plane, 0.0, 0.0, PARAMS)
+            assert abs(got - 4.0 * math.pi * PARAMS.hbar * (n == l)) <= 1e-12, (n, l)
 
 
 def test_plane_closed_forms_far_from_the_peak():
@@ -516,12 +555,14 @@ def test_plane_closed_forms_far_from_the_peak():
 
 def test_huge_coordinates_give_zero_densities():
     assert marginal_1d(3, 2, "q1", 1e200, PARAMS) == 0.0
-    for plane in (("q1", "q2"), ("q1", "p2")):
-        assert marginal_2d(3, 2, plane, 1e200, 0.0, PARAMS) == 0.0
+    for plane in PLANES:
+        for order in (plane, plane[::-1]):
+            assert marginal_2d(3, 2, order, 1e200, 0.0, PARAMS) == 0.0
+            assert marginal_2d(150, 150, order, 1e300, -1e300, PARAMS) == 0.0
 
 
 def test_closed_planes_share_the_range_guard():
-    for plane in (("q1", "q2"), ("q1", "p2")):
+    for plane in PLANES + tuple(p[::-1] for p in PLANES):
         for n, l in ((151, 0), (0, 151), (-1, 0)):
             with pytest.raises(ValueError):
                 marginal_2d(n, l, plane, 0.0, 0.0, PARAMS)

@@ -31,6 +31,11 @@ def test_gamma_invariant_other_units():
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         PhysParams(hbar=-1.0)
+    # gamma or hbar/gamma outside the float range: inf, 0, and mass * omega = 0
+    for units in ({"hbar": 1e300, "mass": 1e-300}, {"hbar": 1e-300, "mass": 1e300},
+                  {"mass": 1e-300, "omega": 1e-300}):
+        with pytest.raises(ValueError, match="gamma"):
+            PhysParams(**units)
     with pytest.raises(ValueError):
         PhasePoint(0.0, math.inf, 0.0, 0.0)
 
@@ -92,16 +97,6 @@ def test_mode_map_round_trip(params):
         back = from_mode_coords(to_mode_coords(pt, params), params)
         for attr in ("q1", "q2", "p1", "p2"):
             assert getattr(back, attr) == pytest.approx(getattr(pt, attr), abs=1e-13)
-
-
-def test_point_accessors():
-    pt = PhasePoint(1.0, 2.0, 0.5, -0.25)
-    z = pt.z(PARAMS)
-    assert z == pytest.approx((1 + 2j) / math.sqrt(2))
-    assert pt.rho2(PARAMS) == pytest.approx(abs(z) ** 2)
-    g = PARAMS.gamma
-    assert pt.tau_plus(PARAMS) == pytest.approx(1 / g + g * (-0.25))
-    assert pt.tau_minus(PARAMS) == pytest.approx(1 / g - g * (-0.25))
 
 
 def test_mode_conjugates():

@@ -7,6 +7,8 @@ from landaustar.quadrature import gauss_hermite
 from landaustar.specfun import (
     hermite,
     laguerre,
+    laguerre_function,
+    laguerre_functions,
     log_factorial,
     marginal_hermite_coeff,
 )
@@ -86,15 +88,18 @@ def test_laguerre_low_orders():
     np.testing.assert_allclose(laguerre(1, 2, xs), 3 - xs, rtol=1e-14)
 
 
-def test_laguerre_negative_index_identity():
-    for x in (0.5, 1.0, 2.0):
-        want = -x * laguerre(1, 1, x) / 2.0
-        assert laguerre(2, -1, x) == pytest.approx(want, rel=1e-14)
-    # brute-force series of the generating identity (1+y)^k e^{-xy} at k=2:
-    # L_2^{-2}(x) is the y^2 coefficient with k - n = -2, i.e. k = 0
-    x = 1.3
-    # (1+y)^0 e^{-xy}: coefficient of y^2 is x^2/2
-    assert laguerre(2, -2, x) == pytest.approx(x * x / 2.0, rel=1e-14)
+def test_laguerre_functions_match_the_polynomials():
+    xs = np.linspace(0.0, 12.0, 25)
+    for k, f in enumerate(laguerre_functions(20, xs)):
+        want = np.exp(-0.5 * xs) * laguerre(k, 0, xs)
+        np.testing.assert_allclose(f, want, rtol=0, atol=1e-13)
+    assert laguerre_function(7, 3.3) == pytest.approx(
+        math.exp(-1.65) * laguerre(7, 0, 3.3), rel=1e-13)
+    # bounded by 1 at every degree, and 0 far out with no overflow
+    big = np.array([0.0, 50.0, 2e300])
+    for f in laguerre_functions(300, big):
+        assert np.all(np.abs(f) <= 1.0 + 1e-12)
+    assert f[-1] == 0.0
 
 
 def test_laguerre_invalid_pairs():
