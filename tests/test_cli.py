@@ -347,6 +347,12 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def test_verify_reports_are_reproducible(capsys):
+    _, first, _ = run_cli(capsys, "verify", "marginals")
+    _, second, _ = run_cli(capsys, "verify", "marginals")
+    assert first == second
+
+
 def test_verify_subset_via_entry_point(capsys):
     """End-to-end console invocation, including exit status, and a byte-equal
     report from an in-process run."""
