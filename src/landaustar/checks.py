@@ -59,6 +59,7 @@ from .states import (
     generalized_coherent_fock,
     generating_function,
     matrix_unit_values,
+    state_values,
     wigner_fock,
     wigner_symbol,
     wigner_values,
@@ -765,6 +766,11 @@ _ALPHA_SAMPLES = (
 )
 
 _COHERENT_CUTOFF = 24
+# generalized coherent states sampled by the projection and pointwise checks
+_GENERALIZED_SAMPLES = tuple(
+    GeneralizedCoherentLabel(a1, a2, WignerLabel(n, l))
+    for n, l in [(1, 0), (2, 2)]
+    for a1, a2 in ((0.8 - 0.2j, 0.5j), (-0.4 + 0.9j, 0.3 - 0.6j)))
 
 
 def check_coherent_projection(params: PhysParams) -> CheckResult:
@@ -913,6 +919,7 @@ def check_displaced_polynomial(params: PhysParams) -> CheckResult:
 
 
 def check_coherent_pointwise(params: PhysParams) -> CheckResult:
+    """Fock-route values versus the closed coherent form and the translate route."""
     rng = np.random.default_rng(1012)
     a, b = _random_points(rng, 25, params)
     worst = 0.0
@@ -922,6 +929,9 @@ def check_coherent_pointwise(params: PhysParams) -> CheckResult:
         got = fock_values(rep, a, b)
         want = coherent_values(label, a, b)
         worst = max(worst, float(np.max(np.abs(got - want))))
+    for label in _GENERALIZED_SAMPLES:
+        got = fock_values(generalized_coherent_fock(label, _COHERENT_CUTOFF), a, b)
+        worst = max(worst, float(np.max(np.abs(got - state_values(label, a, b)))))
     return CheckResult("coherent-pointwise", worst, 1e-9)
 
 
@@ -1020,13 +1030,11 @@ def check_generalized_variance_invariance(params: PhysParams) -> CheckResult:
 
 def check_generalized_normalization(params: PhysParams) -> CheckResult:
     worst = 0.0
-    for n, l in [(1, 0), (2, 2)]:
-        for a1, a2 in ((0.8 - 0.2j, 0.5j), (-0.4 + 0.9j, 0.3 - 0.6j)):
-            label = GeneralizedCoherentLabel(a1, a2, WignerLabel(n, l))
-            rep = generalized_coherent_fock(label, 24)
-            worst = max(worst, abs(rep.trace() - 1.0))
-            prod = star(rep, rep)
-            worst = max(worst, float(np.max(np.abs(prod.coeffs - rep.coeffs))))
+    for label in _GENERALIZED_SAMPLES:
+        rep = generalized_coherent_fock(label, _COHERENT_CUTOFF)
+        worst = max(worst, abs(rep.trace() - 1.0))
+        prod = star(rep, rep)
+        worst = max(worst, float(np.max(np.abs(prod.coeffs - rep.coeffs))))
     return CheckResult("generalized-projection-normalization", worst, 1e-10)
 
 

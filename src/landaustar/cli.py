@@ -29,16 +29,7 @@ from .marginals import (
 )
 from .phase_space import PhysParams, mode_coords_arrays
 from .star import fock_from_json_dict, fock_to_json_dict
-from .states import (
-    CoherentLabel,
-    GeneralizedCoherentLabel,
-    WignerLabel,
-    coherent_values,
-    fock_values,
-    parse_state_label,
-    state_fock,
-    wigner_values,
-)
+from .states import WignerLabel, parse_state_label, state_fock, state_values
 from .uncertainty import coordinate_moment
 
 EXIT_OK = 0
@@ -74,13 +65,9 @@ class RunConfig:
             raise ConfigConflict(f"cutoff must be at least 2, got {self.cutoff}")
 
     def require_labels_fit(self, label):
-        """Cutoff must exceed every referenced quantum number by at least 2."""
-        refs = []
-        if isinstance(label, WignerLabel):
-            refs = [label.n, label.l]
-        elif isinstance(label, GeneralizedCoherentLabel):
-            refs = [label.base.n, label.base.l]
-        if refs and self.cutoff < max(refs) + 2:
+        """Cutoff must exceed both quantum numbers of the label's base by at least 2."""
+        refs = [label.base.n, label.base.l]
+        if self.cutoff < max(refs) + 2:
             raise ConfigConflict(
                 f"cutoff {self.cutoff} too small for quantum numbers {refs}; "
                 f"need at least {max(refs) + 2}")
@@ -227,22 +214,16 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     else:
         target, state_text = args.target, args.state
     label = parse_state_label(state_text)
-    cfg.require_labels_fit(label)
-    norm = cfg.params.planck_h ** 2 if cfg.unit_norm else 1.0
+    # --unit-norm divides by h twice: h^2 itself overflows at --hbar 1e200
+    h = cfg.params.planck_h if cfg.unit_norm else 1.0
 
     if target == "wigner":
         grid = parse_named_grid(args.grid, AXES)
         _refuse_far_values(grid, cfg.params)
         mesh = np.meshgrid(*(grid[ax] for ax in AXES), indexing="ij")
         flat = [m.reshape(-1) for m in mesh]
-        a, b = mode_coords_arrays(*flat, cfg.params)
-        if isinstance(label, WignerLabel):
-            vals = np.real(wigner_values(label.n, label.l, a, b))
-        elif isinstance(label, CoherentLabel):
-            vals = coherent_values(label, a, b)
-        else:
-            vals = np.real(fock_values(state_fock(label, cfg.cutoff), a, b))
-        rows = [(*(float(c[i]) for c in flat), float(vals[i] / norm))
+        vals = state_values(label, *mode_coords_arrays(*flat, cfg.params)) / h / h
+        rows = [(*(float(c[i]) for c in flat), float(vals[i]))
                 for i in range(vals.size)]
         meta = {"target": "wigner", "state": state_text, "params": params_doc(cfg.params)}
         emit(table_text(("q1", "q2", "p1", "p2", "value"), rows, cfg.fmt, meta), args.out)
@@ -256,7 +237,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             raise InputError("1D marginals are defined for wigner:n,l states")
         xs = parse_axis_spec(args.grid if args.grid else "0")
         _refuse_far_values({detail: xs}, cfg.params)
-        vals = np.atleast_1d(marginal_1d(label.n, label.l, detail, xs, cfg.params)) / norm
+        vals = np.atleast_1d(marginal_1d(label.n, label.l, detail, xs, cfg.params)) / h / h
         rows = [(float(x), float(v)) for x, v in zip(xs, vals)]
         meta = {"axis": detail, "n": label.n, "l": label.l, "params": params_doc(cfg.params)}
         emit(table_text(("x", "value"), rows, cfg.fmt, meta), args.out)
@@ -272,7 +253,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         _refuse_far_values(grid, cfg.params)
         x, y = np.meshgrid(grid[plane[0]], grid[plane[1]], indexing="ij")
         vals = marginal_2d(label.n, label.l, plane, x.reshape(-1), y.reshape(-1),
-                           cfg.params) / norm
+                           cfg.params) / h / h
         rows = [(float(x.reshape(-1)[i]), float(y.reshape(-1)[i]), float(vals[i]))
                 for i in range(vals.size)]
         meta = {"plane": list(plane), "n": label.n, "l": label.l,
@@ -315,9 +296,6 @@ def cmd_uncertainty(args, cfg: RunConfig) -> int:
     for v in list(n_range) + list(l_range):
         if v < 0:
             raise InputError("quantum numbers must be non-negative")
-        if cfg.cutoff < v + 2:
-            raise ConfigConflict(
-                f"cutoff {cfg.cutoff} too small for quantum number {v}")
     hb = cfg.params.hbar
     rows = []
     for n in n_range:
@@ -397,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--hbar", type=float)
     common.add_argument("--mass", type=float)
     common.add_argument("--omega", type=float)
-    common.add_argument("--cutoff", type=int)
+    common.add_argument("--cutoff", type=int,
+                        help="Fock cutoff of the tensor 'state dump' writes (default 32)")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--unit-norm", action="store_true",
                         help="divide density values by h^2")

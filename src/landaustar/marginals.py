@@ -36,20 +36,12 @@ from .specfun import (
     marginal_hermite_coeff,
 )
 from .star import displacement_amplitude
-from .states import wigner_values
+from .states import _check_quantum_numbers, wigner_values
 
 AXES = ("q1", "q2", "p1", "p2")
-# Largest quantum number the closed-form 1D and 2D densities accept.
-MAX_QUANTUM_NUMBER = 150
 # Largest n + l of the integral equalities: the paper's alternating Hermite
 # sum keeps a relative residual of 3e-9 at 16 but 3e-7 at 20 and 3e-2 at 30.
 _MAX_EQUALITY_ORDER = 16
-
-
-def _check_quantum_numbers(n: int, l: int):
-    if not (0 <= n <= MAX_QUANTUM_NUMBER and 0 <= l <= MAX_QUANTUM_NUMBER):
-        raise ValueError(f"quantum numbers out of range: ({n}, {l}); "
-                         f"need 0 <= n, l <= {MAX_QUANTUM_NUMBER}")
 
 
 def axis_scale(axis: str, params: PhysParams) -> float:
@@ -62,9 +54,13 @@ def axis_scale(axis: str, params: PhysParams) -> float:
 
 
 def axis_norm(axis: str, params: PhysParams) -> float:
-    """Prefactor of the axis generating function and 1D densities."""
+    """Prefactor of the axis generating function and 1D densities.
+
+    pi^1.5 hbar^2/gamma for positions and pi^1.5 hbar gamma for momenta, each
+    formed as hbar times an axis scale, so no intermediate hbar^2 overflows.
+    """
     if axis in ("q1", "q2"):
-        return math.pi ** 1.5 * params.hbar ** 2 / params.gamma
+        return math.pi ** 1.5 * params.hbar * (params.hbar / params.gamma)
     if axis in ("p1", "p2"):
         return math.pi ** 1.5 * params.hbar * params.gamma
     raise ValueError(f"unknown axis {axis!r}")
@@ -204,9 +200,10 @@ def marginal_2d(n: int, l: int, plane, x, y, params: PhysParams):
 
     (h/s_x)(h/s_y) times the plane's shape at u = x/s_x, v = y/s_y (s the
     axis_scale; never h^2, which overflows first), in either axis order and
-    for 0 <= n, l <= MAX_QUANTUM_NUMBER.  The shapes: radial on (q1, q2) and
-    (p1, p2), Hermite products on (q1, p2) and (q2, p1), and a signed one-mode
-    Wigner function on the conjugate planes (q1, p1) and (q2, p2).
+    for 0 <= n, l <= states.MAX_QUANTUM_NUMBER.  The shapes: radial on
+    (q1, q2) and (p1, p2), Hermite products on (q1, p2) and (q2, p1), and a
+    signed one-mode Wigner function on the conjugate planes (q1, p1) and
+    (q2, p2).
     """
     plane = tuple(plane)
     if plane[::-1] in _PLANE_SHAPES:

@@ -6,6 +6,10 @@ pointwise closed form and in the matrix-unit basis, built from
 ladder/displacement matrices.  The two routes are independent and are
 cross-checked in the test suite.
 
+Every label names a diagonal Wigner label ``base`` and a mode-space shift
+(``alpha1``, ``alpha2``), so state_values, the pointwise route for every label,
+is the translate W_{n,l}(a - alpha1, b - alpha2): exact at any shift, no cutoff.
+
 The basis functions themselves are displaced parity elements,
 u_mn(z) = 2 (-1)^n <m|D(2 conj z)|n> in each mode, so their values come from the
 closed-form displacement kernel (star.displacement_matrix_closed), the same
@@ -37,22 +41,36 @@ from .star import (
 )
 
 TAIL_TOLERANCE = 1e-12
+# Largest quantum number state_values and the densities accept.
+MAX_QUANTUM_NUMBER = 150
+
+
+def _check_quantum_numbers(n: int, l: int):
+    if not (0 <= n <= MAX_QUANTUM_NUMBER and 0 <= l <= MAX_QUANTUM_NUMBER):
+        raise ValueError(f"quantum numbers out of range: ({n}, {l}); "
+                         f"need 0 <= n, l <= {MAX_QUANTUM_NUMBER}")
 
 
 @dataclass(frozen=True)
 class WignerLabel:
     n: int
     l: int
+    alpha1 = alpha2 = 0j  # a Wigner label is its own unshifted base
 
     def __post_init__(self):
         if self.n < 0 or self.l < 0:
             raise ValueError("quantum numbers must be non-negative")
+
+    @property
+    def base(self) -> WignerLabel:
+        return self
 
 
 @dataclass(frozen=True)
 class CoherentLabel:
     alpha1: complex
     alpha2: complex
+    base = WignerLabel(0, 0)  # the ground state, shifted
 
 
 @dataclass(frozen=True)
@@ -171,6 +189,15 @@ def coherent_values(label: CoherentLabel, a, b):
 def coherent_eval(label: CoherentLabel, pt: PhasePoint, params: PhysParams) -> float:
     mc = to_mode_coords(pt, params)
     return float(coherent_values(label, mc.a, mc.b))
+
+
+def state_values(label, a, b):
+    """Values of any state label at mode coordinates (a, b), vectorized: its base
+    Wigner function translated by its shift, for 0 <= n, l <= MAX_QUANTUM_NUMBER."""
+    base = label.base
+    _check_quantum_numbers(base.n, base.l)
+    return wigner_values(base.n, base.l, np.asarray(a, dtype=complex) - label.alpha1,
+                         np.asarray(b, dtype=complex) - label.alpha2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,10 @@ from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
     WignerLabel,
-    coherent_fock,
     displaced_polynomial,
     generalized_coherent_fock,
     wigner_fock,
 )
-
-DEFAULT_CUTOFF = 32
 
 _A = StarPolynomial.generator("a")
 _ABAR = StarPolynomial.generator("abar")
@@ -107,6 +104,8 @@ def angular_momentum_polynomial(params: PhysParams) -> StarPolynomial:
 def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams) -> float:
     """k-th moment of a coordinate in a Wigner state, via its 1D marginal.
 
+    Summed in axis units u = x/s as s^k sum (w/h) u^k (density/h), so no
+    intermediate h^2 or x^k leaves the float range under extreme units.
     Odd moments vanish by the evenness of the marginals and are returned as
     exact zeros.
     """
@@ -115,9 +114,10 @@ def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams)
     if k % 2 == 1:
         return 0.0
     rule = gauss_hermite(max(default_order(label.n, label.l), (k + 2) // 2 + label.n + label.l + 8))
-    x, w = rule.scaled(axis_scale(axis, params))
+    s, h = axis_scale(axis, params), params.planck_h
+    x, w = rule.scaled(s)
     dens = marginal_1d(label.n, label.l, axis, x, params)
-    return float(np.sum(w * x ** k * dens) / params.planck_h ** 2)
+    return float(s ** k * np.sum((w / h) * rule.nodes ** k * (dens / h)))
 
 
 def uncertainty_product(n: int, l: int, j: int, params: PhysParams) -> float:
@@ -184,26 +184,28 @@ def coherent_moment_predictions(label: CoherentLabel, params: PhysParams) -> dic
     }
 
 
-def coherent_uncertainties(label: CoherentLabel, params: PhysParams,
-                           cutoff: int = DEFAULT_CUTOFF):
-    """Per-coordinate moment reports for a coherent state, from its coefficients.
+def coherent_uncertainties(label: CoherentLabel, params: PhysParams):
+    """Per-coordinate moment reports for a coherent state, exact at any displacement.
 
-    Refuses a cutoff that truncates the state: its moments would be wrong.
+    The moments of each coordinate are those of the displaced coordinate in
+    the ground state, the displacement theorem of displaced_power_residual.  A
+    word of length d lifts the ground state to level d, so cutoff 2d + 1 holds
+    the variance's words exactly.
     """
-    rep = coherent_fock(label, cutoff)
-    if rep.overflow:
-        raise ValueError(f"cutoff {cutoff} truncates the coherent state {label}")
-    s = StateFunctional(rep, params)
-    coords = coordinate_polynomials(params)
+    shifted = {name: displaced_polynomial(poly, label.alpha1, label.alpha2)
+               for name, poly in coordinate_polynomials(params).items()}
+    degree = max(len(word) for poly in shifted.values() for _, word in poly.terms)
+    s = StateFunctional(wigner_fock(label.base, 2 * degree + 1), params)
     reports = {}
-    for name, poly in coords.items():
+    for name, poly in shifted.items():
+        assert not apply_star_polynomial(poly, apply_star_polynomial(poly, s.state)).overflow
         reports[name] = MomentReport(name, expectation(poly, s), variance(poly, s))
     return reports
 
 
 def displaced_power_residual(f: StarPolynomial, k: int,
                              label: GeneralizedCoherentLabel, params: PhysParams,
-                             cutoff: int = DEFAULT_CUTOFF) -> float:
+                             cutoff: int) -> float:
     """How far <f^k> in a displaced state is from <(displaced f)^k> in the base state.
 
     Zero (up to rounding) for every smooth observable: conjugating the state

@@ -5,12 +5,22 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
+from landaustar import cli, states
 from landaustar.cli import main
 from landaustar.marginals import axis_norm, marginal_1d_quadrature
-from landaustar.phase_space import PhysParams
+from landaustar.phase_space import PhysParams, mode_coords_arrays
 
 PARAMS = PhysParams()
+
+
+def translate_reference(n, l, alpha1, alpha2, q1, q2=0.0, p1=0.0, p2=0.0):
+    """(n, l) Wigner function shifted by (alpha1, alpha2) in mode space, by SciPy."""
+    a, b = mode_coords_arrays(q1, q2, p1, p2, PARAMS)
+    xa, xb = 4.0 * abs(a - alpha1) ** 2, 4.0 * abs(b - alpha2) ** 2
+    return ((-1.0) ** (n + l) * 4.0 * eval_laguerre(n, xa) * eval_laguerre(l, xb)
+            * np.exp(-0.5 * (xa + xb)))
 
 
 def run_cli(capsys, *argv):
@@ -103,9 +113,60 @@ def test_eval_rejects_marginal_of_coherent(capsys):
 
 
 def test_eval_label_cutoff_conflict(capsys):
-    code, _, err = run_cli(capsys, "eval", "wigner:40,0", "--grid", "q1=0")
+    """n = 40 past the default cutoff 32 was refused, though eval reads no cutoff."""
+    code, out, _ = run_cli(capsys, "eval", "wigner:40,0", "--grid", "q1=0:0.9:4")
+    assert code == 0
+    q1, vals = _rows(out)[:, 0], _rows(out)[:, 4]
+    np.testing.assert_allclose(vals, translate_reference(40, 0, 0j, 0j, q1),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_eval_translate_is_exact_at_large_displacement(capsys):
+    """The Fock route at cutoff 8 printed -2.13 here with exit 0."""
+    code, out, _ = run_cli(capsys, "--cutoff", "8", "eval", "gencoherent:1,0:5,0,0,0",
+                           "--grid", "q1=0")
+    assert code == 0
+    want = translate_reference(1, 0, 5.0 + 0j, 0j, 0.0)
+    assert want == pytest.approx(7.6378e-20, rel=1e-4)
+    assert _rows(out)[0, 4] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_eval_output_does_not_depend_on_cutoff(capsys):
+    argv = ("eval", "gencoherent:3,2:1.9,1.9,0.3,-1.2", "--grid", "q1=0:1:3")
+    code, small, _ = run_cli(capsys, "--cutoff", "2", *argv)
+    assert code == 0
+    code, large, _ = run_cli(capsys, "--cutoff", "128", *argv)
+    assert code == 0
+    assert small == large
+
+
+def test_eval_builds_no_fock_state(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a Fock state")
+
+    for module in (states, cli):
+        for name in ("state_fock", "fock_values"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for label in ("wigner:2,1", "coherent:1,0,0,-0.5", "gencoherent:1,2:0.6,-0.3,0.2,0.5"):
+        code, out, _ = run_cli(capsys, "eval", label, "--grid", "q1=-1:1:3,p2=0.5")
+        assert code == 0
+        assert _rows(out).shape == (3, 5)
+
+
+@pytest.mark.parametrize("label", ["wigner:151,0", "gencoherent:0,151:0,0,0,0"])
+def test_eval_refuses_quantum_numbers_past_150(capsys, label):
+    code, out, err = run_cli(capsys, "--cutoff", "200", "eval", label, "--grid", "q1=0")
+    assert code == 2
+    assert out == ""
+    assert "out of range" in err and "150" in err
+
+
+def test_state_dump_refuses_a_label_past_the_cutoff(capsys):
+    """state dump writes a Fock tensor, so it alone reads --cutoff."""
+    code, out, err = run_cli(capsys, "--cutoff", "8", "state", "dump", "wigner:7,0")
     assert code == 3
-    assert "cutoff" in err
+    assert out == ""
+    assert "cutoff 8" in err
 
 
 def test_eval_bad_grid(capsys):
@@ -140,9 +201,11 @@ def test_uncertainty_empty_range(capsys):
 
 
 def test_uncertainty_range_conflict(capsys):
-    code, _, err = run_cli(capsys, "--cutoff", "4", "uncertainty", "0..6", "0")
-    assert code == 3
-    assert "cutoff" in err
+    """--cutoff 4 refused n up to 6, though the moments read no cutoff."""
+    code, out, _ = run_cli(capsys, "--cutoff", "4", "uncertainty", "0..6", "0")
+    assert code == 0
+    rows = _rows(out)
+    np.testing.assert_allclose(rows[:, 4], 0.5 * (rows[:, 0] + 1.0), rtol=1e-10)
 
 
 def test_equalities_sweep(capsys):
@@ -450,3 +513,43 @@ def test_units_outside_the_float_range_are_config_conflicts(capsys, argv):
     assert code == 3
     assert out == ""
     assert "gamma" in err
+
+
+# hbar^2 and h^2 leave the float range from hbar ~ 1.3e154 on, and h^2
+# underflows to subnormals from hbar ~ 1e-155; no output is formed from them
+
+def test_marginal_1d_at_hbar_1e200(capsys):
+    """axis_norm's hbar**2 raised OverflowError (exit 1)."""
+    params = PhysParams(hbar=1e200)
+    code, out, _ = run_cli(capsys, "--hbar", "1e200", "eval", "marginal1d:q1", "wigner:0,0",
+                           "--grid", "1")
+    assert code == 0
+    want = 4.0 * math.pi ** 1.5 * 1e200 * (1e200 / params.gamma)
+    assert _rows(out)[0, 1] == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("hbar,n", [("1e200", 0), ("1e-160", 1), ("1e154", 1)])
+def test_uncertainty_product_at_extreme_hbar(capsys, hbar, n):
+    """The moments divided by h**2: an OverflowError (exit 1) at 1e200 and 1e154,
+    and products of 0 at 1e-160."""
+    code, out, _ = run_cli(capsys, "--hbar", hbar, "uncertainty", str(n), str(n))
+    assert code == 0
+    want = 0.5 * float(hbar) * (2 * n + 1)
+    assert _rows(out)[0, 4] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_equalities_at_hbar_1e200(capsys):
+    code, out, _ = run_cli(capsys, "--hbar", "1e200", "equalities", "--pairs", "1,0")
+    assert code == 0
+    rows = _rows(out)
+    assert rows.shape == (3, 5)
+    assert np.all(rows[:, 3:] <= 1e-8)
+
+
+def test_unit_norm_at_hbar_1e200(capsys):
+    """--unit-norm divided by h**2 and raised OverflowError; the true value,
+    4/h^2 ~ 1e-401, is below the double range."""
+    code, out, _ = run_cli(capsys, "--hbar", "1e200", "--unit-norm", "eval", "wigner:0,0",
+                           "--grid", "q1=0")
+    assert code == 0
+    assert _rows(out)[0, 4] == 0.0

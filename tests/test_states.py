@@ -33,6 +33,7 @@ from landaustar.states import (
     generating_function,
     parse_state_label,
     state_fock,
+    state_values,
     wigner_eval,
     wigner_fock,
     wigner_values,
@@ -389,6 +390,26 @@ def test_generalized_zero_displacement():
     rep = generalized_coherent_fock(label, 12)
     want = wigner_fock(WignerLabel(2, 1), 12)
     np.testing.assert_allclose(rep.coeffs, want.coeffs, atol=1e-14)
+
+
+def test_state_values_translate_the_base_wigner_function():
+    """One shape for every label: a Wigner label is its own base, and a coherent
+    state is the shifted ground state; the Fock route at cutoff 64 agrees."""
+    rng = np.random.default_rng(31)
+    _, a, b = random_points(rng, 25)
+    w = WignerLabel(2, 1)
+    assert (w.base, w.alpha1, w.alpha2) == (w, 0j, 0j)
+    np.testing.assert_array_equal(state_values(w, a, b), wigner_values(2, 1, a, b))
+    c = CoherentLabel(0.7 - 0.4j, 1.1j)
+    assert c.base == WignerLabel(0, 0)
+    np.testing.assert_allclose(state_values(c, a, b), coherent_values(c, a, b),
+                               rtol=1e-14, atol=0.0)
+    for n, l, a1, a2 in [(1, 0, 2.5 + 0j, 0j), (3, 2, 1.9 + 1.9j, 0.3 - 1.2j)]:
+        g = GeneralizedCoherentLabel(a1, a2, WignerLabel(n, l))
+        rep = generalized_coherent_fock(g, 64)
+        assert not rep.overflow
+        np.testing.assert_allclose(state_values(g, a, b), fock_values(rep, a, b).real,
+                                   rtol=0, atol=1e-12)
 
 
 def test_generalized_trace_and_projection():

@@ -207,7 +207,7 @@ def test_semidefiniteness_and_kernel():
 
 def test_coherent_uncertainty_reports():
     label = CoherentLabel(1j, 0j)
-    reports = coherent_uncertainties(label, PARAMS, cutoff=24)
+    reports = coherent_uncertainties(label, PARAMS)
     pred = coherent_moment_predictions(label, PARAMS)
     assert isinstance(reports["q1"], MomentReport)
     assert reports["q1"].mean.real == pytest.approx(-math.sqrt(2.0), abs=1e-10)
@@ -220,7 +220,7 @@ def test_coherent_uncertainty_reports():
 def test_coherent_variance_independent_of_displacement():
     values = []
     for a1 in (0j, 1.0 + 0j, 1 + 1j, -2j):
-        reports = coherent_uncertainties(CoherentLabel(a1, 0j), PARAMS, cutoff=30)
+        reports = coherent_uncertainties(CoherentLabel(a1, 0j), PARAMS)
         values.append(reports["q1"].variance)
         assert reports["q1"].variance == pytest.approx(0.5 * PARAMS.gamma ** 2,
                                                        abs=1e-9)
@@ -228,19 +228,22 @@ def test_coherent_variance_independent_of_displacement():
 
 
 def test_coherent_uncertainties_refuse_a_truncating_cutoff():
-    label = CoherentLabel(5.0 + 0j, 0j)
-    with pytest.raises(ValueError, match="cutoff 32"):
-        coherent_uncertainties(label, PARAMS, cutoff=32)
-    reports = coherent_uncertainties(label, PARAMS, cutoff=96)
-    pred = coherent_moment_predictions(label, PARAMS)
-    for axis in ("q1", "p1", "q2", "p2"):
-        assert abs(reports[axis].mean - pred[f"{axis}_mean"]) <= 1e-9
-        want = pred["var_q"] if axis[0] == "q" else pred["var_p"]
-        assert reports[axis].variance == pytest.approx(want, abs=1e-9)
+    """No cutoff truncates a coherent state's moments: |alpha| = 5 was refused at
+    the default cutoff 32, and the Fock route needs cutoff 180 at |alpha| = 10."""
+    for alphas in ((5.0 + 0j, 0j), (10.0 + 0j, 0j), (10.0 + 3.0j, -7.0j)):
+        label = CoherentLabel(*alphas)
+        reports = coherent_uncertainties(label, PARAMS)
+        pred = coherent_moment_predictions(label, PARAMS)
+        for axis in ("q1", "p1", "q2", "p2"):
+            scale = PARAMS.gamma if axis[0] == "q" else PARAMS.hbar / PARAMS.gamma
+            want = pred[f"{axis}_mean"]
+            assert abs(reports[axis].mean - want) <= 1e-10 * max(abs(want), scale)
+            want = pred["var_q"] if axis[0] == "q" else pred["var_p"]
+            assert reports[axis].variance == pytest.approx(want, rel=1e-10)
 
 
 def test_coherent_ground_case():
-    reports = coherent_uncertainties(CoherentLabel(0j, 0j), PARAMS, cutoff=16)
+    reports = coherent_uncertainties(CoherentLabel(0j, 0j), PARAMS)
     for axis in ("q1", "q2"):
         assert abs(reports[axis].mean) <= 1e-13
         assert reports[axis].variance == pytest.approx(0.5 * PARAMS.gamma ** 2,
