@@ -5,6 +5,11 @@ marginal densities on grids, run the verification suite, emit uncertainty
 tables, check the orthogonal-polynomial integral equalities, and dump/load
 states as JSON.  Same configuration always produces byte-identical output.
 
+The argument parser is built once per process, on the first call to
+``main``; each call then dispatches to ``cmd_<subcommand>`` by name, looked
+up at call time.  Tables are formatted a whole table at a time, with the same
+bytes as formatting each cell with ``fmt17`` or ``str``.
+
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 configuration conflict.
 """
@@ -12,6 +17,8 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -188,15 +195,17 @@ def emit(text: str, out_path):
 
 
 def table_text(header, rows, fmt: str, json_meta: dict | None = None) -> str:
+    """CSV or JSON text of rows whose columns each hold one type, read off the first row."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt17(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        return "\n".join(lines) + "\n"
+        head = ",".join(header) + "\n"
+        if not rows:
+            return head
+        row_template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+        body = "\n".join([row_template] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        return head + body + "\n"
     doc = dict(json_meta or {})
     doc["columns"] = list(header)
-    doc["points"] = [[v for v in row] for row in rows]
+    doc["points"] = rows
     return json.dumps(doc) + "\n"
 
 
@@ -223,8 +232,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         mesh = np.meshgrid(*(grid[ax] for ax in AXES), indexing="ij")
         flat = [m.reshape(-1) for m in mesh]
         vals = state_values(label, *mode_coords_arrays(*flat, cfg.params)) / h / h
-        rows = [(*(float(c[i]) for c in flat), float(vals[i]))
-                for i in range(vals.size)]
+        rows = np.column_stack((*flat, vals)).tolist()
         meta = {"target": "wigner", "state": state_text, "params": params_doc(cfg.params)}
         emit(table_text(("q1", "q2", "p1", "p2", "value"), rows, cfg.fmt, meta), args.out)
         return EXIT_OK
@@ -238,7 +246,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         xs = parse_axis_spec(args.grid if args.grid else "0")
         _refuse_far_values({detail: xs}, cfg.params)
         vals = np.atleast_1d(marginal_1d(label.n, label.l, detail, xs, cfg.params)) / h / h
-        rows = [(float(x), float(v)) for x, v in zip(xs, vals)]
+        rows = np.column_stack((xs, vals)).tolist()
         meta = {"axis": detail, "n": label.n, "l": label.l, "params": params_doc(cfg.params)}
         emit(table_text(("x", "value"), rows, cfg.fmt, meta), args.out)
         return EXIT_OK
@@ -254,8 +262,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         x, y = np.meshgrid(grid[plane[0]], grid[plane[1]], indexing="ij")
         vals = marginal_2d(label.n, label.l, plane, x.reshape(-1), y.reshape(-1),
                            cfg.params) / h / h
-        rows = [(float(x.reshape(-1)[i]), float(y.reshape(-1)[i]), float(vals[i]))
-                for i in range(vals.size)]
+        rows = np.column_stack((x.reshape(-1), y.reshape(-1), vals)).tolist()
         meta = {"plane": list(plane), "n": label.n, "l": label.l,
                 "params": params_doc(cfg.params)}
         emit(table_text((plane[0], plane[1], "value"), rows, cfg.fmt, meta), args.out)
@@ -266,16 +273,21 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     results = checks.run_suite(args.suite, cfg.params)
-    lines = []
-    n_fail = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        n_fail += 0 if r.passed else 1
-        lines.append(f"{status} {r.name}: residual={fmt17(r.residual)} "
-                     f"tolerance={fmt17(r.tolerance)}")
-    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAILED
+    passed = [bool(r.passed) for r in results]
+    n_pass = sum(passed)
+    if cfg.fmt == "json":
+        rows = [[r.name, ok, float(r.residual), float(r.tolerance)]
+                for r, ok in zip(results, passed)]
+        meta = {"suite": args.suite, "params": params_doc(cfg.params),
+                "passed": n_pass, "total": len(results)}
+        text = table_text(("check", "passed", "residual", "tolerance"), rows, "json", meta)
+    else:
+        lines = [f"{'PASS' if ok else 'FAIL'} {r.name}: residual={fmt17(r.residual)} "
+                 f"tolerance={fmt17(r.tolerance)}" for r, ok in zip(results, passed)]
+        lines.append(f"{n_pass}/{len(results)} checks passed")
+        text = "\n".join(lines) + "\n"
+    emit(text, args.out)
+    return EXIT_OK if n_pass == len(results) else EXIT_VERIFY_FAILED
 
 
 def parse_range(text: str):
@@ -367,6 +379,7 @@ def cmd_state(args, cfg: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # defaults are applied in build_config; SUPPRESS keeps a subcommand's
     # parse from overriding a flag given before the subcommand
@@ -400,19 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--grid", default="",
                         help="axis=lo:hi:count or axis=value items, comma separated; "
                              "bare lo:hi:count for 1D marginals; missing axes pin to 0")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the verification suite")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=("all",) + checks.SUITES)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_unc = sub.add_parser("uncertainty", parents=[common],
                            help="uncertainty product table")
     p_unc.add_argument("n_range", help="'n' or 'lo..hi'")
     p_unc.add_argument("l_range", help="'l' or 'lo..hi'")
-    p_unc.set_defaults(func=cmd_uncertainty)
 
     p_eq = sub.add_parser("equalities", parents=[common],
                           help="orthogonal-polynomial integral-equality residual sweep")
@@ -420,13 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="semicolon-separated n,l pairs (n >= l)")
     p_eq.add_argument("--samples", default="0,0.7,1.4",
                       help="comma-separated q1 samples in units of gamma")
-    p_eq.set_defaults(func=cmd_equalities)
 
     p_state = sub.add_parser("state", parents=[common],
                              help="dump or load a state as JSON")
     p_state.add_argument("action", choices=("dump", "load"))
     p_state.add_argument("source", help="state label (dump) or file path (load)")
-    p_state.set_defaults(func=cmd_state)
 
     return parser
 
@@ -445,12 +453,12 @@ def main(argv=None) -> int:
         else:
             joined.append(tok)
             i += 1
-    parser = build_parser()
-    args = parser.parse_args(joined)
+    args = build_parser().parse_args(joined)
     args.out = getattr(args, "out", None)
     try:
         cfg = build_config(args)
-        return args.func(args, cfg)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        return globals()["cmd_" + args.command](args, cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -33,11 +33,17 @@ class QuadratureRule:
         return width * t, width * self.weights * np.exp(t * t)
 
 
+@functools.cache
 def gauss_hermite(order: int) -> QuadratureRule:
-    """Nodes and weights for the weight exp(-x^2) on the real line."""
+    """Nodes and weights for the weight exp(-x^2) on the real line.
+
+    One rule per order is built and shared; its arrays are read-only.
+    """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     nodes, weights = roots_hermite(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 

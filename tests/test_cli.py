@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from landaustar import cli, states
+from landaustar import checks, cli, states
 from landaustar.cli import main
 from landaustar.marginals import axis_norm, marginal_1d_quadrature
 from landaustar.phase_space import PhysParams, mode_coords_arrays
@@ -553,3 +554,137 @@ def test_unit_norm_at_hbar_1e200(capsys):
                            "--grid", "q1=0")
     assert code == 0
     assert _rows(out)[0, 4] == 0.0
+
+
+# sha256 of stdout for a fixed command set, captured from the per-cell table
+# formatter; a digest moves only with a deliberate change to printed bytes
+_GRID4 = "q1=-2:2:3,q2=-1:1:2,p1=0:1.5:2,p2=-1:1:3"
+GOLDEN_OUTPUT = {
+    "wigner-csv": (("--format", "csv", "eval", "wigner:2,1", "--grid", _GRID4),
+                   "d7d4df7e7b040089552d610418c1686889a81593f94eee3c36ec131fd9bf48d6"),
+    "wigner-json": (("--format", "json", "eval", "wigner:2,1", "--grid", _GRID4),
+                    "7fa8d12ac81e14468f46395548a107fe8e00886dd5f4256868947f88e1862c7c"),
+    "coherent-csv": (("--format", "csv", "eval", "coherent:0.5,-0.3,0.2,0.1",
+                      "--grid", _GRID4),
+                     "0e30abd3c21205c4800b9f4771234b2b24738212b86987804ab6d082c3c54a4f"),
+    "coherent-json": (("--format", "json", "eval", "coherent:0.5,-0.3,0.2,0.1",
+                       "--grid", _GRID4),
+                      "41a64a3cbbb74bdca3348576dd8cc85d03b6c516c1cfc4f71e3dadd40bee6d1c"),
+    "gencoherent-csv": (("--format", "csv", "eval", "gencoherent:1,2:0.4,0,-0.3,0.7",
+                         "--grid", _GRID4),
+                        "a53503ce5f2395e92db993c9bb1135f24ef3b2fc450f0c4809a3854da11f8013"),
+    "gencoherent-json": (("--format", "json", "eval", "gencoherent:1,2:0.4,0,-0.3,0.7",
+                          "--grid", _GRID4),
+                         "650c1a0844cd718c90872fdf5b9e651441dac769651764f4ef8468d2165169de"),
+    "marginal1d-csv": (("--format", "csv", "eval", "marginal1d:p2", "wigner:3,1",
+                        "--grid", "-3:3:13"),
+                       "d2e1b20432f934a74f73a8b03140e8cc08c02b24a36ac27735104ca409e174be"),
+    "marginal1d-json": (("--format", "json", "eval", "marginal1d:p2", "wigner:3,1",
+                         "--grid", "-3:3:13"),
+                        "687bdad188d526c3bd18b78ce4d354ae845dece0913704708fcb5cebc76737d0"),
+    "marginal2d-csv": (("--format", "csv", "eval", "marginal2d:q1,p2", "wigner:2,1",
+                        "--grid", "q1=-2:2:5,p2=-1:1:3"),
+                       "d1cb215641ed00e4a196c949c45f6dbddea7a34412882d0ba79d732d179236de"),
+    "marginal2d-json": (("--format", "json", "eval", "marginal2d:q1,p2", "wigner:2,1",
+                         "--grid", "q1=-2:2:5,p2=-1:1:3"),
+                        "61690fb5bbd95d87ca7289dcfe57094d2e60b3bda99fa1b77f2bb4a3c49bdd56"),
+    "uncertainty": (("uncertainty", "0..2", "0..1"),
+                    "791f69146294796fd556f0dd39c52edbe25b75e9e8f31c1f4da22ef98da7214c"),
+    "equalities": (("equalities",),
+                   "4b22cc7d556dd797b6dd3105138b3eb7226469244d424871d0fe0c094b3be09c"),
+    "unit-norm": (("--unit-norm", "eval", "wigner:0,0", "--grid", "q1=0"),
+                  "2ae08374fbb82645dd27091e06ba13991bb66778608382342e776c63189f8b29"),
+    "uncertainty-hbar-1e200": (("--hbar", "1e200", "uncertainty", "0", "0"),
+                               "bba9d861f59c21c0487fe035f810f6dce7c57f239a75a84972137a0a9622f35e"),
+    # prints "0,inf" (the 1D prefactor overflows), which pins how inf is written
+    "marginal1d-inf": (("--unit-norm", "--hbar", "1e250", "eval", "marginal1d:p1",
+                        "wigner:0,0", "--grid", "0"),
+                       "a029cfa61178d808cb771737df501bec5a0625552c890e4dc4d805a767311aea"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUT))
+def test_golden_output_bytes(capsys, name):
+    argv, digest = GOLDEN_OUTPUT[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
+def test_flags_do_not_leak_between_calls(capsys, tmp_path):
+    """The parser is reused: a second call sees none of the first call's flags."""
+    argv = ("eval", "wigner:1,0", "--grid", "q1=-1:1:3,p2=0.5")
+    code, out, _ = run_cli(capsys, "--format", "json", "--hbar", "2",
+                           "--out", str(tmp_path / "first.json"), *argv)
+    assert code == 0 and out == ""
+    code, out, _ = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "landaustar", *argv],
+                          capture_output=True, text=True)
+    assert code == 0 and proc.returncode == 0, proc.stderr
+    assert out == proc.stdout
+
+
+def test_rebound_command_is_dispatched(capsys, monkeypatch):
+    """main looks each cmd_* up at call time, so a rebound one is reached."""
+    run_cli(capsys, "eval", "wigner:0,0", "--grid", "q1=0")
+    seen = []
+
+    def fake(args, cfg):
+        seen.append((args.target, cfg.fmt))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_eval", fake)
+    code, _, _ = run_cli(capsys, "--format", "json", "eval", "wigner:0,0")
+    assert code == 7 and seen == [("wigner:0,0", "json")]
+
+
+def _per_cell_table(header, rows, fmt, json_meta=None):
+    """Table text formatted one cell at a time."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
+                                  for v in row))
+        return "\n".join(lines) + "\n"
+    doc = dict(json_meta or {})
+    doc["columns"] = list(header)
+    doc["points"] = [[v for v in row] for row in rows]
+    return json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0, -1, float("nan"), np.float64(-0.0), 5e-324)],
+    [(0, -1, float("nan"), np.float64(-0.0), 5e-324),
+     (1, 2 ** 70, float("inf"), np.float64(2.5), -float("inf")),
+     (-3, 7, -0.0, np.float64(1e-310), 0.1),
+     (4, 0, 1.7976931348623157e308, np.float64(float("nan")), -5e-324)],
+], ids=["empty", "one-row", "four-rows"])
+def test_table_text_matches_per_cell_formatting(rows, fmt):
+    header = ("n", "l", "a", "b", "c")
+    meta = {"params": {"hbar": 1.0}}
+    assert cli.table_text(header, rows, fmt, meta) == _per_cell_table(header, rows, fmt, meta)
+
+
+def test_verify_json_format(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "marginals")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["columns"] == ["check", "passed", "residual", "tolerance"]
+    assert doc["suite"] == "marginals" and doc["params"]["hbar"] == 1.0
+    assert doc["total"] == doc["passed"] == len(doc["points"]) > 0
+    assert all(ok is True and res <= tol for _, ok, res, tol in doc["points"])
+
+    failing = [checks.CheckResult("good", 0.0, 1.0), checks.CheckResult("bad", 2.0, 1.0)]
+    monkeypatch.setattr(checks, "run_suite", lambda suite, params: failing)
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "star")
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["suite"], doc["passed"], doc["total"]) == ("star", 1, 2)
+    assert doc["points"] == [["good", True, 0.0, 1.0], ["bad", False, 2.0, 1.0]]
+    code, out, _ = run_cli(capsys, "verify", "star")
+    assert code == 1
+    assert out == ("PASS good: residual=0 tolerance=1\n"
+                   "FAIL bad: residual=2 tolerance=1\n"
+                   "1/2 checks passed\n")

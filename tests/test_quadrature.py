@@ -125,3 +125,13 @@ def test_dims_validation():
         integrate_nd(lambda *a: 0.0, (1.0,) * 5, rule)
     with pytest.raises(ValueError):
         integrate_nd(lambda x: 0.0, (-1.0,), rule)
+
+
+def test_gauss_hermite_rule_is_shared_and_read_only():
+    rule = gauss_hermite(12)
+    assert gauss_hermite(12) is rule
+    assert gauss_hermite(13) is not rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights *= 2.0
