@@ -72,6 +72,7 @@ from .uncertainty import (
     expectation,
     inner_product,
     robertson_schrodinger_slack,
+    second_moment,
     uncertainty_product,
     variance,
 )
@@ -79,6 +80,11 @@ from .uncertainty import (
 SUITES = ("star", "marginals", "uncertainty", "coherent")
 # the six coordinate planes, each in the axis order of AXES
 PLANES = tuple(itertools.combinations(AXES, 2))
+# integral of every Wigner function over the four axis units: h^2/hbar^2
+WIGNER_NORM = (2.0 * math.pi) ** 2
+# a 1D density over its axis_norm is this times its shape; 1D residuals are
+# stated per axis_norm, so they read the same in every unit system
+PER_AXIS_NORM = 4.0 * math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -433,103 +439,83 @@ def check_displacement_closed_form(params: PhysParams) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult:
-    g_ = params.gamma
-    scales = (g_, g_, params.hbar / g_, params.hbar / g_)
-    h2 = params.planck_h ** 2
+    g_, sp = params.gamma, params.hbar / params.gamma
     worst = 0.0
     for n in range(nmax + 1):
         for l in range(nmax + 1):
             rule = gauss_hermite(max(16, n + l + 8))
 
-            def wfun(q1, q2, p1, p2):
-                am, bm = mode_coords_arrays(q1, q2, p1, p2, params)
+            def wfun(u1, u2, u3, u4):
+                am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
                 return wigner_values(n, l, am, bm)
 
-            got = integrate_nd(wfun, scales, rule)
-            worst = max(worst, abs(got - h2) / h2)
+            got = integrate_nd(wfun, (1.0,) * 4, rule)
+            worst = max(worst, abs(got - WIGNER_NORM) / WIGNER_NORM)
     return CheckResult("normalization-wigner", worst, 1e-10)
 
 
 def check_marginal_normalization(params: PhysParams, nmax: int = 6) -> CheckResult:
-    h2 = params.planck_h ** 2
-    worst = 0.0
-    for axis in AXES:
-        scale = axis_scale(axis, params)
-        for n in range(nmax + 1):
-            for l in range(nmax + 1):
-                rule = gauss_hermite(max(16, n + l + 8))
-                got = integrate_nd(lambda x: marginal_1d(n, l, axis, x, params),
-                                   (scale,), rule)
-                worst = max(worst, abs(got - h2) / h2)
+    worst = max(abs(integrate_nd(lambda u: marginal_1d(n, l, u), (1.0,),
+                                 gauss_hermite(max(16, n + l + 8))) - 1.0)
+                for n in range(nmax + 1) for l in range(nmax + 1))
     return CheckResult("normalization-marginal-1d", worst, 1e-10)
 
 
 def check_marginal_wigner_consistency(params: PhysParams, nmax: int = 4) -> CheckResult:
-    """Closed-form 1D densities versus 3D quadrature of the Wigner function."""
+    """Closed-form 1D shapes versus 3D quadrature of the Wigner function, per axis_norm."""
+    u = np.linspace(-2.0, 2.0, 11)
     worst = 0.0
-    for axis, norm in (("q1", axis_norm("q1", params)), ("p1", axis_norm("p1", params))):
-        grid = np.linspace(-2.0, 2.0, 11) * axis_scale(axis, params)
+    for axis in ("q1", "p1"):
+        grid = u * axis_scale(axis, params)
+        norm = axis_norm(axis, params)
         for n in range(nmax + 1):
             for l in range(nmax + 1):
-                closed = marginal_1d(n, l, axis, grid, params)
-                quad = marginal_1d_quadrature(n, l, axis, grid, params)
-                worst = max(worst, float(np.max(np.abs(closed - quad))) / norm)
+                closed = PER_AXIS_NORM * marginal_1d(n, l, u)
+                quad = marginal_1d_quadrature(n, l, axis, grid, params) / norm
+                worst = max(worst, float(np.max(np.abs(closed - quad))))
     return CheckResult("marginal-wigner-consistency", worst, 1e-8)
 
 
 def check_plane_consistency(params: PhysParams) -> CheckResult:
-    """1D densities equal the integral of the 2D densities over their second axis."""
-    rule = gauss_hermite(24)
+    """1D shapes equal the integral of the 2D shapes over their second axis, per axis_norm."""
+    vs, cw = gauss_hermite(24).scaled(1.0)
+    us = np.linspace(-1.5, 1.5, 7)
     worst = 0.0
-    cases = [(0, 0), (1, 0), (2, 1), (2, 2), (3, 1)]
-    for n, l in cases:
+    for n, l in [(0, 0), (1, 0), (2, 1), (2, 2), (3, 1)]:
+        want = marginal_1d(n, l, us)
         for plane in PLANES:
-            xs = np.linspace(-1.5, 1.5, 7) * axis_scale(plane[0], params)
-            ys, cw = rule.scaled(axis_scale(plane[1], params))
-            vals = marginal_2d(n, l, plane, xs[:, None], ys[None, :], params)
-            got = np.sum(cw * vals, axis=1)
-            want = marginal_1d(n, l, plane[0], xs, params)
-            worst = max(worst, float(np.max(np.abs(got - want))) / axis_norm(plane[0], params))
+            got = np.sum(cw * marginal_2d(n, l, plane, us[:, None], vs[None, :]), axis=1)
+            worst = max(worst, PER_AXIS_NORM * float(np.max(np.abs(got - want))))
     return CheckResult("plane-consistency", worst, 1e-9)
 
 
 def check_plane_quadrature_consistency(params: PhysParams) -> CheckResult:
-    """Closed-form 2D densities versus direct 2D quadrature of the Wigner function."""
+    """Closed-form 2D shapes versus direct 2D quadrature of the Wigner function."""
     rng = np.random.default_rng(1007)
+    h = params.planck_h
     worst = 0.0
     for n, l in [(2, 1), (1, 2), (0, 3), (2, 2)]:
         for plane in PLANES:
-            sx = axis_scale(plane[0], params)
-            sy = axis_scale(plane[1], params)
-            xs = rng.uniform(-1.5 * sx, 1.5 * sx, size=25)
-            ys = rng.uniform(-1.5 * sy, 1.5 * sy, size=25)
-            closed = marginal_2d(n, l, plane, xs, ys, params)
-            quad = marginal_2d_quadrature(n, l, plane, xs, ys, params)
-            worst = max(worst, float(np.max(np.abs(closed - quad))))
-    return CheckResult("plane-closed-vs-quadrature", worst, 1e-9)
+            sx, sy = (axis_scale(ax, params) for ax in plane)
+            us = rng.uniform(-1.5, 1.5, size=25)
+            vs = rng.uniform(-1.5, 1.5, size=25)
+            closed = marginal_2d(n, l, plane, us, vs)
+            quad = marginal_2d_quadrature(n, l, plane, us * sx, vs * sy, params)
+            worst = max(worst, float(np.max(np.abs(closed - quad / (h / sx) / (h / sy)))))
+    return CheckResult("plane-closed-vs-quadrature", worst, 1e-11)
 
 
 def check_marginal_evenness(params: PhysParams, nmax: int = 6) -> CheckResult:
-    xs = np.linspace(0.1, 5.9, 30)
-    worst = 0.0
-    for axis in AXES:
-        grid = xs * axis_scale(axis, params)
-        for n in range(nmax + 1):
-            for l in range(nmax + 1):
-                worst = max(worst, float(np.max(np.abs(
-                    marginal_1d(n, l, axis, grid, params)
-                    - marginal_1d(n, l, axis, -grid, params)))))
-    return CheckResult("marginal-evenness", worst, 1e-12)
+    us = np.linspace(0.1, 5.9, 30)
+    worst = max(float(np.max(np.abs(marginal_1d(n, l, us) - marginal_1d(n, l, -us))))
+                for n in range(nmax + 1) for l in range(nmax + 1))
+    return CheckResult("marginal-evenness", worst, 1e-14)
 
 
 def check_marginal_positivity(params: PhysParams, nmax: int = 6) -> CheckResult:
-    xs = np.linspace(-6.0, 6.0, 121)
-    min_val = math.inf
-    for axis in AXES:
-        grid = xs * axis_scale(axis, params)
-        for n in range(nmax + 1):
-            for l in range(nmax + 1):
-                min_val = min(min_val, float(np.min(marginal_1d(n, l, axis, grid, params))))
+    us = np.linspace(-6.0, 6.0, 121)
+    min_val = min(float(np.min(marginal_1d(n, l, us)))
+                  for n in range(nmax + 1) for l in range(nmax + 1))
     residual = max(0.0, -min_val) if min_val <= 0 else 0.0
     return CheckResult("marginal-positivity-1d", residual, 0.0)
 
@@ -537,25 +523,19 @@ def check_marginal_positivity(params: PhysParams, nmax: int = 6) -> CheckResult:
 def check_plane_positivity(params: PhysParams, nmax: int = 4) -> CheckResult:
     # offset grids dodge the exact zero lines (rho = 0, tau = 0, Hermite roots);
     # the conjugate planes (q1, p1) and (q2, p2) are signed, so they are skipped
-    min_val = math.inf
-    for plane in (p for p in PLANES if p[0][1] != p[1][1]):
-        gx = np.linspace(-3.9, 4.1, 41) * axis_scale(plane[0], params)
-        gy = np.linspace(-3.8, 4.2, 41) * axis_scale(plane[1], params)
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        for n in range(nmax + 1):
-            for l in range(nmax + 1):
-                min_val = min(min_val, float(np.min(marginal_2d(n, l, plane, X, Y, params))))
+    U, V = np.meshgrid(np.linspace(-3.9, 4.1, 41), np.linspace(-3.8, 4.2, 41), indexing="ij")
+    min_val = min(float(np.min(marginal_2d(n, l, plane, U, V)))
+                  for plane in PLANES if plane[0][1] != plane[1][1]
+                  for n in range(nmax + 1) for l in range(nmax + 1))
     residual = max(0.0, -min_val) if min_val <= 0 else 0.0
     return CheckResult("marginal-positivity-2d", residual, 0.0)
 
 
 def check_marginal_symmetry(params: PhysParams) -> CheckResult:
-    xs = np.linspace(-3.0, 3.0, 21) * params.gamma
-    worst = 0.0
-    for n, l in [(2, 1), (3, 0), (4, 2)]:
-        worst = max(worst, float(np.max(np.abs(
-            marginal_1d(n, l, "q1", xs, params) - marginal_1d(l, n, "q1", xs, params)))))
-    return CheckResult("marginal-symmetry", worst, 1e-12)
+    us = np.linspace(-3.0, 3.0, 21)
+    worst = max(float(np.max(np.abs(marginal_1d(n, l, us) - marginal_1d(l, n, us))))
+                for n, l in [(2, 1), (3, 0), (4, 2)])
+    return CheckResult("marginal-symmetry", worst, 1e-14)
 
 
 def integral_equality_checks(params: PhysParams) -> list[CheckResult]:
@@ -573,31 +553,29 @@ def integral_equality_checks(params: PhysParams) -> list[CheckResult]:
 def check_generating_plane(params: PhysParams) -> CheckResult:
     """Momentum-integrated generating function reproduces its plane closed form."""
     rule = gauss_hermite(32)
-    sp = params.hbar / params.gamma
+    g_, sp = params.gamma, params.hbar / params.gamma
     samples = [
         ((0j, 0j), (0j, 0j)),
         ((0.4 + 0.2j, -0.3j), (0.1 - 0.2j, 0.25 + 0.1j)),
         ((0.2 - 0.5j, 0.3 + 0.1j), (-0.2 + 0.4j, 0.15j)),
     ]
-    pts = [(0.0, 0.0), (0.6, -0.4)]
     worst = 0.0
     for alpha, beta in samples:
-        for q1, q2 in pts:
-            def gfun(p1, p2):
+        for u, v in [(0.0, 0.0), (0.4, -0.3)]:
+            def gfun(t1, t2):
                 return generating_function(alpha[0], beta[0], alpha[1], beta[1],
-                                           *mode_coords_arrays(q1, q2, p1, p2, params))
+                                           *mode_coords_arrays(g_ * u, g_ * v, sp * t1,
+                                                               sp * t2, params))
 
-            got = integrate_nd(gfun, (sp, sp), rule)
-            want = position_plane_generating(alpha, beta, q1, q2, params)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+            got = integrate_nd(gfun, (1.0, 1.0), rule) / WIGNER_NORM
+            want = position_plane_generating(alpha, beta, u, v)
+            worst = max(worst, abs(got - want) / abs(want))
     return CheckResult("generating-plane-consistency", worst, 1e-9)
 
 
 def check_generating_axis(params: PhysParams) -> CheckResult:
-    """q2-integrated plane generating function reproduces the q1-axis form."""
-    rule = gauss_hermite(32)
-    g_ = params.gamma
-    q2s, cw = rule.scaled(g_)
+    """v-integrated plane generating function reproduces the q1-axis form."""
+    vs, cw = gauss_hermite(32).scaled(1.0)
     samples = [
         ((0j, 0j), (0j, 0j)),
         ((0.4 + 0.2j, -0.3j), (0.1 - 0.2j, 0.25 + 0.1j)),
@@ -605,31 +583,30 @@ def check_generating_axis(params: PhysParams) -> CheckResult:
     ]
     worst = 0.0
     for alpha, beta in samples:
-        for q1 in (0.0, 0.5 * g_, 1.3 * g_):
-            got = np.sum(cw * position_plane_generating(alpha, beta, q1, q2s, params))
-            want = axis_generating("q1", alpha, beta, q1, params)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    # momentum-axis spot check at zero parameters
-    want = axis_norm("p2", params)
-    got = axis_generating("p2", (0j, 0j), (0j, 0j), 0.0, params)
-    worst = max(worst, abs(got - want) / want)
+        for u in (0.0, 0.5, 1.3):
+            got = np.sum(cw * position_plane_generating(alpha, beta, u, vs))
+            want = axis_generating("q1", alpha, beta, u)
+            worst = max(worst, abs(got - want) / abs(want))
+    # momentum-axis spot check: at zero parameters, four times it is the ground shape
+    worst = max(worst, abs(4.0 * axis_generating("p2", (0j, 0j), (0j, 0j), 0.0)
+                           / marginal_1d(0, 0, 0.0) - 1.0))
     return CheckResult("generating-axis-consistency", worst, 1e-9)
 
 
 def check_generating_derivatives(params: PhysParams, nlmax: int = 2) -> CheckResult:
-    """Parameter-derivative extraction of 1D densities from the axis generating function."""
+    """Parameter-derivative extraction of 1D shapes from the axis generating function."""
     worst = 0.0
     for n in range(nlmax + 1):
         for l in range(nlmax + 1):
             pref = 4.0 / (math.factorial(n) * math.factorial(l))
-            for x in (0.0, 0.45 * params.gamma, 1.1 * params.gamma):
+            for u in (0.0, 0.45, 1.1):
                 def fn(ps):
                     a1, b1, a2, b2 = ps
-                    return axis_generating("q1", (a1, a2), (b1, b2), x, params)
+                    return axis_generating("q1", (a1, a2), (b1, b2), u)
 
                 got = pref * mixed_param_derivative(fn, (n, n, l, l), radius=0.5, points=10)
-                want = marginal_1d(n, l, "q1", x, params)
-                worst = max(worst, abs(got - want) / axis_norm("q1", params))
+                want = marginal_1d(n, l, u)
+                worst = max(worst, PER_AXIS_NORM * abs(got - want))
     return CheckResult("generating-derivative-extraction", worst, 1e-6)
 
 
@@ -661,16 +638,17 @@ def check_uncertainty_lower_bound(params: PhysParams, nmax: int = 6) -> CheckRes
 
 
 def check_moment_route_agreement(params: PhysParams) -> CheckResult:
-    """Marginal-quadrature moments versus Fock-trace moments."""
+    """Second moments from the mixture weights versus marginal quadrature and Fock traces."""
     coords = coordinate_polynomials(params)
     worst = 0.0
     for n, l in [(0, 0), (1, 0), (2, 1), (3, 3)]:
         s = StateFunctional(wigner_fock(WignerLabel(n, l), n + l + 6), params)
         for axis in AXES:
             poly = coords[axis]
-            trace_route = expectation(poly * poly, s).real
-            quad_route = coordinate_moment(axis, 2, WignerLabel(n, l), params)
-            worst = max(worst, abs(trace_route - quad_route) / max(1.0, abs(quad_route)))
+            moment = axis_scale(axis, params) ** 2 * second_moment(n, l)
+            for oracle in (expectation(poly * poly, s).real,
+                           coordinate_moment(axis, 2, WignerLabel(n, l), params)):
+                worst = max(worst, abs(oracle - moment) / max(1.0, abs(moment)))
     return CheckResult("moment-route-agreement", worst, 1e-9)
 
 

@@ -10,6 +10,9 @@ The argument parser is built once per process, on the first call to
 up at call time.  Tables are formatted a whole table at a time, with the same
 bytes as formatting each cell with ``fmt17`` or ``str``.
 
+The kernels return unit-free shapes and moments; physical units enter only
+here, in to_axis_units for ``eval`` and in the scales ``uncertainty`` applies.
+
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 configuration conflict.
 """
@@ -29,6 +32,7 @@ import numpy as np
 from . import checks
 from .marginals import (
     AXES,
+    axis_norm,
     axis_scale,
     integral_equality_residuals,
     marginal_1d,
@@ -37,7 +41,7 @@ from .marginals import (
 from .phase_space import PhysParams, mode_coords_arrays
 from .star import fock_from_json_dict, fock_to_json_dict
 from .states import WignerLabel, parse_state_label, state_fock, state_values
-from .uncertainty import coordinate_moment
+from .uncertainty import second_moment
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -153,33 +157,52 @@ def parse_axis_spec(text: str) -> np.ndarray:
     return np.linspace(*ends, count)
 
 
-def _refuse_far_values(grid: dict, params: PhysParams):
-    """Input error for any grid value beyond _MAX_AXIS_UNITS axis units.
+def to_axis_units(grid: dict, cfg: RunConfig):
+    """The unit boundary: the grid in axis units, and the one factor that turns
+    the shape on its axes into the printed value.
 
-    The bound is compared in Python floats, so the check cannot overflow.
+    h^2/s (as 4 sqrt(pi) axis_norm) for one axis, (h/s_x)(h/s_y) for a plane
+    and 1 for the Wigner function; under --unit-norm 1/s, 1/(s_x s_y) and
+    1/h/h, so no h^2 is formed.  Values past _MAX_AXIS_UNITS axis units and a
+    factor that overflows are input errors; the factor is checked once.
     """
-    for axis, values in grid.items():
-        limit = _MAX_AXIS_UNITS * axis_scale(axis, params)
+    params, h = cfg.params, cfg.params.planck_h
+    scales = [axis_scale(axis, params) for axis in grid]
+    for (axis, values), s in zip(grid.items(), scales):
+        # compared in Python floats, so the check cannot overflow
         worst = float(np.max(np.abs(values)))
-        if worst > limit:
+        if worst > _MAX_AXIS_UNITS * s:
             raise InputError(f"grid value {worst:g} on {axis} is out of range for these "
-                             f"units: |{axis}| must be at most {limit:g} "
+                             f"units: |{axis}| must be at most {_MAX_AXIS_UNITS * s:g} "
                              f"({_MAX_AXIS_UNITS:g} axis units)")
+    if len(grid) == 1:
+        factor = 1.0 / scales[0] if cfg.unit_norm else (
+            4.0 * math.sqrt(math.pi) * axis_norm(*grid, params))
+    elif len(grid) == 2:
+        sx, sy = scales
+        factor = 1.0 / sx / sy if cfg.unit_norm else (h / sx) * (h / sy)
+    else:
+        factor = 1.0 / h / h if cfg.unit_norm else 1.0
+    if not math.isfinite(factor):
+        raise InputError(f"values on {', '.join(grid)} overflow in these units: "
+                         f"their prefactor is {factor:g}")
+    return {axis: values / s for (axis, values), s in zip(grid.items(), scales)}, factor
 
 
 def parse_named_grid(text: str, axes) -> dict:
     """'q1=-3:3:7,q2=0,...' -> {axis: 1-D array}; missing axes pin to 0."""
-    grid = {ax: np.array([0.0]) for ax in axes}
-    if text:
-        for item in text.split(","):
-            if "=" not in item:
-                raise InputError(f"malformed grid item {item!r}: expected axis=spec")
-            name, _, spec = item.partition("=")
-            name = name.strip()
-            if name not in axes:
-                raise InputError(f"unknown grid axis {name!r}; expected one of {axes}")
-            grid[name] = parse_axis_spec(spec)
-    return grid
+    grid = {}
+    for item in text.split(",") if text else ():
+        if "=" not in item:
+            raise InputError(f"malformed grid item {item!r}: expected axis=spec")
+        name, _, spec = item.partition("=")
+        name = name.strip()
+        if name not in axes:
+            raise InputError(f"unknown grid axis {name!r}; expected one of {axes}")
+        if name in grid:
+            raise InputError(f"grid axis {name!r} is given twice")
+        grid[name] = parse_axis_spec(spec)
+    return {ax: grid.get(ax, np.array([0.0])) for ax in axes}
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +246,13 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     else:
         target, state_text = args.target, args.state
     label = parse_state_label(state_text)
-    # --unit-norm divides by h twice: h^2 itself overflows at --hbar 1e200
-    h = cfg.params.planck_h if cfg.unit_norm else 1.0
 
     if target == "wigner":
         grid = parse_named_grid(args.grid, AXES)
-        _refuse_far_values(grid, cfg.params)
+        _, factor = to_axis_units(grid, cfg)
         mesh = np.meshgrid(*(grid[ax] for ax in AXES), indexing="ij")
         flat = [m.reshape(-1) for m in mesh]
-        vals = state_values(label, *mode_coords_arrays(*flat, cfg.params)) / h / h
+        vals = factor * state_values(label, *mode_coords_arrays(*flat, cfg.params))
         rows = np.column_stack((*flat, vals)).tolist()
         meta = {"target": "wigner", "state": state_text, "params": params_doc(cfg.params)}
         emit(table_text(("q1", "q2", "p1", "p2", "value"), rows, cfg.fmt, meta), args.out)
@@ -244,8 +265,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if not isinstance(label, WignerLabel):
             raise InputError("1D marginals are defined for wigner:n,l states")
         xs = parse_axis_spec(args.grid if args.grid else "0")
-        _refuse_far_values({detail: xs}, cfg.params)
-        vals = np.atleast_1d(marginal_1d(label.n, label.l, detail, xs, cfg.params)) / h / h
+        units, factor = to_axis_units({detail: xs}, cfg)
+        vals = factor * np.atleast_1d(marginal_1d(label.n, label.l, units[detail]))
         rows = np.column_stack((xs, vals)).tolist()
         meta = {"axis": detail, "n": label.n, "l": label.l, "params": params_doc(cfg.params)}
         emit(table_text(("x", "value"), rows, cfg.fmt, meta), args.out)
@@ -258,11 +279,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if not isinstance(label, WignerLabel):
             raise InputError("2D marginals are defined for wigner:n,l states")
         grid = parse_named_grid(args.grid, plane)
-        _refuse_far_values(grid, cfg.params)
-        x, y = np.meshgrid(grid[plane[0]], grid[plane[1]], indexing="ij")
-        vals = marginal_2d(label.n, label.l, plane, x.reshape(-1), y.reshape(-1),
-                           cfg.params) / h / h
-        rows = np.column_stack((x.reshape(-1), y.reshape(-1), vals)).tolist()
+        units, factor = to_axis_units(grid, cfg)
+        x, y = (m.reshape(-1) for m in np.meshgrid(*grid.values(), indexing="ij"))
+        u, v = (m.reshape(-1) for m in np.meshgrid(*units.values(), indexing="ij"))
+        vals = factor * marginal_2d(label.n, label.l, plane, u, v)
+        rows = np.column_stack((x, y, vals)).tolist()
         meta = {"plane": list(plane), "n": label.n, "l": label.l,
                 "params": params_doc(cfg.params)}
         emit(table_text((plane[0], plane[1], "value"), rows, cfg.fmt, meta), args.out)
@@ -305,19 +326,14 @@ def parse_range(text: str):
 def cmd_uncertainty(args, cfg: RunConfig) -> int:
     n_range = parse_range(args.n_range)
     l_range = parse_range(args.l_range)
-    for v in list(n_range) + list(l_range):
-        if v < 0:
-            raise InputError("quantum numbers must be non-negative")
     hb = cfg.params.hbar
+    sq, sp = axis_scale("q1", cfg.params), axis_scale("p1", cfg.params)
     rows = []
-    for n in n_range:
-        for l in l_range:
-            label = WignerLabel(n, l)
-            var_q = coordinate_moment("q1", 2, label, cfg.params)
-            var_p = coordinate_moment("p1", 2, label, cfg.params)
-            dq = float(np.sqrt(var_q))
-            dp = float(np.sqrt(var_p))
-            rows.append((n, l, dq, dp, dq * dp, dq * dp - 0.5 * hb))
+    for n, l in itertools.product(n_range, l_range):
+        m = second_moment(n, l)
+        if not math.isfinite(hb * m):
+            raise InputError(f"the uncertainty product of ({n}, {l}) overflows in these units")
+        rows.append((n, l, sq * math.sqrt(m), sp * math.sqrt(m), hb * m, hb * (m - 0.5)))
     meta = {"params": params_doc(cfg.params)}
     emit(table_text(("n", "l", "dq1", "dp1", "product", "bound_gap"),
                     rows, cfg.fmt, meta), args.out)
@@ -341,10 +357,16 @@ def cmd_equalities(args, cfg: RunConfig) -> int:
     if not all(map(math.isfinite, samples)):
         raise InputError(f"samples must be finite, got {args.samples!r}")
     rows = []
-    for n, l in pairs:
-        q1s = cfg.params.gamma * np.array(samples)
-        for (q1, res_lag, res_herm) in integral_equality_residuals(n, l, q1s, cfg.params):
-            rows.append((n, l, float(q1 / cfg.params.gamma), res_lag, res_herm))
+    g = cfg.params.gamma
+    for (n, l), sample in itertools.product(pairs, samples):
+        # the terms grow like sample^(2(n+l)); one that overflows is refused
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                ((q1, lag, herm),) = integral_equality_residuals(
+                    n, l, g * np.array([sample]), cfg.params)
+        except FloatingPointError as exc:
+            raise InputError(f"sample {sample:g} overflows the terms of ({n}, {l})") from exc
+        rows.append((n, l, float(q1 / g), lag, herm))
     meta = {"params": params_doc(cfg.params)}
     emit(table_text(("n", "l", "q1_over_gamma", "residual_position_plane",
                      "residual_mixed_plane"), rows, cfg.fmt, meta), args.out)

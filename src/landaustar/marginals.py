@@ -1,15 +1,18 @@
-"""Marginal probability densities along coordinate axes and planes.
+"""Marginal probability densities along coordinate axes and planes, as unit-free shapes.
 
+The kernels take axis units, u = x/s with s = gamma on a position axis and
+hbar/gamma on a momentum axis, and return unit-integral shapes; one factor
+per target turns a shape into a physical density (the CLI's unit boundary).
 Every coordinate axis mixes the two modes 50:50.  In the rotated modes the
 (n, l) state spreads over the states |k, n+l-k> with weights w_k, the squared
 components of a J_x eigenvector of spin (n+l)/2 (Wigner's small d at pi/2), so
-its 1D density is the positive mixture 4 sqrt(pi) N_axis sum_k w_k phi_k(u)^2
-of squared normalized Hermite functions.  Every term is non-negative and every
-phi_k is bounded, so the sum neither cancels nor overflows at any (n, l) in
-range.  The paper writes the same density as an alternating Hermite double sum;
-that form (_hermite_sum) is kept as the route of the integral equalities and
-as the test oracle.  All six coordinate planes have closed forms, of three
-shapes (see marginal_2d).  Direct quadrature of the Wigner function is kept
+all four 1D densities have the one shape sum_k w_k phi_k(u)^2, a positive
+mixture of squared normalized Hermite functions.  Every term is non-negative
+and every phi_k is bounded, so the sum neither cancels nor overflows at any
+(n, l) in range.  The paper writes the same density as an alternating Hermite
+double sum; that form (_hermite_sum) is kept as the route of the integral
+equalities and as the test oracle.  All six coordinate planes have closed
+forms, of three shapes (see marginal_2d).  Direct quadrature of the Wigner function is kept
 only as the oracle every closed form is checked against, and equating the
 two routes yields nontrivial integral identities between the classical
 orthogonal polynomials.
@@ -54,7 +57,7 @@ def axis_scale(axis: str, params: PhysParams) -> float:
 
 
 def axis_norm(axis: str, params: PhysParams) -> float:
-    """Prefactor of the axis generating function and 1D densities.
+    """The paper's prefactor N_axis: a 1D density is 4 sqrt(pi) N_axis = h^2/s times its shape.
 
     pi^1.5 hbar^2/gamma for positions and pi^1.5 hbar gamma for momenta, each
     formed as hbar times an axis scale, so no intermediate hbar^2 overflows.
@@ -66,27 +69,28 @@ def axis_norm(axis: str, params: PhysParams) -> float:
     raise ValueError(f"unknown axis {axis!r}")
 
 
-def position_plane_generating(alpha, beta, q1, q2, params: PhysParams):
-    """Generating function of the densities on the position plane, vectorized.
+def position_plane_generating(alpha, beta, u, v):
+    """Generating function of the position-plane shapes at (u, v) = (q1, q2)/gamma, vectorized.
 
-    alpha and beta are complex pairs; at zero parameters this is the ground
-    density up to the factor 4.  Parameters and (q1, q2) broadcast together.
+    The (n, l) shape is 4/(n! l!) times its (n, n, l, l) derivative in (alpha1,
+    beta1, alpha2, beta2) at zero.  Parameters and (u, v) broadcast together.
     """
     a1, a2 = (np.asarray(c, dtype=complex) for c in alpha)
     b1, b2 = (np.asarray(c, dtype=complex) for c in beta)
-    z = np.divide(q1, params.gamma) + 1j * np.divide(q2, params.gamma)
+    z = np.asarray(u) + 1j * np.asarray(v)
     zb = np.conj(z)
-    pref = math.pi * params.hbar ** 2 / params.gamma ** 2
     expo = -a1 * a2 - b1 * b2 + 1j * (a1 * zb - a2 * z) - 1j * (b1 * z - b2 * zb) - z * zb
-    out = pref * np.exp(expo)
+    out = np.exp(expo) / (4.0 * math.pi)
     return out if out.ndim else complex(out)
 
 
-def axis_generating(axis: str, alpha, beta, x, params: PhysParams):
-    """Generating function of the 1D densities along one coordinate axis, vectorized."""
+def axis_generating(axis: str, alpha, beta, x):
+    """Generating function of the 1D shapes at axis-unit x, vectorized as the plane's.
+
+    The axis picks only the parameter shift.
+    """
     a1, a2 = (np.asarray(c, dtype=complex) for c in alpha)
     b1, b2 = (np.asarray(c, dtype=complex) for c in beta)
-    u = np.divide(x, axis_scale(axis, params))
     if axis == "q1":
         shift = -0.5j * (a1 - a2 - b1 + b2)
     elif axis == "p1":
@@ -98,28 +102,26 @@ def axis_generating(axis: str, alpha, beta, x, params: PhysParams):
     else:
         raise ValueError(f"unknown axis {axis!r}")
     dot = a1 * b1 + a2 * b2
-    out = axis_norm(axis, params) * np.exp(dot - (u + shift) ** 2)
+    out = np.exp(dot - (np.asarray(x) + shift) ** 2) / (4.0 * math.sqrt(math.pi))
     return out if out.ndim else complex(out)
 
 
-def marginal_1d(n: int, l: int, axis: str, x, params: PhysParams):
-    """Closed-form 1D marginal density of the (n, l) state along an axis.
+def marginal_1d(n: int, l: int, x):
+    """Unit-integral shape of the (n, l) state's 1D marginal densities, the same on every axis.
 
-    4 sqrt(pi) N_axis sum_{k=0}^{n+l} w_k phi_k(u)^2 with u = x/scale, where
-    phi_k are the normalized Hermite functions and w_k = V[k, n]^2 with V the
-    eigenvectors of J_x in the spin-(n+l)/2 block (_mixture_weights).  This
-    equals the paper's N_axis exp(-u^2) sum_{j<=n} sum_{k<=l} A_{nljk}
-    H_{2(n+l-j-k)}(u) (_hermite_sum), but its terms are all non-negative and
-    bounded: the paper's terms alternate in sign and cancel to nothing from
-    n+l ~ 20 on.  One recurrence of n+l steps serves every point.
+    sum_{k=0}^{n+l} w_k phi_k(x)^2 at axis-unit x, phi_k the normalized
+    Hermite functions and w_k = V[k, n]^2, V the eigenvectors of J_x in the
+    spin-(n+l)/2 block (_mixture_weights).  4 sqrt(pi) times it is the paper's
+    exp(-u^2) sum_{j<=n} sum_{k<=l} A_{nljk} H_{2(n+l-j-k)}(u) (_hermite_sum),
+    whose terms alternate in sign and cancel to nothing from n+l ~ 20 on;
+    these are non-negative and bounded.  One recurrence serves every point.
     """
     _check_quantum_numbers(n, l)
-    u = np.asarray(x, dtype=float) / axis_scale(axis, params)
+    u = np.asarray(x, dtype=float)
     acc = np.zeros_like(u)
     for w, phi in zip(_mixture_weights(n, l), hermite_functions(n + l, u)):
         acc += w * phi * phi
-    out = 4.0 * math.sqrt(math.pi) * axis_norm(axis, params) * acc
-    return out if out.ndim else float(out)
+    return acc if acc.ndim else float(acc)
 
 
 def _mixture_weights(n: int, l: int) -> np.ndarray:
@@ -195,15 +197,14 @@ _PLANE_SHAPES = {
 }
 
 
-def marginal_2d(n: int, l: int, plane, x, y, params: PhysParams):
-    """Closed-form 2D marginal density on any coordinate plane, vectorized over (x, y).
+def marginal_2d(n: int, l: int, plane, x, y):
+    """Unit-integral shape of the 2D marginal on any coordinate plane, vectorized over (x, y).
 
-    (h/s_x)(h/s_y) times the plane's shape at u = x/s_x, v = y/s_y (s the
-    axis_scale; never h^2, which overflows first), in either axis order and
-    for 0 <= n, l <= states.MAX_QUANTUM_NUMBER.  The shapes: radial on
-    (q1, q2) and (p1, p2), Hermite products on (q1, p2) and (q2, p1), and a
-    signed one-mode Wigner function on the conjugate planes (q1, p1) and
-    (q2, p2).
+    x and y are in axis units, in either axis order, for 0 <= n, l <=
+    states.MAX_QUANTUM_NUMBER; the physical density is (h/s_x)(h/s_y) times
+    this.  The shapes: radial on (q1, q2) and (p1, p2), Hermite products on
+    (q1, p2) and (q2, p1), and a signed one-mode Wigner function on the
+    conjugate planes (q1, p1) and (q2, p2).
     """
     plane = tuple(plane)
     if plane[::-1] in _PLANE_SHAPES:
@@ -211,13 +212,7 @@ def marginal_2d(n: int, l: int, plane, x, y, params: PhysParams):
     if plane not in _PLANE_SHAPES:
         raise ValueError(f"invalid plane {plane!r}")
     _check_quantum_numbers(n, l)
-    sx, sy = (axis_scale(ax, params) for ax in plane)
-    u = np.asarray(x, dtype=float) / sx
-    v = np.asarray(y, dtype=float) / sy
-    pref = (params.planck_h / sx) * (params.planck_h / sy)
-    if not math.isfinite(pref):
-        raise ValueError(f"2D densities overflow in these units: (h/s_x)(h/s_y) = {pref}")
-    out = pref * _PLANE_SHAPES[plane](n, l, u, v)
+    out = _PLANE_SHAPES[plane](n, l, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return out if out.ndim else float(out)
 
 

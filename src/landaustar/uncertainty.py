@@ -1,20 +1,21 @@
 """State functional, moments, variances and uncertainty relations.
 
-Expectation values are coefficient traces in the Fock representation; moments
-of the canonical coordinates are also available through 1D quadrature of the
-marginal densities, and the two routes are required to agree.  The general
+Expectation values are coefficient traces in the Fock representation.  A
+Wigner state's coordinates have the second moment m = sum_k w_k (k + 1/2) of
+its 1D marginal shape, in axis units on every axis, so Delta q = gamma sqrt(m),
+Delta p = (hbar/gamma) sqrt(m) and their product is hbar m: no quadrature and
+no h^2.  Marginal quadrature and Fock traces are its oracles.  The general
 two-observable uncertainty relation (Robertson-Schrodinger form) is evaluated
 for arbitrary real star polynomials.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import axis_scale, marginal_1d
+from .marginals import _mixture_weights, axis_scale, marginal_1d
 from .phase_space import PhysParams
 from .quadrature import default_order, gauss_hermite
 from .star import FockRep, ProductRep, StarPolynomial, apply_star_polynomial
@@ -22,6 +23,7 @@ from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
     WignerLabel,
+    _check_quantum_numbers,
     displaced_polynomial,
     generalized_coherent_fock,
     wigner_fock,
@@ -101,36 +103,37 @@ def angular_momentum_polynomial(params: PhysParams) -> StarPolynomial:
     return params.hbar * (_BBAR * _B - _ABAR * _A)
 
 
-def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams) -> float:
-    """k-th moment of a coordinate in a Wigner state, via its 1D marginal.
+def second_moment(n: int, l: int) -> float:
+    """<u^2> of the (n, l) state along any axis, in axis units: sum_k w_k (k + 1/2).
 
-    Summed in axis units u = x/s as s^k sum (w/h) u^k (density/h), so no
-    intermediate h^2 or x^k leaves the float range under extreme units.
-    Odd moments vanish by the evenness of the marginals and are returned as
-    exact zeros.
+    The 1D shape mixes the phi_k^2, of second moment k + 1/2, with weights
+    w_k; the sum is (n + l + 1)/2 up to rounding for 0 <= n, l <= 150.
+    """
+    _check_quantum_numbers(n, l)
+    return float(_mixture_weights(n, l) @ (np.arange(n + l + 1) + 0.5))
+
+
+def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams) -> float:
+    """k-th moment of a coordinate in a Wigner state, by quadrature of its 1D shape.
+
+    The oracle of second_moment: s^k sum_t w_t t^k shape(t) in axis units.
+    Odd moments vanish by the evenness of the shape and are exact zeros.
     """
     if k < 0 or k > 8:
         raise ValueError("moment order must be in 0..8")
     if k % 2 == 1:
         return 0.0
     rule = gauss_hermite(max(default_order(label.n, label.l), (k + 2) // 2 + label.n + label.l + 8))
-    s, h = axis_scale(axis, params), params.planck_h
-    x, w = rule.scaled(s)
-    dens = marginal_1d(label.n, label.l, axis, x, params)
-    return float(s ** k * np.sum((w / h) * rule.nodes ** k * (dens / h)))
+    t, w = rule.scaled(1.0)
+    shape = marginal_1d(label.n, label.l, t)
+    return float(axis_scale(axis, params) ** k * np.sum(w * t ** k * shape))
 
 
 def uncertainty_product(n: int, l: int, j: int, params: PhysParams) -> float:
-    """Delta q_j * Delta p_j in the (n, l) Wigner state, from marginal moments."""
+    """Delta q_j * Delta p_j in the (n, l) Wigner state: hbar times second_moment."""
     if j not in (1, 2):
         raise ValueError("pair index must be 1 or 2")
-    label = WignerLabel(n, l)
-    q_axis, p_axis = f"q{j}", f"p{j}"
-    var_q = coordinate_moment(q_axis, 2, label, params) \
-        - coordinate_moment(q_axis, 1, label, params) ** 2
-    var_p = coordinate_moment(p_axis, 2, label, params) \
-        - coordinate_moment(p_axis, 1, label, params) ** 2
-    return math.sqrt(var_q * var_p)
+    return params.hbar * second_moment(n, l)
 
 
 def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -556,6 +557,122 @@ def test_unit_norm_at_hbar_1e200(capsys):
     assert _rows(out)[0, 4] == 0.0
 
 
+# One unit boundary for every target: each value is its unit-free shape times
+# one prefactor.  At the origin of the ground state every 1D shape is
+# 1/sqrt(pi) and every plane shape 1/pi; the density is h^2 (dropped under
+# --unit-norm) over the product of the axis scales, gamma = sqrt(2 hbar) and
+# hbar/gamma.  The reference is formed in logs, so it never overflows.
+EXTREME_HBARS = ("1e-300", "1e-200", "1e200", "1e250", "1e300")
+LOG_MAX = math.log(sys.float_info.max)
+
+
+def _log_scales(hbar):
+    log_hbar = math.log(float(hbar))
+    log_gamma = 0.5 * (math.log(2.0) + log_hbar)
+    return log_hbar, {"q": log_gamma, "p": log_hbar - log_gamma}
+
+
+@pytest.mark.parametrize("unit_norm", [False, True])
+@pytest.mark.parametrize("hbar", EXTREME_HBARS)
+@pytest.mark.parametrize("target,grid", [
+    ("marginal1d:q1", "0"), ("marginal1d:q2", "0"), ("marginal1d:p1", "0"),
+    ("marginal1d:p2", "0"), ("marginal2d:q1,q2", "q1=0,q2=0"),
+    ("marginal2d:q1,p2", "q1=0,p2=0"), ("marginal2d:q1,p1", "q1=0,p1=0"),
+])
+def test_densities_at_extreme_units(capsys, target, grid, hbar, unit_norm):
+    """--hbar 1e250 --unit-norm printed inf and --hbar 1e-300 --unit-norm printed 0."""
+    axes = target.partition(":")[2].split(",")
+    log_hbar, log_s = _log_scales(hbar)
+    log_value = -0.5 * len(axes) * math.log(math.pi) - sum(log_s[ax[0]] for ax in axes)
+    if not unit_norm:
+        log_value += 2.0 * (math.log(2.0 * math.pi) + log_hbar)
+    flags = ("--unit-norm",) if unit_norm else ()
+    code, out, err = run_cli(capsys, *flags, "--hbar", hbar, "eval", target, "wigner:0,0",
+                             "--grid", grid)
+    if code == 2:
+        assert out == "" and "overflow" in err
+        assert log_value > LOG_MAX
+    else:
+        assert code == 0 and log_value < LOG_MAX
+        assert _rows(out)[0, -1] == pytest.approx(math.exp(log_value), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("unit_norm", [False, True])
+@pytest.mark.parametrize("hbar", EXTREME_HBARS)
+@pytest.mark.parametrize("n,l", [(0, 0), (1, 1)])
+def test_uncertainty_at_extreme_units(capsys, n, l, hbar, unit_norm):
+    """--hbar 1e300 printed inf and --hbar 1e-300 printed 0 for every column."""
+    log_hbar, log_s = _log_scales(hbar)
+    m = 0.5 * (n + l + 1)
+    want = [math.exp(log_s["q"] + 0.5 * math.log(m)), math.exp(log_s["p"] + 0.5 * math.log(m)),
+            math.exp(log_hbar + math.log(m)),
+            math.exp(log_hbar + math.log(m - 0.5)) if m > 0.5 else 0.0]
+    flags = ("--unit-norm",) if unit_norm else ()
+    code, out, _ = run_cli(capsys, *flags, "--hbar", hbar, "uncertainty", str(n), str(l))
+    assert code == 0
+    np.testing.assert_allclose(_rows(out)[0, 2:], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("uncertainty", "150", "150"), 150.5),
+    (("--cutoff", "202", "uncertainty", "100", "100"), 100.5),
+    (("--hbar", "1e300", "uncertainty", "0", "0"), 5e299),
+    (("--hbar", "1e-300", "uncertainty", "1", "1"), 1.5e-300),
+])
+def test_uncertainty_products_over_the_accepted_range(capsys, argv, want):
+    """The quadrature route stopped at n + l = 191 (exit 2) and left the float range."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _rows(out)[0, 4] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("uncertainty", "151", "0"), "150"),
+    (("uncertainty", "-1", "0"), "150"),
+    (("--hbar", "1e307", "uncertainty", "150", "150"), "overflow"),
+])
+def test_uncertainty_refusals(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_uncertainty_table_meets_its_bound(capsys):
+    """The ground state printed product 0.49999999999999978 and bound_gap -2.2e-16."""
+    code, out, _ = run_cli(capsys, "uncertainty", "0..6", "0..6")
+    assert code == 0
+    rows = _rows(out)
+    assert len(rows) == 49
+    assert np.all(rows[:, 5] >= 0.0)
+    assert rows[0, 4] == 0.5 and rows[0, 5] == 0.0
+
+
+@pytest.mark.parametrize("argv,axis", [
+    (("eval", "wigner:0,0", "--grid", "q1=0,q1=1"), "q1"),
+    (("eval", "marginal2d:q1,p2", "wigner:1,0", "--grid", "q1=0,p2=1,p2=2"), "p2"),
+])
+def test_repeated_grid_axis_is_an_input_error(capsys, argv, axis):
+    """The last value of a repeated axis silently replaced the first."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"'{axis}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("equalities", "--pairs", "2,1", "--samples", "1e308"),
+    ("equalities", "--pairs", "16,0", "--samples", "0,1e10"),
+    ("--hbar", "1e300", "equalities", "--pairs", "2,1", "--samples", "1e4"),
+])
+def test_equality_samples_that_overflow_are_input_errors(capsys, argv):
+    """These printed nan with exit 0, after a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    sample = argv[-1].split(",")[-1]
+    assert f"sample {float(sample):g}" in err
+
+
 # sha256 of stdout for a fixed command set, captured from the per-cell table
 # formatter; a digest moves only with a deliberate change to printed bytes
 _GRID4 = "q1=-2:2:3,q2=-1:1:2,p1=0:1.5:2,p2=-1:1:3"
@@ -589,17 +706,17 @@ GOLDEN_OUTPUT = {
                          "--grid", "q1=-2:2:5,p2=-1:1:3"),
                         "61690fb5bbd95d87ca7289dcfe57094d2e60b3bda99fa1b77f2bb4a3c49bdd56"),
     "uncertainty": (("uncertainty", "0..2", "0..1"),
-                    "791f69146294796fd556f0dd39c52edbe25b75e9e8f31c1f4da22ef98da7214c"),
+                    "1a46fad5350dd0e3841523aaa43a18413706969b88fe8c62b9a98185c80ed705"),
     "equalities": (("equalities",),
                    "4b22cc7d556dd797b6dd3105138b3eb7226469244d424871d0fe0c094b3be09c"),
     "unit-norm": (("--unit-norm", "eval", "wigner:0,0", "--grid", "q1=0"),
                   "2ae08374fbb82645dd27091e06ba13991bb66778608382342e776c63189f8b29"),
     "uncertainty-hbar-1e200": (("--hbar", "1e200", "uncertainty", "0", "0"),
-                               "bba9d861f59c21c0487fe035f810f6dce7c57f239a75a84972137a0a9622f35e"),
-    # prints "0,inf" (the 1D prefactor overflows), which pins how inf is written
-    "marginal1d-inf": (("--unit-norm", "--hbar", "1e250", "eval", "marginal1d:p1",
-                        "wigner:0,0", "--grid", "0"),
-                       "a029cfa61178d808cb771737df501bec5a0625552c890e4dc4d805a767311aea"),
+                               "509a4f142dfee4ed88f281cbcaec699b9329b33b6a42a1750349d2134dc83f16"),
+    # 1/s of the momentum axis, about 8e-126, where h^2/s overflows
+    "marginal1d-unit-norm-hbar-1e250": (
+        ("--unit-norm", "--hbar", "1e250", "eval", "marginal1d:p1", "wigner:0,0", "--grid", "0"),
+        "c06fe70e51e61394417cda10cb60365ff224ef23a6f5cef5dbdb06ee2fd64a30"),
 }
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from landaustar.checks import mixed_param_derivative
+from landaustar.checks import WIGNER_NORM, mixed_param_derivative
+from landaustar.cli import RunConfig, to_axis_units
 from landaustar.marginals import (
     AXES,
     axis_generating,
@@ -30,6 +31,19 @@ PLANES = (("q1", "q2"), ("q1", "p1"), ("q1", "p2"), ("q2", "p1"), ("q2", "p2"), 
 CONJUGATE_PLANES = (("q1", "p1"), ("q2", "p2"))
 
 
+def density_1d(n, l, axis, x, params):
+    """The physical 1D density at x, as eval prints it: the boundary's factor times the shape."""
+    units, factor = to_axis_units({axis: np.asarray(x, dtype=float)}, RunConfig(params))
+    return factor * marginal_1d(n, l, units[axis])
+
+
+def density_2d(n, l, plane, x, y, params):
+    """The physical 2D density at (x, y), as eval prints it."""
+    grid = dict(zip(plane, (np.asarray(x, dtype=float), np.asarray(y, dtype=float))))
+    units, factor = to_axis_units(grid, RunConfig(params))
+    return factor * marginal_2d(n, l, plane, *units.values())
+
+
 def test_axis_scales_and_norms():
     assert axis_scale("q2", PARAMS) == GAMMA
     assert axis_scale("p1", PARAMS) == PARAMS.hbar / GAMMA
@@ -40,18 +54,18 @@ def test_axis_scales_and_norms():
 
 
 # ---------------------------------------------------------------------------
-# generating functions
+# generating functions, in axis units
 # ---------------------------------------------------------------------------
 
 def test_plane_generating_zero_parameters():
     for q1, q2 in ((0.0, 0.0), (0.7, -0.4), (1.5, 1.1)):
-        got = position_plane_generating((0j, 0j), (0j, 0j), q1, q2, PARAMS)
+        got = position_plane_generating((0j, 0j), (0j, 0j), q1 / GAMMA, q2 / GAMMA)
         rho2 = (q1 ** 2 + q2 ** 2) / GAMMA ** 2
-        want = math.pi * PARAMS.hbar ** 2 / GAMMA ** 2 * math.exp(-rho2)
+        want = math.exp(-rho2) / (4.0 * math.pi)
         assert got.real == pytest.approx(want, rel=1e-13)
         assert abs(got.imag) <= 1e-16
-        # four times this value is the ground 2D density on the position plane
-        closed = marginal_2d(0, 0, ("q1", "q2"), q1, q2, PARAMS)
+        # four times this value is the ground shape on the position plane
+        closed = marginal_2d(0, 0, ("q1", "q2"), q1 / GAMMA, q2 / GAMMA)
         assert 4.0 * got.real == pytest.approx(float(closed), rel=1e-12)
 
 
@@ -60,7 +74,7 @@ def test_plane_generating_matches_momentum_integral_of_g():
     rule = gauss_hermite(32)
     sp = PARAMS.hbar / GAMMA
     t = rule.nodes
-    cw = rule.weights * np.exp(t * t) * sp
+    cw = rule.weights * np.exp(t * t)
     samples = [
         ((0j, 0j), (0j, 0j)),
         ((0.4 + 0.2j, -0.3j), (0.1 - 0.2j, 0.25 + 0.1j)),
@@ -69,22 +83,24 @@ def test_plane_generating_matches_momentum_integral_of_g():
     p1, p2 = np.meshgrid(sp * t, sp * t, indexing="ij")
     for alpha, beta in samples:
         for q1, q2 in ((0.0, 0.0), (0.8, -0.5)):
+            # W integrates to WIGNER_NORM over axis units, and its plane shape to 1
             total = np.sum(np.outer(cw, cw) * generating_function(
                 alpha[0], beta[0], alpha[1], beta[1],
-                *mode_coords_arrays(q1, q2, p1, p2, PARAMS)))
-            want = position_plane_generating(alpha, beta, q1, q2, PARAMS)
-            assert abs(total - want) <= 1e-9 * max(1.0, abs(want))
+                *mode_coords_arrays(q1, q2, p1, p2, PARAMS))) / WIGNER_NORM
+            want = position_plane_generating(alpha, beta, q1 / GAMMA, q2 / GAMMA)
+            assert abs(total - want) <= 1e-9 * abs(want)
 
 
 def test_plane_generating_derivative_gives_first_excited_density():
+    plane_factor = (PARAMS.planck_h / GAMMA) ** 2
     for q1, q2 in ((0.3, -0.2), (1.0, 0.6)):
         def fn(ps):
             a1, b1, a2, b2 = ps
-            return position_plane_generating((a1, a2), (b1, b2), q1, q2, PARAMS)
+            return position_plane_generating((a1, a2), (b1, b2), q1 / GAMMA, q2 / GAMMA)
 
         got = 4.0 * mixed_param_derivative(fn, (1, 1, 0, 0), radius=0.5, points=12)
-        want = marginal_2d(1, 0, ("q1", "q2"), q1, q2, PARAMS)
-        assert got.real == pytest.approx(float(want), rel=1e-7, abs=1e-7)
+        want = marginal_2d(1, 0, ("q1", "q2"), q1 / GAMMA, q2 / GAMMA)
+        assert got.real == pytest.approx(float(want), rel=1e-7, abs=1e-7 / plane_factor)
 
 
 def _broadcast_params(seed):
@@ -96,14 +112,14 @@ def _broadcast_params(seed):
 
 def test_plane_generating_broadcasts_like_scalar_calls():
     a1, a2, b1, b2 = _broadcast_params(31)
-    q2s = np.linspace(-1.2, 0.9, 4)
-    got = position_plane_generating((a1, a2), (b1, b2), 0.7, q2s, PARAMS)
+    vs = np.linspace(-1.2, 0.9, 4)
+    got = position_plane_generating((a1, a2), (b1, b2), 0.7, vs)
     assert got.shape == (3, 4)
     want = np.empty((3, 4), dtype=complex)
     for i, j in np.ndindex(3, 4):
         scalar = position_plane_generating(
             (complex(a1[i, j]), complex(a2[0, j])), (complex(b1[i, 0]), complex(b2[i, j])),
-            0.7, float(q2s[j]), PARAMS)
+            0.7, float(vs[j]))
         assert type(scalar) is complex
         want[i, j] = scalar
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
@@ -112,44 +128,43 @@ def test_plane_generating_broadcasts_like_scalar_calls():
 @pytest.mark.parametrize("axis", AXES)
 def test_axis_generating_broadcasts_like_scalar_calls(axis):
     a1, a2, b1, b2 = _broadcast_params(32)
-    xs = np.linspace(-1.1, 1.3, 4) * axis_scale(axis, PARAMS)
-    got = axis_generating(axis, (a1, a2), (b1, b2), xs, PARAMS)
+    us = np.linspace(-1.1, 1.3, 4)
+    got = axis_generating(axis, (a1, a2), (b1, b2), us)
     assert got.shape == (3, 4)
     want = np.empty((3, 4), dtype=complex)
     for i, j in np.ndindex(3, 4):
         scalar = axis_generating(
             axis, (complex(a1[i, j]), complex(a2[0, j])),
-            (complex(b1[i, 0]), complex(b2[i, j])), float(xs[j]), PARAMS)
+            (complex(b1[i, 0]), complex(b2[i, j])), float(us[j]))
         assert type(scalar) is complex
         want[i, j] = scalar
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_axis_generating_zero_parameters():
-    assert axis_generating("q1", (0j, 0j), (0j, 0j), 0.7, PARAMS) == pytest.approx(
-        NQ * math.exp(-(0.7 / GAMMA) ** 2), rel=1e-13)
-    # times 4 at zero parameters this is the ground 1D density
-    got = 4.0 * axis_generating("q1", (0j, 0j), (0j, 0j), 0.7, PARAMS)
-    assert got.real == pytest.approx(float(marginal_1d(0, 0, "q1", 0.7, PARAMS)),
-                                     rel=1e-13)
-    assert axis_generating("p2", (0j, 0j), (0j, 0j), 0.0, PARAMS) == pytest.approx(
-        axis_norm("p2", PARAMS), rel=1e-14)
+    u = 0.7 / GAMMA
+    assert axis_generating("q1", (0j, 0j), (0j, 0j), u) == pytest.approx(
+        math.exp(-u ** 2) / (4.0 * math.sqrt(math.pi)), rel=1e-13)
+    # times 4 at zero parameters this is the ground 1D shape
+    got = 4.0 * axis_generating("q1", (0j, 0j), (0j, 0j), u)
+    assert got.real == pytest.approx(float(marginal_1d(0, 0, u)), rel=1e-13)
+    assert axis_generating("p2", (0j, 0j), (0j, 0j), 0.0) == pytest.approx(
+        1.0 / (4.0 * math.sqrt(math.pi)), rel=1e-14)
 
 
 def test_axis_generating_consistent_with_plane_integral():
     rule = gauss_hermite(32)
     t = rule.nodes
-    cw = rule.weights * np.exp(t * t) * GAMMA
-    q2s = GAMMA * t
+    cw = rule.weights * np.exp(t * t)
     samples = [
         ((0j, 0j), (0j, 0j)),
         ((0.4 + 0.2j, -0.3j), (0.1 - 0.2j, 0.25 + 0.1j)),
     ]
     for alpha, beta in samples:
         for q1 in (0.0, 0.9):
-            got = np.sum(cw * position_plane_generating(alpha, beta, q1, q2s, PARAMS))
-            want = axis_generating("q1", alpha, beta, q1, PARAMS)
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            got = np.sum(cw * position_plane_generating(alpha, beta, q1 / GAMMA, t))
+            want = axis_generating("q1", alpha, beta, q1 / GAMMA)
+            assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_axis_generating_derivatives_reproduce_densities():
@@ -158,11 +173,12 @@ def test_axis_generating_derivatives_reproduce_densities():
         for x in (0.0, 0.6):
             def fn(ps):
                 a1, b1, a2, b2 = ps
-                return axis_generating("q1", (a1, a2), (b1, b2), x, PARAMS)
+                return axis_generating("q1", (a1, a2), (b1, b2), x / GAMMA)
 
             got = pref * mixed_param_derivative(fn, (n, n, l, l), radius=0.5, points=10)
-            want = marginal_1d(n, l, "q1", x, PARAMS)
-            assert abs(got - want) <= 1e-6 * NQ
+            want = marginal_1d(n, l, x / GAMMA)
+            # 1e-6 of the axis norm: a density is 4 sqrt(pi) N_axis times its shape
+            assert abs(got - want) <= 1e-6 / (4.0 * math.sqrt(math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +197,28 @@ def test_low_lying_explicit_forms():
         (2, 1): 0.25 * NQ * e * (8 * ys ** 6 - 20 * ys ** 4 + 18 * ys ** 2 + 7),
     }
     for (n, l), want in cases.items():
-        np.testing.assert_allclose(marginal_1d(n, l, "q1", xs, PARAMS), want,
+        np.testing.assert_allclose(density_1d(n, l, "q1", xs, PARAMS), want,
                                    rtol=1e-12, atol=1e-12 * NQ)
 
 
 def test_density_central_values():
-    assert marginal_1d(1, 1, "q1", 0.0, PARAMS) == pytest.approx(3.0 * NQ, rel=1e-13)
-    assert marginal_1d(2, 1, "q1", 0.0, PARAMS) == pytest.approx(7.0 * NQ / 4.0,
+    assert density_1d(1, 1, "q1", 0.0, PARAMS) == pytest.approx(3.0 * NQ, rel=1e-13)
+    assert density_1d(2, 1, "q1", 0.0, PARAMS) == pytest.approx(7.0 * NQ / 4.0,
                                                                  rel=1e-13)
 
 
 def test_momentum_axis_mirrors_position_axis():
     ys = np.linspace(-2, 2, 11)
-    got = marginal_1d(2, 1, "p1", ys * PARAMS.hbar / GAMMA, PARAMS)
-    want = marginal_1d(2, 1, "q1", ys * GAMMA, PARAMS) * (NP_ / NQ)
+    got = density_1d(2, 1, "p1", ys * PARAMS.hbar / GAMMA, PARAMS)
+    want = density_1d(2, 1, "q1", ys * GAMMA, PARAMS) * (NP_ / NQ)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_symmetry_in_quantum_numbers():
     xs = np.linspace(-3, 3, 21) * GAMMA
     for n, l in [(2, 1), (3, 0), (4, 2)]:
-        np.testing.assert_allclose(marginal_1d(n, l, "q1", xs, PARAMS),
-                                   marginal_1d(l, n, "q1", xs, PARAMS),
+        np.testing.assert_allclose(density_1d(n, l, "q1", xs, PARAMS),
+                                   density_1d(l, n, "q1", xs, PARAMS),
                                    rtol=0, atol=1e-12 * NQ)
 
 
@@ -211,8 +227,8 @@ def test_evenness_and_positivity():
         xs = np.linspace(0.05, 6.0, 40) * axis_scale(axis, PARAMS)
         for n in range(7):
             for l in range(7):
-                plus = marginal_1d(n, l, axis, xs, PARAMS)
-                minus = marginal_1d(n, l, axis, -xs, PARAMS)
+                plus = density_1d(n, l, axis, xs, PARAMS)
+                minus = density_1d(n, l, axis, -xs, PARAMS)
                 np.testing.assert_array_equal(plus, minus)
                 assert np.all(plus > 0.0)
 
@@ -224,20 +240,20 @@ def test_normalization_all_axes():
         t = rule.nodes
         cw = rule.weights * np.exp(t * t) * scale
         for n, l in [(0, 0), (3, 2), (6, 6)]:
-            total = float(np.sum(cw * marginal_1d(n, l, axis, scale * t, PARAMS)))
+            total = float(np.sum(cw * density_1d(n, l, axis, scale * t, PARAMS)))
             assert total == pytest.approx(H2, rel=1e-10)
 
 
 def test_quadrature_route_matches_closed_form():
     xs = np.linspace(-2, 2, 5) * GAMMA
-    closed = marginal_1d(2, 1, "q1", xs, PARAMS)
+    closed = density_1d(2, 1, "q1", xs, PARAMS)
     quad = marginal_1d_quadrature(2, 1, "q1", xs, PARAMS)
     np.testing.assert_allclose(quad, closed, atol=1e-8 * NQ)
 
 
 def test_degree_guard():
     with pytest.raises(ValueError):
-        marginal_1d(151, 0, "q1", 0.0, PARAMS)
+        marginal_1d(151, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +264,7 @@ def test_position_plane_ground_form():
     for q1, q2 in ((0.0, 0.0), (1.0, -0.7)):
         rho2 = (q1 ** 2 + q2 ** 2) / GAMMA ** 2
         want = 4.0 * math.pi * (PARAMS.hbar / GAMMA) ** 2 * math.exp(-rho2)
-        assert marginal_2d(0, 0, ("q1", "q2"), q1, q2, PARAMS) == pytest.approx(
+        assert density_2d(0, 0, ("q1", "q2"), q1, q2, PARAMS) == pytest.approx(
             want, rel=1e-13)
 
 
@@ -256,7 +272,7 @@ def test_position_plane_matches_quadrature():
     rng = np.random.default_rng(31)
     xs = rng.uniform(-1.5 * GAMMA, 1.5 * GAMMA, size=25)
     ys = rng.uniform(-1.5 * GAMMA, 1.5 * GAMMA, size=25)
-    closed = marginal_2d(2, 1, ("q1", "q2"), xs, ys, PARAMS)
+    closed = density_2d(2, 1, ("q1", "q2"), xs, ys, PARAMS)
     quad = marginal_2d_quadrature(2, 1, ("q1", "q2"), xs, ys, PARAMS)
     np.testing.assert_allclose(quad, closed, atol=1e-9 * float(np.max(closed)))
 
@@ -265,7 +281,7 @@ def test_mixed_plane_matches_quadrature():
     rng = np.random.default_rng(32)
     xs = rng.uniform(-1.5 * GAMMA, 1.5 * GAMMA, size=10)
     ys = rng.uniform(-1.5 / GAMMA, 1.5 / GAMMA, size=10)
-    closed = marginal_2d(1, 2, ("q1", "p2"), xs, ys, PARAMS)
+    closed = density_2d(1, 2, ("q1", "p2"), xs, ys, PARAMS)
     quad = marginal_2d_quadrature(1, 2, ("q1", "p2"), xs, ys, PARAMS)
     np.testing.assert_allclose(quad, closed, atol=1e-9 * float(np.max(np.abs(closed))))
 
@@ -276,11 +292,11 @@ def test_swapped_quantum_numbers_use_symmetry():
     ys = np.linspace(-2, 2, 7) * GAMMA
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     np.testing.assert_allclose(
-        marginal_2d(1, 3, ("q1", "q2"), X, Y, PARAMS),
-        marginal_2d(3, 1, ("q1", "q2"), X, Y, PARAMS), rtol=0, atol=0)
+        density_2d(1, 3, ("q1", "q2"), X, Y, PARAMS),
+        density_2d(3, 1, ("q1", "q2"), X, Y, PARAMS), rtol=0, atol=0)
     # and the fold agrees with direct quadrature of the (n, l) state
     quad = marginal_2d_quadrature(1, 3, ("q1", "q2"), xs, ys * 0.5, PARAMS)
-    closed = marginal_2d(1, 3, ("q1", "q2"), xs, ys * 0.5, PARAMS)
+    closed = density_2d(1, 3, ("q1", "q2"), xs, ys * 0.5, PARAMS)
     np.testing.assert_allclose(quad, closed, atol=1e-9 * float(np.max(np.abs(closed))))
 
 
@@ -292,21 +308,21 @@ def test_plane_positivity_on_grid():
         X, Y = np.meshgrid(gx, gy, indexing="ij")
         for n in range(5):
             for l in range(5):
-                vals = marginal_2d(n, l, plane, X, Y, PARAMS)
+                vals = density_2d(n, l, plane, X, Y, PARAMS)
                 assert np.all(vals > 0.0), (plane, n, l)
 
 
 def test_fallback_plane_by_quadrature():
     """The (q2, p1) plane integrates over p1 to the q2 density, and is positive."""
-    val = marginal_2d(1, 1, ("q2", "p1"), 0.5, -0.3, PARAMS)
+    val = density_2d(1, 1, ("q2", "p1"), 0.5, -0.3, PARAMS)
     # cross-check against the 1D density by integrating out the second axis
     rule = gauss_hermite(24)
     t = rule.nodes
     sp = axis_scale("p1", PARAMS)
     cw = rule.weights * np.exp(t * t) * sp
-    vals = marginal_2d(1, 1, ("q2", "p1"), np.full_like(t, 0.5), sp * t, PARAMS)
+    vals = density_2d(1, 1, ("q2", "p1"), np.full_like(t, 0.5), sp * t, PARAMS)
     total = float(np.sum(cw * vals))
-    assert total == pytest.approx(float(marginal_1d(1, 1, "q2", 0.5, PARAMS)),
+    assert total == pytest.approx(float(density_1d(1, 1, "q2", 0.5, PARAMS)),
                                   rel=1e-9)
     assert val > 0
 
@@ -323,15 +339,15 @@ def test_every_plane_matches_quadrature(plane, params):
         y = np.append(0.0, rng.uniform(-2.5, 2.5, 4)) * sy
         order = max(16, n + l + 8) + 8
         quad = marginal_2d_quadrature(n, l, plane, x, y, params, gauss_hermite(order))
-        for got in (marginal_2d(n, l, plane, x, y, params),
-                    marginal_2d(n, l, plane[::-1], y, x, params)):
+        for got in (density_2d(n, l, plane, x, y, params),
+                    density_2d(n, l, plane[::-1], y, x, params)):
             np.testing.assert_allclose(got, quad, rtol=1e-10, atol=1e-13 * bound)
 
 
 def test_invalid_plane_rejected():
     for plane in (("q1", "q1"), ("q1", "q3"), ("q1", "q2", "p1")):
         with pytest.raises(ValueError):
-            marginal_2d(0, 0, plane, 0.0, 0.0, PARAMS)
+            marginal_2d(0, 0, plane, 0.0, 0.0)
     with pytest.raises(ValueError):
         marginal_2d_quadrature(0, 0, ("q1", "q1"), 0.0, 0.0, PARAMS)
     with pytest.raises(ValueError):
@@ -350,7 +366,7 @@ def test_integral_equality_ground_case():
     # both sides reduce to the constant 4
     y = 0.0
     lhs = 4.0
-    assert marginal_1d(0, 0, "q1", y, PARAMS) / (NQ * math.exp(-y * y)) == pytest.approx(lhs)
+    assert density_1d(0, 0, "q1", y, PARAMS) / (NQ * math.exp(-y * y)) == pytest.approx(lhs)
 
 
 @pytest.mark.parametrize("n,l,samples", [
@@ -398,13 +414,13 @@ def test_structural_identities_other_units(params):
 
     for axis, n, l in (("q1", 2, 1), ("p1", 1, 2)):
         xs = np.linspace(-1.5, 1.5, 5) * axis_scale(axis, params)
-        closed = marginal_1d(n, l, axis, xs, params)
+        closed = density_1d(n, l, axis, xs, params)
         quad = marginal_1d_quadrature(n, l, axis, xs, params)
         np.testing.assert_allclose(quad, closed, atol=1e-12 * axis_norm(axis, params))
 
     x = 0.4 * g
     y = 0.3 * axis_scale("p2", params)
-    closed = marginal_2d(2, 1, ("q1", "p2"), x, y, params)
+    closed = density_2d(2, 1, ("q1", "p2"), x, y, params)
     quad = marginal_2d_quadrature(2, 1, ("q1", "p2"), x, y, params)
     assert quad == pytest.approx(float(closed), rel=1e-11)
 
@@ -427,7 +443,7 @@ def test_large_quantum_number_1d_marginals(n, l):
     for axis in AXES:
         scale = axis_scale(axis, PARAMS)
         x, w = rule.scaled(scale)
-        dens = marginal_1d(n, l, axis, x, PARAMS)
+        dens = density_1d(n, l, axis, x, PARAMS)
         assert np.min(dens) >= 0.0
         assert np.sum(w * dens) == pytest.approx(H2, rel=1e-10)
         second = np.sum(w * (x / scale) ** 2 * dens) / H2
@@ -470,7 +486,7 @@ def test_mixture_equals_paper_expansion():
             exact = gauss * np.array([float(_paper_hermite_sum_exact(n, l, u)) for u in us])
             paper = gauss * _hermite_sum(n, l, uf)
             for axis in AXES:
-                got = marginal_1d(n, l, axis, uf * axis_scale(axis, PARAMS), PARAMS)
+                got = density_1d(n, l, axis, uf * axis_scale(axis, PARAMS), PARAMS)
                 got = got / axis_norm(axis, PARAMS)
                 np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(got, paper, rtol=0, atol=1e-10 * np.max(exact))
@@ -509,7 +525,7 @@ def test_plane_closed_forms_match_raw_polynomial_forms(params):
         for n in range(7):
             for l in range(7):
                 want = old(n, l, X, Y, params)
-                got = marginal_2d(n, l, plane, X, Y, params)
+                got = density_2d(n, l, plane, X, Y, params)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(want))
 
 
@@ -522,12 +538,12 @@ def test_large_quantum_number_plane_closed_forms(n, l):
         x, wx = rule.scaled(axis_scale(plane[0], PARAMS))
         y, wy = rule.scaled(axis_scale(plane[1], PARAMS))
         X, Y = np.meshgrid(x, y, indexing="ij")
-        dens = marginal_2d(n, l, plane, X, Y, PARAMS)
+        dens = density_2d(n, l, plane, X, Y, PARAMS)
         assert np.all(np.isfinite(dens))
         if plane not in CONJUGATE_PLANES:
             assert np.min(dens) >= 0.0
         assert np.sum(np.outer(wx, wy) * dens) == pytest.approx(H2, rel=1e-10)
-        m1d = marginal_1d(n, l, plane[0], x, PARAMS)
+        m1d = density_1d(n, l, plane[0], x, PARAMS)
         np.testing.assert_allclose(np.sum(wy * dens, axis=1), m1d,
                                    rtol=0, atol=1e-10 * np.max(m1d))
 
@@ -538,33 +554,43 @@ def test_conjugate_planes_at_the_origin_give_hong_ou_mandel_parity(plane):
     ns = list(range(12)) + [40, 99, 100, 149, 150]
     for n in ns:
         for l in ns:
-            got = marginal_2d(n, l, plane, 0.0, 0.0, PARAMS)
+            got = density_2d(n, l, plane, 0.0, 0.0, PARAMS)
             assert abs(got - 4.0 * math.pi * PARAMS.hbar * (n == l)) <= 1e-12, (n, l)
 
 
 def test_plane_closed_forms_far_from_the_peak():
     # 40-digit reference: 4 pi^2 hbar phi_100(-20)^2 phi_0(20)^2
-    assert marginal_2d(100, 0, ("q1", "p2"), 0.0, 20.0, PARAMS) == pytest.approx(
+    assert density_2d(100, 0, ("q1", "p2"), 0.0, 20.0, PARAMS) == pytest.approx(
         6.046149930934953e-221, rel=1e-12)
     # the position plane of (150, 0) is a Poisson weight in rho^2 = 450
     x = 30.0 ** 2 / GAMMA ** 2
     want = 4.0 * math.pi / GAMMA ** 2 * math.exp(-x + 150 * math.log(x) - math.lgamma(151))
-    assert marginal_2d(150, 0, ("q1", "q2"), 30.0, 0.0, PARAMS) == pytest.approx(
+    assert density_2d(150, 0, ("q1", "q2"), 30.0, 0.0, PARAMS) == pytest.approx(
         want, rel=1e-12)
 
 
 def test_huge_coordinates_give_zero_densities():
-    assert marginal_1d(3, 2, "q1", 1e200, PARAMS) == 0.0
+    assert density_1d(3, 2, "q1", 1e200, PARAMS) == 0.0
     for plane in PLANES:
         for order in (plane, plane[::-1]):
-            assert marginal_2d(3, 2, order, 1e200, 0.0, PARAMS) == 0.0
-            assert marginal_2d(150, 150, order, 1e300, -1e300, PARAMS) == 0.0
+            assert density_2d(3, 2, order, 1e200, 0.0, PARAMS) == 0.0
+            assert density_2d(150, 150, order, 1e300, -1e300, PARAMS) == 0.0
 
 
 def test_closed_planes_share_the_range_guard():
     for plane in PLANES + tuple(p[::-1] for p in PLANES):
         for n, l in ((151, 0), (0, 151), (-1, 0)):
             with pytest.raises(ValueError):
-                marginal_2d(n, l, plane, 0.0, 0.0, PARAMS)
+                marginal_2d(n, l, plane, 0.0, 0.0)
     with pytest.raises(ValueError):
-        marginal_1d(0, 151, "p2", 0.0, PARAMS)
+        marginal_1d(0, 151, 0.0)
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1e200])
+def test_marginals_suite_at_extreme_hbar(hbar):
+    """The suite compares unit-free shapes; h^2 raised OverflowError at 1e200."""
+    from landaustar.checks import run_marginals_suite
+
+    results = run_marginals_suite(PhysParams(hbar=hbar))
+    assert len(results) == 24
+    assert [r.name for r in results if not r.passed] == []

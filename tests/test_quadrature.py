@@ -96,9 +96,9 @@ def test_integrate_ground_state_over_phase_space():
 
 
 def test_integrate_marginal_normalization():
-    got = integrate_nd(lambda x: marginal_1d(1, 1, "q1", x, PARAMS),
-                       (PARAMS.gamma,), gauss_hermite(16))
-    assert got == pytest.approx(PARAMS.planck_h ** 2, rel=1e-12)
+    g = PARAMS.gamma
+    got = integrate_nd(lambda x: marginal_1d(1, 1, x / g), (g,), gauss_hermite(16))
+    assert got == pytest.approx(g, rel=1e-12)
 
 
 def test_convergence_plateau():

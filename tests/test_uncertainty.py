@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_checks
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import StarPolynomial, apply_star_polynomial
 from landaustar.states import (
@@ -27,6 +28,7 @@ from landaustar.uncertainty import (
     hamiltonian_polynomial,
     inner_product,
     robertson_schrodinger_slack,
+    second_moment,
     uncertainty_product,
     variance,
 )
@@ -310,3 +312,19 @@ def test_coherent_state_at_cutoff_128():
     assert robertson_schrodinger_slack(coords["q1"], coords["p1"], s) == pytest.approx(
         0.0, abs=1e-12)
     assert "coeffs" not in rep.__dict__
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1e200])
+def test_uncertainty_checks_at_extreme_hbar(hbar):
+    """var_q * var_p underflowed at hbar = 1e-200 and failed all 49 product checks."""
+    params = PhysParams(hbar=hbar)
+    results = uncertainty_table_checks(params) + [check_uncertainty_lower_bound(params)]
+    assert [r.name for r in results if not r.passed] == []
+
+
+def test_second_moment_is_the_closed_form_up_to_150():
+    for n, l in [(0, 0), (3, 1), (40, 7), (100, 100), (150, 150)]:
+        assert second_moment(n, l) == pytest.approx(0.5 * (n + l + 1), rel=1e-14)
+    assert second_moment(0, 0) == 0.5
+    with pytest.raises(ValueError):
+        second_moment(151, 0)
