@@ -18,6 +18,7 @@ import numpy as np
 
 from .marginals import (
     AXES,
+    _mixture_weights,
     axis_generating,
     axis_norm,
     axis_scale,
@@ -638,17 +639,20 @@ def check_uncertainty_lower_bound(params: PhysParams, nmax: int = 6) -> CheckRes
 
 
 def check_moment_route_agreement(params: PhysParams) -> CheckResult:
-    """Second moments from the mixture weights versus marginal quadrature and Fock traces."""
+    """Second moments (n + l + 1)/2 versus the mixture weights, marginal quadrature and
+    Fock traces, relative in axis units so that the check means the same at any units."""
     coords = coordinate_polynomials(params)
     worst = 0.0
     for n, l in [(0, 0), (1, 0), (2, 1), (3, 3)]:
         s = StateFunctional(wigner_fock(WignerLabel(n, l), n + l + 6), params)
+        moment = second_moment(n, l)
+        weights = float(_mixture_weights(n, l) @ (np.arange(n + l + 1) + 0.5))
+        worst = max(worst, abs(weights - moment) / moment)
         for axis in AXES:
-            poly = coords[axis]
-            moment = axis_scale(axis, params) ** 2 * second_moment(n, l)
+            poly, scale = coords[axis], axis_scale(axis, params)
             for oracle in (expectation(poly * poly, s).real,
                            coordinate_moment(axis, 2, WignerLabel(n, l), params)):
-                worst = max(worst, abs(oracle - moment) / max(1.0, abs(moment)))
+                worst = max(worst, abs(oracle / scale ** 2 - moment) / moment)
     return CheckResult("moment-route-agreement", worst, 1e-9)
 
 

@@ -11,7 +11,8 @@ up at call time.  Tables are formatted a whole table at a time, with the same
 bytes as formatting each cell with ``fmt17`` or ``str``.
 
 The kernels return unit-free shapes and moments; physical units enter only
-here, in to_axis_units for ``eval`` and in the scales ``uncertainty`` applies.
+here: each ``eval`` target is a shape at the grid in axis units times one
+prefactor, and ``uncertainty`` scales the second moment by the axis scales.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 configuration conflict.
@@ -157,36 +158,29 @@ def parse_axis_spec(text: str) -> np.ndarray:
     return np.linspace(*ends, count)
 
 
-def to_axis_units(grid: dict, cfg: RunConfig):
-    """The unit boundary: the grid in axis units, and the one factor that turns
-    the shape on its axes into the printed value.
-
-    h^2/s (as 4 sqrt(pi) axis_norm) for one axis, (h/s_x)(h/s_y) for a plane
-    and 1 for the Wigner function; under --unit-norm 1/s, 1/(s_x s_y) and
-    1/h/h, so no h^2 is formed.  Values past _MAX_AXIS_UNITS axis units and a
-    factor that overflows are input errors; the factor is checked once.
-    """
-    params, h = cfg.params, cfg.params.planck_h
-    scales = [axis_scale(axis, params) for axis in grid]
-    for (axis, values), s in zip(grid.items(), scales):
-        # compared in Python floats, so the check cannot overflow
+def _refuse_far_values(grid: dict, params: PhysParams):
+    """Refuse values past _MAX_AXIS_UNITS axis units, compared in floats that cannot overflow."""
+    for axis, values in grid.items():
+        s = axis_scale(axis, params)
         worst = float(np.max(np.abs(values)))
         if worst > _MAX_AXIS_UNITS * s:
             raise InputError(f"grid value {worst:g} on {axis} is out of range for these "
                              f"units: |{axis}| must be at most {_MAX_AXIS_UNITS * s:g} "
                              f"({_MAX_AXIS_UNITS:g} axis units)")
-    if len(grid) == 1:
-        factor = 1.0 / scales[0] if cfg.unit_norm else (
-            4.0 * math.sqrt(math.pi) * axis_norm(*grid, params))
-    elif len(grid) == 2:
-        sx, sy = scales
-        factor = 1.0 / sx / sy if cfg.unit_norm else (h / sx) * (h / sy)
-    else:
-        factor = 1.0 / h / h if cfg.unit_norm else 1.0
+
+
+def to_axis_units(grid: dict, params: PhysParams) -> dict:
+    """The grid in axis units, x / axis_scale(axis), where the shapes are evaluated."""
+    _refuse_far_values(grid, params)
+    return {axis: values / axis_scale(axis, params) for axis, values in grid.items()}
+
+
+def unit_prefactor(factor: float, axes) -> float:
+    """A target's one unit prefactor, refused if it overflows; checked once, never per value."""
     if not math.isfinite(factor):
-        raise InputError(f"values on {', '.join(grid)} overflow in these units: "
+        raise InputError(f"values on {', '.join(axes)} overflow in these units: "
                          f"their prefactor is {factor:g}")
-    return {axis: values / s for (axis, values), s in zip(grid.items(), scales)}, factor
+    return factor
 
 
 def parse_named_grid(text: str, axes) -> dict:
@@ -246,15 +240,17 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     else:
         target, state_text = args.target, args.state
     label = parse_state_label(state_text)
+    params, h = cfg.params, cfg.params.planck_h
 
     if target == "wigner":
         grid = parse_named_grid(args.grid, AXES)
-        _, factor = to_axis_units(grid, cfg)
+        _refuse_far_values(grid, params)
+        factor = unit_prefactor(1.0 / h / h if cfg.unit_norm else 1.0, AXES)
         mesh = np.meshgrid(*(grid[ax] for ax in AXES), indexing="ij")
         flat = [m.reshape(-1) for m in mesh]
-        vals = factor * state_values(label, *mode_coords_arrays(*flat, cfg.params))
+        vals = factor * state_values(label, *mode_coords_arrays(*flat, params))
         rows = np.column_stack((*flat, vals)).tolist()
-        meta = {"target": "wigner", "state": state_text, "params": params_doc(cfg.params)}
+        meta = {"target": "wigner", "state": state_text, "params": params_doc(params)}
         emit(table_text(("q1", "q2", "p1", "p2", "value"), rows, cfg.fmt, meta), args.out)
         return EXIT_OK
 
@@ -265,10 +261,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if not isinstance(label, WignerLabel):
             raise InputError("1D marginals are defined for wigner:n,l states")
         xs = parse_axis_spec(args.grid if args.grid else "0")
-        units, factor = to_axis_units({detail: xs}, cfg)
+        units = to_axis_units({detail: xs}, params)
+        factor = unit_prefactor(1.0 / axis_scale(detail, params) if cfg.unit_norm else
+                                4.0 * math.sqrt(math.pi) * axis_norm(detail, params), (detail,))
         vals = factor * np.atleast_1d(marginal_1d(label.n, label.l, units[detail]))
         rows = np.column_stack((xs, vals)).tolist()
-        meta = {"axis": detail, "n": label.n, "l": label.l, "params": params_doc(cfg.params)}
+        meta = {"axis": detail, "n": label.n, "l": label.l, "params": params_doc(params)}
         emit(table_text(("x", "value"), rows, cfg.fmt, meta), args.out)
         return EXIT_OK
 
@@ -279,13 +277,15 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if not isinstance(label, WignerLabel):
             raise InputError("2D marginals are defined for wigner:n,l states")
         grid = parse_named_grid(args.grid, plane)
-        units, factor = to_axis_units(grid, cfg)
+        units = to_axis_units(grid, params)
+        sx, sy = (axis_scale(ax, params) for ax in plane)
+        factor = unit_prefactor(1.0 / sx / sy if cfg.unit_norm else (h / sx) * (h / sy), plane)
         x, y = (m.reshape(-1) for m in np.meshgrid(*grid.values(), indexing="ij"))
         u, v = (m.reshape(-1) for m in np.meshgrid(*units.values(), indexing="ij"))
         vals = factor * marginal_2d(label.n, label.l, plane, u, v)
         rows = np.column_stack((x, y, vals)).tolist()
         meta = {"plane": list(plane), "n": label.n, "l": label.l,
-                "params": params_doc(cfg.params)}
+                "params": params_doc(params)}
         emit(table_text((plane[0], plane[1], "value"), rows, cfg.fmt, meta), args.out)
         return EXIT_OK
 
@@ -481,10 +481,7 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         # looked up at call time, so a rebound cmd_* is the one that runs
         return globals()["cmd_" + args.command](args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ConfigConflict as exc:

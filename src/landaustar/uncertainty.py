@@ -1,12 +1,12 @@
 """State functional, moments, variances and uncertainty relations.
 
 Expectation values are coefficient traces in the Fock representation.  A
-Wigner state's coordinates have the second moment m = sum_k w_k (k + 1/2) of
-its 1D marginal shape, in axis units on every axis, so Delta q = gamma sqrt(m),
-Delta p = (hbar/gamma) sqrt(m) and their product is hbar m: no quadrature and
-no h^2.  Marginal quadrature and Fock traces are its oracles.  The general
-two-observable uncertainty relation (Robertson-Schrodinger form) is evaluated
-for arbitrary real star polynomials.
+Wigner state's coordinates have the second moment m = (n + l + 1)/2 in axis
+units on every axis, so Delta q = gamma sqrt(m), Delta p = (hbar/gamma) sqrt(m)
+and their product is hbar m: no quadrature and no h^2.  Its oracles, in the
+checks, are the shape's mixture-weight sum, marginal quadrature and Fock
+traces.  The general two-observable uncertainty relation (Robertson-Schrodinger
+form) is evaluated for arbitrary real star polynomials.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import _mixture_weights, axis_scale, marginal_1d
+from .marginals import axis_scale, marginal_1d
 from .phase_space import PhysParams
 from .quadrature import default_order, gauss_hermite
 from .star import FockRep, ProductRep, StarPolynomial, apply_star_polynomial
@@ -104,21 +104,18 @@ def angular_momentum_polynomial(params: PhysParams) -> StarPolynomial:
 
 
 def second_moment(n: int, l: int) -> float:
-    """<u^2> of the (n, l) state along any axis, in axis units: sum_k w_k (k + 1/2).
+    """<u^2> of the (n, l) state along any axis, in axis units: (n + l + 1)/2.
 
-    The 1D shape mixes the phi_k^2, of second moment k + 1/2, with weights
-    w_k; the sum is (n + l + 1)/2 up to rounding for 0 <= n, l <= 150.
+    The 1D shape mixes the phi_k^2, of second moment k + 1/2, with the weights
+    w_k of a J_x eigenvector, whose mean k is (n + l)/2 because <J_z> = 0.
     """
     _check_quantum_numbers(n, l)
-    return float(_mixture_weights(n, l) @ (np.arange(n + l + 1) + 0.5))
+    return 0.5 * (n + l + 1)
 
 
 def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams) -> float:
-    """k-th moment of a coordinate in a Wigner state, by quadrature of its 1D shape.
-
-    The oracle of second_moment: s^k sum_t w_t t^k shape(t) in axis units.
-    Odd moments vanish by the evenness of the shape and are exact zeros.
-    """
+    """k-th moment of a coordinate in a Wigner state, s^k sum_t w_t t^k shape(t) by
+    quadrature of its 1D shape: the oracle of second_moment.  Odd moments are exact zeros."""
     if k < 0 or k > 8:
         raise ValueError("moment order must be in 0..8")
     if k % 2 == 1:

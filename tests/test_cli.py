@@ -706,7 +706,7 @@ GOLDEN_OUTPUT = {
                          "--grid", "q1=-2:2:5,p2=-1:1:3"),
                         "61690fb5bbd95d87ca7289dcfe57094d2e60b3bda99fa1b77f2bb4a3c49bdd56"),
     "uncertainty": (("uncertainty", "0..2", "0..1"),
-                    "1a46fad5350dd0e3841523aaa43a18413706969b88fe8c62b9a98185c80ed705"),
+                    "9ba9303e04818ec39eaf90406c9843d7f4487d02823a915eff979eccd1e0cd59"),
     "equalities": (("equalities",),
                    "4b22cc7d556dd797b6dd3105138b3eb7226469244d424871d0fe0c094b3be09c"),
     "unit-norm": (("--unit-norm", "eval", "wigner:0,0", "--grid", "q1=0"),

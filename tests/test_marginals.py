@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landaustar.checks import WIGNER_NORM, mixed_param_derivative
-from landaustar.cli import RunConfig, to_axis_units
+from landaustar.cli import to_axis_units
 from landaustar.marginals import (
     AXES,
     axis_generating,
@@ -32,16 +32,17 @@ CONJUGATE_PLANES = (("q1", "p1"), ("q2", "p2"))
 
 
 def density_1d(n, l, axis, x, params):
-    """The physical 1D density at x, as eval prints it: the boundary's factor times the shape."""
-    units, factor = to_axis_units({axis: np.asarray(x, dtype=float)}, RunConfig(params))
-    return factor * marginal_1d(n, l, units[axis])
+    """The physical 1D density at x, as eval prints it: h^2/s times the shape."""
+    units = to_axis_units({axis: np.asarray(x, dtype=float)}, params)
+    return 4.0 * math.sqrt(math.pi) * axis_norm(axis, params) * marginal_1d(n, l, units[axis])
 
 
 def density_2d(n, l, plane, x, y, params):
-    """The physical 2D density at (x, y), as eval prints it."""
+    """The physical 2D density at (x, y), as eval prints it: (h/s_x)(h/s_y) times the shape."""
     grid = dict(zip(plane, (np.asarray(x, dtype=float), np.asarray(y, dtype=float))))
-    units, factor = to_axis_units(grid, RunConfig(params))
-    return factor * marginal_2d(n, l, plane, *units.values())
+    h = params.planck_h
+    sx, sy = (axis_scale(ax, params) for ax in plane)
+    return (h / sx) * (h / sy) * marginal_2d(n, l, plane, *to_axis_units(grid, params).values())
 
 
 def test_axis_scales_and_norms():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from landaustar import checks
 from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_checks
+from landaustar.marginals import _mixture_weights
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import StarPolynomial, apply_star_polynomial
 from landaustar.states import (
@@ -325,6 +327,20 @@ def test_uncertainty_checks_at_extreme_hbar(hbar):
 def test_second_moment_is_the_closed_form_up_to_150():
     for n, l in [(0, 0), (3, 1), (40, 7), (100, 100), (150, 150)]:
         assert second_moment(n, l) == pytest.approx(0.5 * (n + l + 1), rel=1e-14)
+        # the moment of the 1D shape's mixture, sum_k w_k (k + 1/2)
+        weights = _mixture_weights(n, l) @ (np.arange(n + l + 1) + 0.5)
+        assert weights == pytest.approx(second_moment(n, l), rel=1e-14)
     assert second_moment(0, 0) == 0.5
+    assert second_moment(150, 150) == 150.5
     with pytest.raises(ValueError):
         second_moment(151, 0)
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
+def test_moment_route_check_catches_a_wrong_moment_at_any_units(monkeypatch, hbar):
+    """The residual is relative in axis units: a floor of 1 hid any error at small hbar."""
+    params = PhysParams(hbar=hbar)
+    result = checks.check_moment_route_agreement(params)
+    assert result.passed and result.residual < 1e-13
+    monkeypatch.setattr(checks, "second_moment", lambda n, l: 0.5 * (n + l + 1) * (1 + 1e-8))
+    assert not checks.check_moment_route_agreement(params).passed
