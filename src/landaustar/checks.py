@@ -169,6 +169,18 @@ def _random_fock(rng, cutoff: int) -> FockRep:
     return FockRep(cutoff, coeffs)
 
 
+def _stacked_values(reps, cutoff: int, a, b):
+    """Values of every rep at mode coordinates (a, b), stacked on a trailing axis.
+
+    Both modes' matrix_unit_values are formed once for all the reps, so an
+    integrand built on this hands integrate_nd one integral per rep.
+    """
+    wa = matrix_unit_values(cutoff, a.ravel())
+    wb = matrix_unit_values(cutoff, b.ravel())
+    vals = np.stack([_fock_point_values(rep, wa, wb) for rep in reps], axis=-1)
+    return vals.reshape(a.shape + (len(reps),))
+
+
 def _random_points(rng, count: int, params: PhysParams):
     g = params.gamma
     qs = rng.uniform(-1.2 * g, 1.2 * g, size=(count, 2))
@@ -240,7 +252,7 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
             stack = [(0, root)]
             while stack:
                 depth, (rep, symbol) = stack.pop()
-                vals_ladder = _fock_point_values(rep.coeffs, wa, wb)
+                vals_ladder = _fock_point_values(rep, wa, wb)
                 vals_oracle = symbol.eval(a, b)
                 worst = max(worst, _rel_residual(vals_ladder, vals_oracle))
                 if depth < max_len:
@@ -259,18 +271,17 @@ def check_trace_property(params: PhysParams, pairs: int = 3, cutoff: int = 3) ->
     # the pointwise product of two states decays twice as fast as one state
     root2 = math.sqrt(2.0)
     scales = (g_ / root2, g_ / root2, params.hbar / g_ / root2, params.hbar / g_ / root2)
+    reps = [_random_fock(rng, cutoff) for _ in range(2 * pairs)]  # f, g of each pair
+
+    def pointwise(q1, q2, p1, p2):
+        vals = _stacked_values(reps, cutoff, *mode_coords_arrays(q1, q2, p1, p2, params))
+        return vals[..., 0::2] * vals[..., 1::2]
+
+    rhs = integrate_nd(pointwise, scales, rule)
     worst = 0.0
-    for _ in range(pairs):
-        f = _random_fock(rng, cutoff)
-        g = _random_fock(rng, cutoff)
+    for f, g, r in zip(reps[0::2], reps[1::2], rhs):
         lhs = integrate(star(f, g), params)
-
-        def pointwise(q1, q2, p1, p2):
-            am, bm = mode_coords_arrays(q1, q2, p1, p2, params)
-            return fock_values(f, am, bm) * fock_values(g, am, bm)
-
-        rhs = integrate_nd(pointwise, scales, rule)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        worst = max(worst, abs(lhs - r) / max(1.0, abs(r)))
     return CheckResult("trace-property", worst, 1e-9)
 
 
@@ -332,23 +343,22 @@ def check_angular_momentum_eigenvalues(params: PhysParams, nmax: int = 6) -> Che
 
 
 def check_matrix_unit_trace_rule(params: PhysParams) -> CheckResult:
-    """Quadrature validation of integral(unit_{m n k l}) = h^2 delta_mn delta_kl."""
+    """Quadrature validation of integral(unit_{m n k l}) = h^2 delta_mn delta_kl.
+
+    Integrated over the four axis units, where h^2 reads (2 pi)^2 at any units.
+    """
     rule = gauss_hermite(20)
-    g_ = params.gamma
-    scales = (g_, g_, params.hbar / g_, params.hbar / g_)
-    h2 = params.planck_h ** 2
-    worst = 0.0
-    for m, n, k, l in [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (2, 1, 1, 1),
-                       (1, 1, 2, 2), (0, 0, 1, 2)]:
-        rep = matrix_unit(m, n, k, l, 4)
+    g_, sp = params.gamma, params.hbar / params.gamma
+    units = [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (2, 1, 1, 1), (1, 1, 2, 2), (0, 0, 1, 2)]
+    reps = [matrix_unit(*unit, 4) for unit in units]
 
-        def pointwise(q1, q2, p1, p2):
-            am, bm = mode_coords_arrays(q1, q2, p1, p2, params)
-            return fock_values(rep, am, bm)
+    def pointwise(u1, u2, u3, u4):
+        am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
+        return _stacked_values(reps, 4, am, bm)
 
-        got = integrate_nd(pointwise, scales, rule)
-        want = h2 if (m == n and k == l) else 0.0
-        worst = max(worst, abs(got - want) / h2)
+    got = integrate_nd(pointwise, (1.0,) * 4, rule)
+    want = np.array([WIGNER_NORM if (m == n and k == l) else 0.0 for m, n, k, l in units])
+    worst = float(np.max(np.abs(got - want))) / WIGNER_NORM
     return CheckResult("matrix-unit-trace-rule", worst, 1e-9)
 
 
@@ -764,22 +774,21 @@ def check_coherent_projection(params: PhysParams) -> CheckResult:
 
 
 def check_coherent_normalization(params: PhysParams) -> CheckResult:
-    h2 = params.planck_h ** 2
+    """integral(g) = h^2 for coherent states: h^2 times the trace, so |trace - 1|,
+    and one quadrature of the closed form over the axis units against (2 pi)^2."""
     worst = 0.0
     for a1, a2 in _ALPHA_SAMPLES:
         g = coherent_fock(CoherentLabel(a1, a2), _COHERENT_CUTOFF)
-        worst = max(worst, abs(integrate(g, params) - h2) / h2)
-    # one independent quadrature of the closed form
-    g_ = params.gamma
-    scales = (g_, g_, params.hbar / g_, params.hbar / g_)
+        worst = max(worst, abs(g.trace() - 1.0))
+    g_, sp = params.gamma, params.hbar / params.gamma
     rule = gauss_hermite(32)
     label = CoherentLabel(1 + 1j, -0.5)
 
-    def gs(q1, q2, p1, p2):
-        am, bm = mode_coords_arrays(q1, q2, p1, p2, params)
+    def gs(u1, u2, u3, u4):
+        am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
         return coherent_values(label, am, bm)
 
-    worst = max(worst, abs(integrate_nd(gs, scales, rule) - h2) / h2)
+    worst = max(worst, abs(integrate_nd(gs, (1.0,) * 4, rule) - WIGNER_NORM) / WIGNER_NORM)
     return CheckResult("coherent-normalization", worst, 1e-9)
 
 

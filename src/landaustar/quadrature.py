@@ -57,9 +57,14 @@ def integrate_nd(f, scales, rule: QuadratureRule):
 
     ``scales`` holds one positive width per axis (dims = len(scales), 1..4);
     the rule is rescaled per axis by QuadratureRule.scaled.  ``f`` is called
-    with ``dims`` broadcastable coordinate arrays and must evaluate elementwise.  Exactness is the caller's contract: f has
-    to decay like the matching Gaussian times a polynomial of degree below
-    2*order per axis.  Summation order is fixed, so results are reproducible.
+    with ``dims`` broadcastable coordinate arrays and must evaluate
+    elementwise.  Trailing axes of its value past the coordinates' shape hold
+    separate integrands: the result is then an array of their integrals, each
+    equal to the integral of that integrand alone, so one evaluation of shared
+    basis values per slab serves them all.  Exactness is the caller's
+    contract: f has to decay like the matching Gaussian times a polynomial of
+    degree below 2*order per axis.  Summation order is fixed, so results are
+    reproducible.
     """
     scales = [float(s) for s in np.atleast_1d(scales)]
     dims = len(scales)
@@ -70,16 +75,29 @@ def integrate_nd(f, scales, rule: QuadratureRule):
     axes, weights = zip(*(rule.scaled(s) for s in scales))
 
     if dims == 1:
-        return np.sum(weights[0] * np.asarray(f(axes[0])))
+        return _weighted_sums(weights[0], np.asarray(f(axes[0])))
 
     # Slab over the first axis to bound memory at order^(dims-1).
     inner = np.meshgrid(*axes[1:], indexing="ij")
     w_inner = functools.reduce(np.multiply.outer, weights[1:])
-    slab_sums = np.empty(rule.order, dtype=complex)
-    for i, x0 in enumerate(axes[0]):
-        vals = np.asarray(f(np.full_like(inner[0], x0), *inner))
-        slab_sums[i] = weights[0][i] * np.sum(w_inner * vals)
-    total = np.sum(slab_sums)
-    if abs(total.imag) == 0.0:
+    slab_sums = np.array([_weighted_sums(w_inner, np.asarray(f(np.full_like(inner[0], x0), *inner)))
+                          for x0 in axes[0]], dtype=complex)
+    total = _weighted_sums(weights[0], slab_sums)
+    if np.all(total.imag == 0.0):
         return total.real
     return total
+
+
+def _weighted_sums(w, vals):
+    """np.sum(w * v) over the axes of w, one sum per trailing index of vals.
+
+    Each integrand is summed alone, so its sum is the same, to the last bit,
+    as the sum of that integrand passed by itself.
+    """
+    extra = vals.shape[w.ndim:]
+    if not extra:
+        return np.sum(w * vals)
+    out = np.empty(extra, dtype=np.result_type(w, vals))
+    for k in np.ndindex(extra):
+        out[k] = np.sum(w * vals[(...,) + k])
+    return out

@@ -11,8 +11,10 @@ function values.  It comes in two storage forms, chosen by type:
 - ProductRep, a short sum of per-mode products c A (x) B of N x N matrices.
   Every state the package constructs has this form, because the two modes
   commute: star products, ladder actions and traces act on each mode's
-  matrix separately, at N^2 or N^3 cost instead of N^4.  Its dense tensor is
-  built only on request (``coeffs``).
+  matrix separately, at N^2 or N^3 cost instead of N^4.  State queries
+  need only tr(p * rep), which star_traces takes word by word as a product
+  of one trace per mode, without building the applied state.  Its dense
+  tensor is built only on request (``coeffs``).
 - FockRep, the dense cutoff^4 coefficient tensor, for general two-mode
   functions: matrix units, JSON-loaded states, random tensors, and sums that
   mix the two forms.
@@ -247,7 +249,11 @@ def fock_to_json_dict(f: FockRep) -> dict:
 
 
 def fock_from_json_dict(d: Mapping) -> FockRep:
-    """Inverse of fock_to_json_dict; rejects anything that function cannot write."""
+    """Inverse of fock_to_json_dict; rejects anything that function cannot write.
+
+    The entries are validated as arrays; only when that fails are they walked
+    one by one, to name the first bad entry.
+    """
     try:
         cutoff = d["cutoff"]
         entries = d["entries"]
@@ -258,21 +264,58 @@ def fock_from_json_dict(d: Mapping) -> FockRep:
     if not isinstance(entries, list):
         raise ValueError(f"entries must be a list, got {entries!r}")
     rep = FockRep.zero(cutoff)
+    table = _entry_table(entries, cutoff)
+    if table is None:
+        _raise_at_first_bad_entry(entries, cutoff)
+    index, values = table
+    # a later entry for the same index overrides an earlier one
+    flat = np.ravel_multi_index(tuple(index), rep.coeffs.shape)
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    rep.coeffs.reshape(-1)[flat[last]] = values[last]
+    return rep
+
+
+def _entry_table(entries: list, cutoff: int):
+    """(index columns, complex values) of the entries, or None unless every entry is
+    [m1, n1, m2, n2, re, im] with int indices in range and finite int or float parts."""
+    try:
+        if not set(map(len, entries)) <= {6}:
+            return None
+    except TypeError:  # an entry without a length
+        return None
+    cells = list(itertools.chain.from_iterable(entries))
+    columns = [cells[k::6] for k in range(6)]
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
+    if not (set(map(type, itertools.chain(*columns[:4]))) <= {int}
+            and set(map(type, itertools.chain(*columns[4:]))) <= {int, float}):
+        return None
+    try:
+        index = np.array(columns[:4], dtype=np.int64)
+        parts = np.array(columns[4:], dtype=float)
+    except OverflowError:
+        return None
+    if not (np.all((index >= 0) & (index < cutoff)) and np.all(np.isfinite(parts))):
+        return None
+    values = np.empty(len(entries), dtype=complex)
+    values.real, values.imag = parts
+    return index, values
+
+
+def _raise_at_first_bad_entry(entries: list, cutoff: int):
+    """Name the first entry _entry_table rejects, in document order."""
     for pos, e in enumerate(entries):
         try:
             m1, n1, m2, n2, re, im = e
             value = complex(re, im)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"malformed entry at position {pos}: {e!r}") from None
-        # type() rather than isinstance(): JSON true/false must not pass as 1/0
         if not (type(m1) is type(n1) is type(m2) is type(n2) is int
                 and type(re) in (int, float) and type(im) in (int, float)
                 and cmath.isfinite(value)):
             raise ValueError(f"malformed entry at position {pos}: {e!r}")
         if not (0 <= m1 < cutoff and 0 <= n1 < cutoff and 0 <= m2 < cutoff and 0 <= n2 < cutoff):
             raise ValueError(f"entry index out of range at position {pos}: {e[:4]}")
-        rep.coeffs[m1, n1, m2, n2] = value
-    return rep
+    raise ValueError("malformed entries")
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +443,39 @@ def apply_star_polynomial(poly: StarPolynomial, f, side: str = "left"):
     return FockRep(f.cutoff, total, overflow)
 
 
+def _word_factors(a0: np.ndarray, b0: np.ndarray, side: str):
+    """factor(mode, letters): a term's first-mode ("a") or second-mode ("b")
+    factor after ``letters`` act on it from ``side``, in the order they act.
+
+    Every prefix of the letters is cached, each one _ladder_step, with its
+    truncation at the cutoff, from the one before, so words whose letters act
+    alike at first (from the left: words that end alike) share that work.
+    The cache lives only as long as the returned function, which holds no
+    reference to itself, so it is freed as soon as its caller drops it.
+    """
+    done = {"a": {(): a0}, "b": {(): b0}}
+
+    def factor(mode, letters):
+        cache = done[mode]
+        known = len(letters)
+        while letters[:known] not in cache:
+            known -= 1
+        x = cache[letters[:known]]
+        for k in range(known, len(letters)):
+            raising = _raises(letters[k], side)
+            x = _ladder_step(x, raising) if side == "left" else _ladder_step(x.T, raising).T
+            cache[letters[:k + 1]] = x
+        return x
+
+    return factor
+
+
+def _mode_of(gen: str) -> str:
+    if gen not in GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
+    return "a" if gen in ("a", "abar") else "b"
+
+
 def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep:
     """apply_star_polynomial on per-mode factors.
 
@@ -415,23 +491,13 @@ def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep
     overflow = f.overflow
     terms = []
     for c0, a0, b0 in f.terms:
-        done = {"a": {(): a0}, "b": {(): b0}}
-
-        def factor(mode, letters):
-            cache = done[mode]
-            if letters not in cache:
-                x, raising = factor(mode, letters[:-1]), _raises(letters[-1], side)
-                cache[letters] = (_ladder_step(x, raising) if side == "left"
-                                  else _ladder_step(x.T, raising).T)
-            return cache[letters]
-
+        factor = _word_factors(a0, b0, side)
         by_b_letters: dict = {}
         for c, word in poly.terms:
             applied = {"a": (), "b": ()}
             for gen in (reversed(word) if side == "left" else word):
-                if gen not in GENERATORS:
-                    raise ValueError(f"unknown generator {gen!r}")
-                mode, other = ("a", "b") if gen in ("a", "abar") else ("b", "a")
+                mode = _mode_of(gen)
+                other = "b" if mode == "a" else "a"
                 if _raises(gen, side) and not overflow:
                     own = factor(mode, applied[mode])
                     top = own[-1] if side == "left" else own[:, -1]
@@ -445,6 +511,42 @@ def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep
             if np.any(a != 0) and np.any(b != 0):
                 terms.append((c0, a, b))
     return ProductRep(f.cutoff, tuple(terms), overflow)
+
+
+def star_traces(polys, rep: ProductRep) -> list:
+    """tr(p * rep) for each star polynomial p in ``polys``, without applied states.
+
+    The modes commute, so a word w acts on a term c A (x) B as its first-mode
+    letters w_a on A and its second-mode letters w_b on B, and the trace of the
+    result factors: tr(w * rep) = sum over terms of c tr(w_a A) tr(w_b B).  Each
+    mode's letters go through the same truncated ladder steps as
+    apply_star_polynomial, memoized per term in one call, so the traces equal
+    apply_star_polynomial(p, rep).trace() up to summation order, truncation
+    included.
+    """
+    words = []
+    for p in polys:
+        split = []
+        for c, word in p.terms:
+            letters = {"a": (), "b": ()}
+            for gen in reversed(word):
+                letters[_mode_of(gen)] += (gen,)
+            split.append((c, letters["a"], letters["b"]))
+        words.append(split)
+    totals = [0j] * len(words)
+    for c0, a0, b0 in rep.terms:
+        factor = _word_factors(a0, b0, "left")
+        traces = {"a": {}, "b": {}}
+
+        def trace(mode, letters):
+            known = traces[mode]
+            if letters not in known:
+                known[letters] = complex(factor(mode, letters).trace())
+            return known[letters]
+
+        for i, split in enumerate(words):
+            totals[i] += c0 * sum(c * trace("a", la) * trace("b", lb) for c, la, lb in split)
+    return totals
 
 
 # ---------------------------------------------------------------------------

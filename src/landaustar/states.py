@@ -21,7 +21,8 @@ A coherent factor is the outer product of the closed displacement column
 D(alpha)|n>, normalized over the kept levels; the weight the column loses
 past the cutoff sets ``overflow``.
 The dense FockRep tensor is built only where a consumer asks for ``coeffs``
-(JSON dump, the reality residual); ``fock_values`` evaluates either form.
+(JSON dump, the reality residual); ``fock_values`` evaluates either form,
+each in its own storage.
 """
 
 from __future__ import annotations
@@ -103,27 +104,27 @@ def fock_values(rep, a, b):
     """Pointwise values of a FockRep or ProductRep at mode coordinates (a, b), vectorized."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    wa = matrix_unit_values(rep.cutoff, a.ravel())
-    wb = matrix_unit_values(rep.cutoff, b.ravel())
-    if isinstance(rep, ProductRep):
-        # each mode's factor contracts with its own basis values
-        vals = np.zeros(a.size, dtype=complex)
-        for c, ma, mb in rep.terms:
-            vals += (c * np.tensordot(ma, wa, axes=([0, 1], [0, 1]))
-                     * np.tensordot(mb, wb, axes=([0, 1], [0, 1])))
-    else:
-        vals = _fock_point_values(rep.coeffs, wa, wb)
+    vals = _fock_point_values(rep, matrix_unit_values(rep.cutoff, a.ravel()),
+                              matrix_unit_values(rep.cutoff, b.ravel()))
     return vals.reshape(a.shape) if a.shape else complex(vals[0])
 
 
-def _fock_point_values(coeffs, wa, wb):
-    """sum_{mnkl} coeffs[m, n, k, l] wa[m, n, p] wb[k, l, p] for every point p.
+def _fock_point_values(rep, wa, wb):
+    """Values of a FockRep or ProductRep at every point p.
 
-    ``wa`` and ``wb`` are matrix_unit_values of the two modes at the points.
-    Contracting the first mode as one matrix product leaves an N^2 x points
-    array to sum against the second mode.
+    ``wa`` and ``wb`` are matrix_unit_values of the two modes at the points,
+    shape (N, N, points).  A ProductRep contracts each mode's factor with its
+    own basis values.  A FockRep contracts its dense tensor: the first mode as
+    one matrix product, which leaves an N^2 x points array to sum against the
+    second mode.
     """
-    first = np.tensordot(coeffs, wa, axes=([0, 1], [0, 1]))
+    if isinstance(rep, ProductRep):
+        vals = np.zeros(wa.shape[2], dtype=complex)
+        for c, ma, mb in rep.terms:
+            vals += (c * np.tensordot(ma, wa, axes=([0, 1], [0, 1]))
+                     * np.tensordot(mb, wb, axes=([0, 1], [0, 1])))
+        return vals
+    first = np.tensordot(rep.coeffs, wa, axes=([0, 1], [0, 1]))
     return np.einsum("klp,klp->p", first, wb)
 
 

@@ -1,7 +1,12 @@
 """State functional, moments, variances and uncertainty relations.
 
-Expectation values are coefficient traces in the Fock representation.  A
-Wigner state's coordinates have the second moment m = (n + l + 1)/2 in axis
+Every state query reduces to the state functional s(f) = tr(f * rho) on a
+per-mode product state (ProductRep): star.star_traces takes it word by word,
+as a product of one trace per mode, without building the applied state.
+Expectation, inner product and the Robertson-Schrodinger slack are each one
+call of it; variance is one inner product and two expectations.
+
+A Wigner state's coordinates have the second moment m = (n + l + 1)/2 in axis
 units on every axis, so Delta q = gamma sqrt(m), Delta p = (hbar/gamma) sqrt(m)
 and their product is hbar m: no quadrature and no h^2.  Its oracles, in the
 checks, are the shape's mixture-weight sum, marginal quadrature and Fock
@@ -18,7 +23,7 @@ import numpy as np
 from .marginals import axis_scale, marginal_1d
 from .phase_space import PhysParams
 from .quadrature import default_order, gauss_hermite
-from .star import FockRep, ProductRep, StarPolynomial, apply_star_polynomial
+from .star import ProductRep, StarPolynomial, apply_star_polynomial, star_traces
 from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
@@ -37,10 +42,15 @@ _BBAR = StarPolynomial.generator("bbar")
 
 @dataclass(frozen=True)
 class StateFunctional:
-    """Normalized positive linear functional on the star algebra."""
+    """Normalized positive linear functional on the star algebra, f -> tr(f * state)."""
 
-    state: FockRep | ProductRep
+    state: ProductRep
     params: PhysParams
+
+    def __post_init__(self):
+        if not isinstance(self.state, ProductRep):
+            raise TypeError(f"StateFunctional needs a ProductRep state, "
+                            f"got {type(self.state).__name__}")
 
     def __call__(self, f: StarPolynomial) -> complex:
         return expectation(f, self)
@@ -54,18 +64,18 @@ class MomentReport:
 
 
 def expectation(f: StarPolynomial, s: StateFunctional) -> complex:
-    """Coefficient trace of f star-applied to the state."""
-    return apply_star_polynomial(f, s.state, side="left").trace()
+    """tr(f * state), from per-mode word traces."""
+    return star_traces([f], s.state)[0]
 
 
 def inner_product(f: StarPolynomial, g: StarPolynomial, s: StateFunctional) -> complex:
     """s(conj(f) * g); conjugate-symmetric and positive semidefinite.
 
-    Applied as conj(f) * (g * state), which equals (conj(f) * g) * state by
-    associativity and avoids expanding the product polynomial.
+    One trace of the product polynomial: its words are those of conj(f)
+    followed by those of g, and each word's letters act in the same order
+    as g first, then conj(f).
     """
-    gs = apply_star_polynomial(g, s.state, side="left")
-    return apply_star_polynomial(f.conjugate(), gs, side="left").trace()
+    return star_traces([f.conjugate() * g], s.state)[0]
 
 
 def variance(f: StarPolynomial, s: StateFunctional) -> float:
@@ -140,17 +150,12 @@ def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,
     (Df)^2 (Dg)^2 - [ -<{f,g}>^2/4 + <{df,dg}_+>^2/4 ].  For real observables
     the bracket mean is purely imaginary and the anti-bracket mean purely
     real; the stray components are asserted small and dropped before squaring.
-    A real observable has the same terms as its conjugate, so each variance
-    reuses the star applications already made: six in all.
+    A real observable equals its conjugate, so the variances need <f f> and
+    <g g>: six traces in all, from one star_traces call.
     """
     if not f.is_real_observable() or not g.is_real_observable():
         raise ValueError("both observables must be real-valued star polynomials")
-    fs = apply_star_polynomial(f, s.state, side="left")
-    gs = apply_star_polynomial(g, s.state, side="left")
-    fg = apply_star_polynomial(f, gs, side="left").trace()
-    gf = apply_star_polynomial(g, fs, side="left").trace()
-    mean_f = fs.trace()
-    mean_g = gs.trace()
+    mean_f, mean_g, fg, gf, ff, gg = star_traces([f, g, f * g, g * f, f * f, g * g], s.state)
     bracket = fg - gf
     if abs(bracket.real) > 1e-12 * max(1.0, abs(bracket)):
         raise ValueError(f"bracket mean not purely imaginary: {bracket}")
@@ -158,8 +163,8 @@ def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,
     if abs(anti.imag) > 1e-12 * max(1.0, abs(anti)):
         raise ValueError(f"anti-bracket mean not purely real: {anti}")
     bound = 0.25 * (bracket.imag ** 2 + anti.real ** 2)
-    var_f = float((apply_star_polynomial(f, fs, side="left").trace() - mean_f * mean_f).real)
-    var_g = float((apply_star_polynomial(g, gs, side="left").trace() - mean_g * mean_g).real)
+    var_f = float((ff - mean_f * mean_f).real)
+    var_g = float((gg - mean_g * mean_g).real)
     return var_f * var_g - bound
 
 

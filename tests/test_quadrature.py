@@ -114,6 +114,27 @@ def test_convergence_plateau():
     assert abs(hi - lo) <= 1e-11 * abs(hi)
 
 
+@pytest.mark.parametrize("dims", [1, 2, 4])
+def test_stacked_integrands_equal_separate_calls(dims):
+    """Trailing axes of the value are separate integrals, each bit-equal to its own call."""
+    rule = gauss_hermite(7)
+    scales = (0.7, 1.3, 0.9, 1.1)[:dims]
+
+    def one(k):
+        def f(*x):
+            r2 = sum(xi * xi for xi in x)
+            return (1.0 + k * x[0] ** 2 + 1j * (k - 1) * x[-1]) * np.exp(-r2)
+        return f
+
+    def stacked(*x):
+        return np.stack([one(k)(*x) for k in range(3)], axis=-1)
+
+    got = integrate_nd(stacked, scales, rule)
+    assert got.shape == (3,)
+    for k in range(3):
+        assert got[k] == integrate_nd(one(k), scales, rule)
+
+
 def test_default_order_rule():
     assert default_order(0, 0) == 16
     assert default_order(6, 6) == 20

@@ -7,9 +7,11 @@ import pytest
 from landaustar.checks import moyal_integral_star_single_mode
 from landaustar.phase_space import PhysParams
 from landaustar.star import (
+    GENERATORS,
     CanonicalPoly,
     FockRep,
     PolyGauss,
+    ProductRep,
     StarPolynomial,
     anti_moyal_bracket,
     apply_star_polynomial,
@@ -29,10 +31,15 @@ from landaustar.star import (
     oracle_apply_word,
     right_star_generator,
     star,
+    star_traces,
 )
 from landaustar.states import (
+    CoherentLabel,
+    GeneralizedCoherentLabel,
     WignerLabel,
     _fock_point_values,
+    coherent_fock,
+    generalized_coherent_fock,
     matrix_unit_values,
     wigner_fock,
     wigner_symbol,
@@ -278,7 +285,7 @@ def test_oracle_matches_ladder_route_spot():
         for n, l in [(0, 0), (2, 1), (3, 3)]:
             rep = apply_star_polynomial(StarPolynomial(((1.0 + 0j, word),)),
                                         wigner_fock(WignerLabel(n, l), cutoff))
-            ladder_vals = _fock_point_values(rep.coeffs, wa, wb)
+            ladder_vals = _fock_point_values(rep, wa, wb)
             oracle_vals = oracle_apply_word(word, wigner_symbol(n, l)).eval(pts_a, pts_b)
             np.testing.assert_allclose(ladder_vals, oracle_vals, rtol=1e-10, atol=1e-12)
 
@@ -336,6 +343,73 @@ def test_associativity_spot():
     np.testing.assert_allclose(left.coeffs, right.coeffs, atol=1e-13 * max(1.0, scale))
 
 
+def random_words(rng, count, max_len=6):
+    """Words of every length 0..max_len: mixed, first-mode only and second-mode only."""
+    pools = (GENERATORS, ("a", "abar"), ("b", "bbar"))
+    out = []
+    for k in range(count):
+        pool = pools[k % 3]
+        length = k % (max_len + 1)
+        out.append(tuple(pool[i] for i in rng.integers(0, len(pool), size=length)))
+    return out
+
+
+def random_polynomials(rng, count, terms=3):
+    words = random_words(rng, count * terms)
+    return [StarPolynomial.from_terms((complex(rng.normal(), rng.normal()), w)
+                                      for w in words[i * terms:(i + 1) * terms])
+            for i in range(count)]
+
+
+def assert_traces_match_applied(polys, rep):
+    """star_traces against the trace of the applied state, 1e-13 relative."""
+    got = star_traces(polys, rep)
+    assert len(got) == len(polys)
+    for p, value in zip(polys, got):
+        want = apply_star_polynomial(p, rep).trace()
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (p, value, want)
+
+
+def test_star_traces_match_applied_traces_on_multi_term_states():
+    rng = np.random.default_rng(17)
+    cutoff = 9
+    ma, mb = (rng.normal(size=(2, cutoff, cutoff)) + 1j * rng.normal(size=(2, cutoff, cutoff)))
+    gen = generalized_coherent_fock(
+        GeneralizedCoherentLabel(0.4 - 0.3j, 0.2j, WignerLabel(2, 1)), cutoff)
+    reps = [
+        ProductRep(cutoff, ((0.3 - 1.2j, ma, mb), (2.0, mb, ma))),
+        wigner_fock(WignerLabel(1, 3), cutoff) + (0.5 + 0.5j) * gen.conjugate(),
+        apply_star_polynomial(random_polynomials(rng, 1)[0], gen),
+    ]
+    assert all(len(rep.terms) > 1 for rep in reps)
+    for rep in reps:
+        assert_traces_match_applied(random_polynomials(rng, 8), rep)
+
+
+def test_star_traces_on_truncated_coherent_states():
+    """Truncation at the cutoff is the same ladder step on both routes."""
+    rng = np.random.default_rng(18)
+    for label in (CoherentLabel(1.6 + 0.3j, -1.2 + 1.9j),
+                  GeneralizedCoherentLabel(1.5 + 0.5j, -1.0j, WignerLabel(3, 2))):
+        rep = (coherent_fock(label, 8) if isinstance(label, CoherentLabel)
+               else generalized_coherent_fock(label, 8))
+        assert rep.overflow
+        assert_traces_match_applied(random_polynomials(rng, 8), rep)
+
+
+def test_star_traces_of_constants_and_single_words():
+    rng = np.random.default_rng(19)
+    rep = generalized_coherent_fock(
+        GeneralizedCoherentLabel(0.7 + 0.1j, -0.6 + 0.2j, WignerLabel(2, 3)), 12)
+    words = random_words(rng, 42)
+    assert {len(w) for w in words} == set(range(7))
+    polys = [StarPolynomial(), StarPolynomial.constant(2.5 - 1j)]
+    polys += [StarPolynomial(((1.0 + 0j, w),)) for w in words]
+    assert_traces_match_applied(polys, rep)
+    assert star_traces(polys[:2], rep) == [0j, (2.5 - 1j) * rep.trace()]
+    assert star_traces([], rep) == []
+
+
 def test_serialization_round_trip():
     rep = wigner_fock(WignerLabel(2, 1), 5) + 0.5j * matrix_unit(0, 1, 2, 3, 5)
     doc = fock_to_json_dict(rep)
@@ -366,6 +440,31 @@ def test_serialization_rejects_bad_docs():
         fock_from_json_dict({"cutoff": 4, "entries": [[0, 0, 0, 0, 1.0]]})
     with pytest.raises(ValueError):
         fock_from_json_dict({"cutoff": 4, "entries": [[0, 0, 0, 9, 1.0, 0.0]]})
+
+
+def test_serialization_reads_entries_like_the_per_entry_rule():
+    rep = fock_from_json_dict({"cutoff": 2, "entries": [
+        [0, 0, 0, 0, 1.0, 0.0], [1, 0, 1, 0, -0.0, 2], [0, 0, 0, 0, -0.0, -3.0]]})
+    # a later entry for the same index wins, and signed zeros survive
+    assert rep.coeffs[0, 0, 0, 0] == -3j and math.copysign(1.0, rep.coeffs[0, 0, 0, 0].real) < 0
+    assert rep.coeffs[1, 0, 1, 0] == 2j and math.copysign(1.0, rep.coeffs[1, 0, 1, 0].real) < 0
+    good = [[1, 1, 0, 1, 0.5, -0.25]] * 40
+    later = [[0, 0, 0, 7, 1.0, 0.0]]  # also bad, but after the first bad entry
+    for bad, message in (
+            ([True, 0, 0, 0, 1.0, 0.0], "malformed entry at position 40: [True, 0, 0, 0, 1.0, 0.0]"),
+            ([0, 0, 0, 0, 1.0, False], "malformed entry at position 40"),
+            ([0, 0, 0, 0, float("inf"), 0.0], "malformed entry at position 40"),
+            ([0, 0, 0, 0, 10 ** 400, 0], "malformed entry at position 40"),
+            ([0, 0, 1.0, 0, 1.0, 0.0], "malformed entry at position 40"),
+            ([0, 0, 0, 0, "1", 0], "malformed entry at position 40"),
+            ([0, 0, 0, 0, 1.0], "malformed entry at position 40"),
+            (None, "malformed entry at position 40: None"),
+            ([0, 2, 0, 0, 1.0, 0.0], "entry index out of range at position 40: [0, 2, 0, 0]"),
+            ([0, 0, -1, 0, 1.0, 0.0], "entry index out of range at position 40: [0, 0, -1, 0]"),
+            ([0, 0, 0, 2 ** 70, 1.0, 0.0], "entry index out of range at position 40")):
+        with pytest.raises(ValueError) as err:
+            fock_from_json_dict({"cutoff": 2, "entries": good + [bad] + later})
+        assert str(err.value).startswith(message)
 
 
 def test_displacement_matrix_routes_agree():

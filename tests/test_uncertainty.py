@@ -7,7 +7,7 @@ from landaustar import checks
 from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_checks
 from landaustar.marginals import _mixture_weights
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
-from landaustar.star import StarPolynomial, apply_star_polynomial
+from landaustar.star import FockRep, StarPolynomial, apply_star_polynomial
 from landaustar.states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
@@ -273,6 +273,49 @@ def test_generalized_variance_matches_base():
     label = GeneralizedCoherentLabel(0.8 - 0.2j, 0.5j, WignerLabel(2, 1))
     s = StateFunctional(generalized_coherent_fock(label, 24), PARAMS)
     assert variance(coords["q1"], s) == pytest.approx(want, abs=1e-9)
+
+
+def applied_references(f, g, state):
+    """expectation, inner_product and rs slack from applied states, the route before
+    per-mode word traces: f * (g * state) and its trace."""
+    fs, gs = apply_star_polynomial(f, state), apply_star_polynomial(g, state)
+    mean_f, mean_g = fs.trace(), gs.trace()
+    fg = apply_star_polynomial(f, gs).trace()
+    gf = apply_star_polynomial(g, fs).trace()
+    var_f = (apply_star_polynomial(f, fs).trace() - mean_f * mean_f).real
+    var_g = (apply_star_polynomial(g, gs).trace() - mean_g * mean_g).real
+    slack = var_f * var_g - 0.25 * ((fg - gf).imag ** 2 + (fg + gf - 2 * mean_f * mean_g).real ** 2)
+    inner = apply_star_polynomial(f.conjugate(), gs).trace()
+    return mean_f, inner, slack
+
+
+@pytest.mark.parametrize("label", [
+    WignerLabel(2, 3),
+    CoherentLabel(1.6 + 0.3j, -1.2 + 1.9j),  # truncated at cutoff 12
+    GeneralizedCoherentLabel(0.5j, -0.4, WignerLabel(1, 2)),
+])
+def test_queries_match_applied_state_traces(label):
+    rng = np.random.default_rng(47)
+    rep = state_fock(label, 12)
+    s = StateFunctional(rep, PARAMS)
+    coords = coordinate_polynomials(PARAMS)
+    pairs = [(coords["q1"], coords["p1"]), (coords["q2"] * coords["p2"] + coords["p2"] * coords["q2"],
+                                            coords["q1"])]
+    for _ in range(3):
+        f, g = (checks._random_real_observable(rng) for _ in range(2))
+        pairs.append((f, g))
+    for f, g in pairs:
+        mean, inner, slack = applied_references(f, g, rep)
+        assert abs(expectation(f, s) - mean) <= 1e-13 * max(1.0, abs(mean))
+        assert abs(inner_product(f, g, s) - inner) <= 1e-13 * max(1.0, abs(inner))
+        got = robertson_schrodinger_slack(f, g, s)
+        assert abs(got - slack) <= 1e-12 * max(1.0, abs(slack))
+
+
+def test_functional_needs_a_product_state():
+    dense = FockRep(4, wigner_fock(WignerLabel(1, 0), 4).coeffs)
+    with pytest.raises(TypeError, match="FockRep"):
+        StateFunctional(dense, PARAMS)
 
 
 def test_functional_is_callable():
