@@ -33,14 +33,13 @@ from .phase_space import PhysParams, mode_coords_arrays
 from .quadrature import gauss_hermite, integrate_nd
 from .star import (
     CanonicalPoly,
-    FockRep,
     GENERATORS,
+    ProductRep,
     StarPolynomial,
     apply_star_polynomial,
     canonical_star,
     displacement_matrix,
     displacement_matrix_closed,
-    integrate,
     ladder_matrices,
     left_star_generator,
     matrix_unit,
@@ -83,6 +82,9 @@ SUITES = ("star", "marginals", "uncertainty", "coherent")
 PLANES = tuple(itertools.combinations(AXES, 2))
 # integral of every Wigner function over the four axis units: h^2/hbar^2
 WIGNER_NORM = (2.0 * math.pi) ** 2
+# entries of the dense tensor _gap builds at once: whole tensors up to
+# cutoff 16, a few rows at a time above
+_GAP_BLOCK = 1 << 16
 # a 1D density over its axis_norm is this times its shape; 1D residuals are
 # stated per axis_norm, so they read the same in every unit system
 PER_AXIS_NORM = 4.0 * math.sqrt(math.pi)
@@ -141,6 +143,38 @@ def mixed_param_derivative(fn, orders, radius: float = 0.5, points: int = 10) ->
     return complex(out)
 
 
+def dense_star_contraction(f, g) -> np.ndarray:
+    """The dense cutoff^4 tensor of f * g, contracted from f's and g's dense tensors.
+
+    Composes rows and columns of both modes at once, N^6 work: the oracle of
+    star, which composes each mode's factors separately.
+    """
+    out = np.tensordot(f.coeffs, g.coeffs, axes=([1, 3], [0, 2]))
+    # tensordot leaves axes ordered (m1, m2, n1, n2)
+    return out.transpose(0, 2, 1, 3)
+
+
+def _gap(f: ProductRep, g: ProductRep | None = None) -> float:
+    """max |f - g| over the dense tensors (max |f| without g), in O(N^3) memory.
+
+    The tensors are built a block of first-mode rows at a time, at most
+    _GAP_BLOCK entries or one row, each summed term by term with the same
+    operations as ProductRep.coeffs, so the result is that of comparing the
+    full N^4 tensors, bit for bit.
+    """
+    n = f.cutoff
+    step = max(1, _GAP_BLOCK // n ** 3)
+
+    def rows(rep, lo):
+        out = np.zeros((min(step, n - lo),) + (n,) * 3, dtype=complex)
+        for c, a, b in rep.terms:
+            out += np.multiply.outer(c * a[lo:lo + step], b)
+        return out
+
+    return max(float(np.max(np.abs(rows(f, lo) - (0.0 if g is None else rows(g, lo)))))
+               for lo in range(0, n, step))
+
+
 def _rel_residual(got, want, floor: float = 1.0) -> float:
     got = np.asarray(got)
     want = np.asarray(want)
@@ -163,10 +197,15 @@ def _random_real_observable(rng, n_terms: int = 2, max_len: int = 3) -> StarPoly
     return p + p.conjugate()
 
 
-def _random_fock(rng, cutoff: int) -> FockRep:
-    shape = (cutoff,) * 4
-    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return FockRep(cutoff, coeffs)
+def _random_product(rng, cutoff: int, terms: int = 3) -> ProductRep:
+    """A sum of ``terms`` random per-mode products whose dense entries have unit
+    variance, as those of a standard complex normal tensor do."""
+    def normal(*shape):
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+
+    return ProductRep(cutoff, tuple((complex(normal()) / math.sqrt(terms),
+                                     normal(cutoff, cutoff), normal(cutoff, cutoff))
+                                    for _ in range(terms)))
 
 
 def _stacked_values(reps, cutoff: int, a, b):
@@ -199,7 +238,7 @@ def check_projection(params: PhysParams, nmax: int = 6) -> CheckResult:
     for n in range(nmax + 1):
         for l in range(nmax + 1):
             w = wigner_fock(WignerLabel(n, l), cutoff)
-            worst = max(worst, float(np.max(np.abs(star(w, w).coeffs - w.coeffs))))
+            worst = max(worst, _gap(star(w, w), w))
     return CheckResult("projection W*W=W", worst, 1e-12)
 
 
@@ -213,19 +252,24 @@ def check_orthogonality(params: PhysParams, nmax: int = 6) -> CheckResult:
             if (n, l) == (n2, l2):
                 continue
             w2 = wigner_fock(WignerLabel(n2, l2), cutoff)
-            worst = max(worst, float(np.max(np.abs(star(w1, w2).coeffs))))
+            worst = max(worst, _gap(star(w1, w2)))
     return CheckResult("orthogonality W*W'=0", worst, 1e-12)
 
 
 def check_associativity(params: PhysParams, triples: int = 200, cutoff: int = 12) -> CheckResult:
+    """(f * g) * h = f * (g * h) on random products, and each f * g against the
+    dense contraction, each relative to the size of its result."""
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(triples):
-        f, g, h = (_random_fock(rng, cutoff) for _ in range(3))
-        left = star(star(f, g), h)
-        right = star(f, star(g, h))
-        scale = max(1.0, float(np.max(np.abs(left.coeffs))))
-        worst = max(worst, float(np.max(np.abs(left.coeffs - right.coeffs))) / scale)
+        f, g, h = (_random_product(rng, cutoff) for _ in range(3))
+        fg = star(f, g)
+        dense = dense_star_contraction(f, g)
+        worst = max(worst, float(np.max(np.abs(fg.coeffs - dense)))
+                    / max(1.0, float(np.max(np.abs(dense)))))
+        left, right = star(fg, h).coeffs, star(f, star(g, h)).coeffs
+        worst = max(worst, float(np.max(np.abs(left - right)))
+                    / max(1.0, float(np.max(np.abs(left)))))
     return CheckResult("associativity", worst, 1e-13)
 
 
@@ -264,23 +308,26 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
 
 
 def check_trace_property(params: PhysParams, pairs: int = 3, cutoff: int = 3) -> CheckResult:
-    """integral(f*g) equals integral of the pointwise product, by 4D quadrature."""
+    """integral(f*g) equals integral of the pointwise product, by 4D quadrature.
+
+    Integrated over the four axis units, where integral(f*g) = h^2 tr(f*g)
+    reads (2 pi)^2 tr(f*g) at any units.
+    """
     rng = np.random.default_rng(1003)
     rule = gauss_hermite(24)
-    g_ = params.gamma
-    # the pointwise product of two states decays twice as fast as one state
-    root2 = math.sqrt(2.0)
-    scales = (g_ / root2, g_ / root2, params.hbar / g_ / root2, params.hbar / g_ / root2)
-    reps = [_random_fock(rng, cutoff) for _ in range(2 * pairs)]  # f, g of each pair
+    g_, sp = params.gamma, params.hbar / params.gamma
+    reps = [_random_product(rng, cutoff) for _ in range(2 * pairs)]  # f, g of each pair
 
-    def pointwise(q1, q2, p1, p2):
-        vals = _stacked_values(reps, cutoff, *mode_coords_arrays(q1, q2, p1, p2, params))
+    def pointwise(u1, u2, u3, u4):
+        am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
+        vals = _stacked_values(reps, cutoff, am, bm)
         return vals[..., 0::2] * vals[..., 1::2]
 
-    rhs = integrate_nd(pointwise, scales, rule)
+    # the pointwise product of two states decays twice as fast as one state
+    rhs = integrate_nd(pointwise, (1.0 / math.sqrt(2.0),) * 4, rule)
     worst = 0.0
     for f, g, r in zip(reps[0::2], reps[1::2], rhs):
-        lhs = integrate(star(f, g), params)
+        lhs = WIGNER_NORM * star(f, g).trace()
         worst = max(worst, abs(lhs - r) / max(1.0, abs(r)))
     return CheckResult("trace-property", worst, 1e-9)
 
@@ -289,11 +336,11 @@ def check_hermitian_involution(params: PhysParams, pairs: int = 20, cutoff: int 
     rng = np.random.default_rng(1004)
     worst = 0.0
     for _ in range(pairs):
-        f = _random_fock(rng, cutoff)
-        g = _random_fock(rng, cutoff)
+        f = _random_product(rng, cutoff)
+        g = _random_product(rng, cutoff)
         lhs = star(f, g).conjugate()
         rhs = star(g.conjugate(), f.conjugate())
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+        worst = max(worst, _gap(lhs, rhs))
     return CheckResult("hermitian-involution", worst, 1e-12)
 
 
@@ -304,12 +351,10 @@ def check_ladder_consistency(params: PhysParams, nmax: int = 6) -> CheckResult:
         for l in range(nmax + 1):
             w = wigner_fock(WignerLabel(n, l), cutoff)
             wm = wigner_fock(WignerLabel(n - 1, l), cutoff)
-            lhs = left_star_generator("a", w)
-            rhs = right_star_generator("a", wm)
-            worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+            worst = max(worst, _gap(left_star_generator("a", w), right_star_generator("a", wm)))
             lhs = left_star_generator("b", wigner_fock(WignerLabel(l, n), cutoff))
             rhs = right_star_generator("b", wigner_fock(WignerLabel(l, n - 1), cutoff))
-            worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+            worst = max(worst, _gap(lhs, rhs))
     return CheckResult("ladder-consistency", worst, 1e-13)
 
 
@@ -322,7 +367,7 @@ def _eigen_residual(params: PhysParams, poly: StarPolynomial, eigval, nmax: int)
             lam = eigval(n, l)
             for side in ("left", "right"):
                 res = apply_star_polynomial(poly, w, side)
-                worst = max(worst, float(np.max(np.abs(res.coeffs - lam * w.coeffs))))
+                worst = max(worst, _gap(res, lam * w))
     return worst
 
 
@@ -769,7 +814,7 @@ def check_coherent_projection(params: PhysParams) -> CheckResult:
     worst = 0.0
     for a1, a2 in _ALPHA_SAMPLES:
         g = coherent_fock(CoherentLabel(a1, a2), _COHERENT_CUTOFF)
-        worst = max(worst, float(np.max(np.abs(star(g, g).coeffs - g.coeffs))))
+        worst = max(worst, _gap(star(g, g), g))
     return CheckResult("coherent-projection", worst, 1e-10)
 
 
@@ -933,7 +978,7 @@ def check_coherent_eigenvalue(params: PhysParams) -> CheckResult:
         rep = coherent_fock(CoherentLabel(a1, a2), _COHERENT_CUTOFF)
         for gen, lam in (("a", a1), ("b", a2)):
             res = left_star_generator(gen, rep)
-            worst = max(worst, float(np.max(np.abs(res.coeffs - lam * rep.coeffs))))
+            worst = max(worst, _gap(res, lam * rep))
     return CheckResult("coherent-eigenvalue", worst, 1e-9)
 
 
@@ -1024,8 +1069,7 @@ def check_generalized_normalization(params: PhysParams) -> CheckResult:
     for label in _GENERALIZED_SAMPLES:
         rep = generalized_coherent_fock(label, _COHERENT_CUTOFF)
         worst = max(worst, abs(rep.trace() - 1.0))
-        prod = star(rep, rep)
-        worst = max(worst, float(np.max(np.abs(prod.coeffs - rep.coeffs))))
+        worst = max(worst, _gap(star(rep, rep), rep))
     return CheckResult("generalized-projection-normalization", worst, 1e-10)
 
 

@@ -6,18 +6,18 @@ like matrix units, u_{mn} * u_{m'n'} = delta_{n m'} u_{m n'}, so star products,
 ladder actions and phase-space integrals reduce to finite linear algebra.
 The basis is normalized so that this composition rule carries no extra
 factors; the pointwise evaluator (states module) owns the conversion back to
-function values.  It comes in two storage forms, chosen by type:
+function values.  It has one storage form, ProductRep: a short sum of
+per-mode products c A (x) B of N x N matrices.  Every state the package
+constructs has this form, and so does every matrix unit, because the two
+modes commute: star products, ladder actions and traces act on each mode's
+matrix separately, at N^2 or N^3 cost instead of N^4.  State queries need
+only tr(p * rep), which star_traces takes word by word as a product of one
+trace per mode, without building the applied state.  Its dense cutoff^4
+tensor is built only on request (``coeffs``).
 
-- ProductRep, a short sum of per-mode products c A (x) B of N x N matrices.
-  Every state the package constructs has this form, because the two modes
-  commute: star products, ladder actions and traces act on each mode's
-  matrix separately, at N^2 or N^3 cost instead of N^4.  State queries
-  need only tr(p * rep), which star_traces takes word by word as a product
-  of one trace per mode, without building the applied state.  Its dense
-  tensor is built only on request (``coeffs``).
-- FockRep, the dense cutoff^4 coefficient tensor, for general two-mode
-  functions: matrix units, JSON-loaded states, random tensors, and sums that
-  mix the two forms.
+FockRep is that dense tensor as a state document holds it: what
+fock_from_json_dict reads and fock_to_json_dict writes.  The algebra does not
+compute on it; every entry point refuses it with a TypeError.
 
 Representation B: one terminating bidifferential series on sparse
 polynomial (optionally times Gaussian) symbols, with two pairings: a against
@@ -67,42 +67,16 @@ def ladder_matrices(cutoff: int):
 
 @dataclass(frozen=True)
 class FockRep:
-    """Two-mode coefficient tensor over the matrix-unit basis.
+    """The dense two-mode coefficient tensor of a state document.
 
     ``coeffs[m1, n1, m2, n2]`` multiplies the basis element with row/column
-    indices (m1, n1) in the first mode and (m2, n2) in the second.  Instances
-    are treated as immutable values; ``overflow`` is a sticky flag recording
-    that some construction step truncated weight at the cutoff.
+    indices (m1, n1) in the first mode and (m2, n2) in the second.  It is only
+    read and written (fock_from_json_dict, fock_to_json_dict); the star algebra
+    computes on ProductRep and refuses a FockRep.
     """
 
     cutoff: int
     coeffs: np.ndarray
-    overflow: bool = False
-
-    @staticmethod
-    def zero(cutoff: int) -> "FockRep":
-        return FockRep(cutoff, np.zeros((cutoff,) * 4, dtype=complex))
-
-    def conjugate(self) -> "FockRep":
-        return FockRep(self.cutoff, np.conj(self.coeffs).transpose(1, 0, 3, 2), self.overflow)
-
-    def trace(self) -> complex:
-        return complex(np.einsum("iijj->", self.coeffs))
-
-    def reality_residual(self) -> float:
-        """Max deviation from the condition that the function is real-valued."""
-        return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs).transpose(1, 0, 3, 2))))
-
-    def __add__(self, other: "FockRep") -> "FockRep":
-        _check_cutoffs(self, other)
-        return FockRep(self.cutoff, self.coeffs + other.coeffs, self.overflow or other.overflow)
-
-    def __sub__(self, other: "FockRep") -> "FockRep":
-        _check_cutoffs(self, other)
-        return FockRep(self.cutoff, self.coeffs - other.coeffs, self.overflow or other.overflow)
-
-    def __rmul__(self, c) -> "FockRep":
-        return FockRep(self.cutoff, c * self.coeffs, self.overflow)
 
 
 @dataclass(frozen=True)
@@ -110,8 +84,9 @@ class ProductRep:
     """Sum over terms (c, A, B) of c A (x) B: per-mode factors of a two-mode tensor.
 
     A and B are N x N coefficient matrices of the first and second mode, so the
-    dense tensor is coeffs[m1, n1, m2, n2] = sum c A[m1, n1] B[m2, n2].  Values
-    are immutable like FockRep's and ``overflow`` has the same meaning.
+    dense tensor is coeffs[m1, n1, m2, n2] = sum c A[m1, n1] B[m2, n2].
+    Instances are treated as immutable values; ``overflow`` is a sticky flag
+    recording that some construction step truncated weight at the cutoff.
     """
 
     cutoff: int
@@ -133,16 +108,18 @@ class ProductRep:
     def trace(self) -> complex:
         return complex(sum(c * np.trace(a) * np.trace(b) for c, a, b in self.terms))
 
-    reality_residual = FockRep.reality_residual
+    def reality_residual(self) -> float:
+        """Max deviation from the condition that the function is real-valued."""
+        c = self.coeffs
+        return float(np.max(np.abs(c - np.conj(c).transpose(1, 0, 3, 2))))
 
-    def __add__(self, other):
+    def __add__(self, other) -> "ProductRep":
+        _require_product(other)
         _check_cutoffs(self, other)
-        if isinstance(other, ProductRep):
-            return ProductRep(self.cutoff, self.terms + other.terms,
-                              self.overflow or other.overflow)
-        return FockRep(self.cutoff, self.coeffs, self.overflow) + other
+        return ProductRep(self.cutoff, self.terms + other.terms, self.overflow or other.overflow)
 
-    def __sub__(self, other):
+    def __sub__(self, other) -> "ProductRep":
+        _require_product(other)
         return self + (-1.0) * other
 
     def __rmul__(self, c) -> "ProductRep":
@@ -150,63 +127,48 @@ class ProductRep:
                           self.overflow)
 
 
+def _require_product(*reps):
+    """The one guard of the algebra's entry points: it computes on ProductRep only."""
+    for rep in reps:
+        if not isinstance(rep, ProductRep):
+            raise TypeError(f"expected a ProductRep, got {type(rep).__name__}")
+
+
 def _check_cutoffs(f, g):
     if f.cutoff != g.cutoff:
         raise ValueError(f"cutoff mismatch: {f.cutoff} != {g.cutoff}")
 
 
-def matrix_unit(m1: int, n1: int, m2: int, n2: int, cutoff: int) -> FockRep:
-    """Single matrix-unit basis element as a FockRep."""
+def matrix_unit(m1: int, n1: int, m2: int, n2: int, cutoff: int) -> ProductRep:
+    """Single matrix-unit basis element: the one-term product E_{m1 n1} (x) E_{m2 n2}."""
     if not all(0 <= i < cutoff for i in (m1, n1, m2, n2)):
         raise ValueError(f"index out of range for cutoff {cutoff}: {(m1, n1, m2, n2)}")
-    rep = FockRep.zero(cutoff)
-    rep.coeffs[m1, n1, m2, n2] = 1.0
-    return rep
+    a, b = np.zeros((cutoff, cutoff)), np.zeros((cutoff, cutoff))
+    a[m1, n1] = b[m2, n2] = 1.0
+    return ProductRep(cutoff, ((1.0, a, b),))
 
 
-def star(f, g):
-    """Star product: matrix composition independently in each mode.
+def star(f: ProductRep, g: ProductRep) -> ProductRep:
+    """Star product: matrix composition independently in each mode, factor by factor.
 
     Composition cannot raise indices, so the result stays within the cutoff.
-    Two ProductReps compose factor by factor; any other pair densely.
     """
+    _require_product(f, g)
     _check_cutoffs(f, g)
-    overflow = f.overflow or g.overflow
-    if isinstance(f, ProductRep) and isinstance(g, ProductRep):
-        return ProductRep(f.cutoff, tuple((cf * cg, af @ ag, bf @ bg)
-                                          for cf, af, bf in f.terms
-                                          for cg, ag, bg in g.terms), overflow)
-    out = np.tensordot(f.coeffs, g.coeffs, axes=([1, 3], [0, 2]))
-    # tensordot leaves axes ordered (m1, m2, n1, n2)
-    return FockRep(f.cutoff, np.ascontiguousarray(out.transpose(0, 2, 1, 3)), overflow)
+    return ProductRep(f.cutoff, tuple((cf * cg, af @ ag, bf @ bg)
+                                      for cf, af, bf in f.terms
+                                      for cg, ag, bg in g.terms), f.overflow or g.overflow)
 
 
-def _apply_generator(gen: str, side: str, rep):
-    """Ladder action of one generator from the given side.
-
-    Left action of the annihilation function lowers the row index; left action
-    of the creation function raises it (weight in the top slice is dropped and
-    flagged).  Right actions mirror on the column index.
-    """
-    if isinstance(rep, ProductRep):
-        return apply_star_polynomial(StarPolynomial.generator(gen), rep, side)
-    if gen not in GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}")
-    # coefficient axes are (m1, n1, m2, n2): row, then column, of each mode
-    axis = (0 if gen in ("a", "abar") else 2) + (side == "right")
-    raising = _raises(gen, side)
-    c = np.moveaxis(rep.coeffs, axis, 0)
-    out = np.moveaxis(_ladder_step(c, raising), 0, axis)
-    overflow = rep.overflow or (raising and bool(np.any(c[-1] != 0)))
-    return FockRep(rep.cutoff, out, overflow)
+def left_star_generator(gen: str, f: ProductRep) -> ProductRep:
+    """gen * f.  The annihilation function lowers the row index; the creation
+    function raises it (weight in the top row is dropped and flagged)."""
+    return apply_star_polynomial(StarPolynomial.generator(gen), f, "left")
 
 
-def left_star_generator(gen: str, f):
-    return _apply_generator(gen, "left", f)
-
-
-def right_star_generator(gen: str, f):
-    return _apply_generator(gen, "right", f)
+def right_star_generator(gen: str, f: ProductRep) -> ProductRep:
+    """f * gen: the left action's mirror on the column index."""
+    return apply_star_polynomial(StarPolynomial.generator(gen), f, "right")
 
 
 def _raises(gen: str, side: str) -> bool:
@@ -215,14 +177,13 @@ def _raises(gen: str, side: str) -> bool:
 
 
 def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
-    """One ladder action along the leading axis of x.
+    """One ladder action on the row index of the N x N factor x.
 
     The ladder matrices have one nonzero diagonal, so the action is a shifted,
     scaled copy: the same values as the matrix product, at the cost of a copy.
-    Callers put the acted-on index first: a right action on an N x N factor
-    passes its transpose, the dense tensor a view with that axis moved.
+    A right action acts on the column index and passes the transpose.
     """
-    s = np.sqrt(np.arange(1.0, x.shape[0])).reshape((-1,) + (1,) * (x.ndim - 1))
+    s = np.sqrt(np.arange(1.0, x.shape[0]))[:, None]
     out = np.zeros_like(x)
     if raising:
         out[1:] = s * x[:-1]
@@ -236,15 +197,17 @@ def integrate(f, params: PhysParams) -> complex:
     return params.planck_h ** 2 * f.trace()
 
 
-def fock_to_entries(f: FockRep):
-    """Nonzero coefficients as [m1, n1, m2, n2, re, im] rows in index order."""
+def fock_to_entries(f):
+    """Nonzero coefficients of a FockRep or ProductRep as [m1, n1, m2, n2, re, im]
+    rows in index order."""
     idx = np.argwhere(f.coeffs != 0)  # row-major, so already sorted
     vals = f.coeffs[tuple(idx.T)]
     return [i + [re, im] for i, re, im in zip(idx.tolist(), vals.real.tolist(),
                                               vals.imag.tolist())]
 
 
-def fock_to_json_dict(f: FockRep) -> dict:
+def fock_to_json_dict(f) -> dict:
+    """The state document of a FockRep or ProductRep: its cutoff and dense entries."""
     return {"cutoff": f.cutoff, "entries": fock_to_entries(f)}
 
 
@@ -263,16 +226,16 @@ def fock_from_json_dict(d: Mapping) -> FockRep:
         raise ValueError(f"cutoff must be an integer of at least 2, got {cutoff!r}")
     if not isinstance(entries, list):
         raise ValueError(f"entries must be a list, got {entries!r}")
-    rep = FockRep.zero(cutoff)
     table = _entry_table(entries, cutoff)
     if table is None:
         _raise_at_first_bad_entry(entries, cutoff)
     index, values = table
+    coeffs = np.zeros((cutoff,) * 4, dtype=complex)
     # a later entry for the same index overrides an earlier one
-    flat = np.ravel_multi_index(tuple(index), rep.coeffs.shape)
+    flat = np.ravel_multi_index(tuple(index), coeffs.shape)
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-    rep.coeffs.reshape(-1)[flat[last]] = values[last]
-    return rep
+    coeffs.reshape(-1)[flat[last]] = values[last]
+    return FockRep(cutoff, coeffs)
 
 
 def _entry_table(entries: list, cutoff: int):
@@ -425,24 +388,6 @@ def _normal_order_single(word, low: str, high: str) -> dict:
     return results
 
 
-def apply_star_polynomial(poly: StarPolynomial, f, side: str = "left"):
-    """Fold the ladder actions of each word over f, linearly in the polynomial."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if isinstance(f, ProductRep):
-        return _apply_product(poly, f, side)
-    total = np.zeros_like(f.coeffs)
-    overflow = f.overflow
-    for c, word in poly.terms:
-        cur = f
-        letters = reversed(word) if side == "left" else word
-        for gen in letters:
-            cur = _apply_generator(gen, side, cur)
-        total = total + c * cur.coeffs
-        overflow = overflow or cur.overflow
-    return FockRep(f.cutoff, total, overflow)
-
-
 def _word_factors(a0: np.ndarray, b0: np.ndarray, side: str):
     """factor(mode, letters): a term's first-mode ("a") or second-mode ("b")
     factor after ``letters`` act on it from ``side``, in the order they act.
@@ -476,18 +421,20 @@ def _mode_of(gen: str) -> str:
     return "a" if gen in ("a", "abar") else "b"
 
 
-def _apply_product(poly: StarPolynomial, f: ProductRep, side: str) -> ProductRep:
-    """apply_star_polynomial on per-mode factors.
+def apply_star_polynomial(poly: StarPolynomial, f: ProductRep, side: str = "left") -> ProductRep:
+    """Fold the ladder actions of each word over f's per-mode factors.
 
     The modes commute, so each word acts as its first-mode letters on A and
     its second-mode letters on B.  Letters are applied one at a time, each
-    partial product cached per term, so the overflow flag follows the dense
-    fold letter by letter: a raising letter that meets a nonzero top row
-    (column) of its own factor while the other factor is nonzero drops
-    weight.  The test is per term; the dense fold tests the sum of the terms,
-    which differs only where terms cancel exactly in the top slice.  Words
-    sharing their second-mode letters share one output term.
+    partial product cached per term, and the overflow flag follows them letter
+    by letter: a raising letter that meets a nonzero top row (column) of its
+    own factor while the other factor is nonzero drops weight.  The test is
+    per term, so it also flags terms whose top slices would cancel in the
+    sum.  Words sharing their second-mode letters share one output term.
     """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    _require_product(f)
     overflow = f.overflow
     terms = []
     for c0, a0, b0 in f.terms:
@@ -554,20 +501,18 @@ def star_traces(polys, rep: ProductRep) -> list:
 # ---------------------------------------------------------------------------
 
 def _bracket(f, g, params: PhysParams | None, combine):
-    reps = (FockRep, ProductRep)
-    if isinstance(f, reps) and isinstance(g, reps):
-        return combine(star(f, g), star(g, f))
     if isinstance(f, StarPolynomial) and isinstance(g, StarPolynomial):
         return combine(f * g, g * f)
     if isinstance(f, CanonicalPoly) and isinstance(g, CanonicalPoly):
         if params is None:
             raise ValueError("canonical-coordinate bracket needs params")
         return combine(canonical_star(f, g, params), canonical_star(g, f, params))
-    raise TypeError(f"unsupported bracket operands: {type(f).__name__}, {type(g).__name__}")
+    # any other pair composes as matrix-unit functions, which star checks
+    return combine(star(f, g), star(g, f))
 
 
 def moyal_bracket(f, g, params: PhysParams | None = None):
-    """f * g - g * f for Fock-basis, StarPolynomial or CanonicalPoly pairs."""
+    """f * g - g * f for ProductRep, StarPolynomial or CanonicalPoly pairs."""
     return _bracket(f, g, params, operator.sub)
 
 

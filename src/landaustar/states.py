@@ -20,9 +20,9 @@ constructors return a ProductRep of one term: one N x N matrix per mode.
 A coherent factor is the outer product of the closed displacement column
 D(alpha)|n>, normalized over the kept levels; the weight the column loses
 past the cutoff sets ``overflow``.
-The dense FockRep tensor is built only where a consumer asks for ``coeffs``
-(JSON dump, the reality residual); ``fock_values`` evaluates either form,
-each in its own storage.
+The dense tensor is built only where a consumer asks for ``coeffs`` (JSON
+dump, the reality residual); ``fock_values`` contracts each mode's factor
+with that mode's basis values and refuses a dense FockRep.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from .star import (
     PolyGauss,
     ProductRep,
     StarPolynomial,
+    _require_product,
     displacement_matrix_closed,
+    matrix_unit,
 )
 
 TAIL_TOLERANCE = 1e-12
@@ -100,8 +102,9 @@ def matrix_unit_values(cutoff: int, z):
     return out
 
 
-def fock_values(rep, a, b):
-    """Pointwise values of a FockRep or ProductRep at mode coordinates (a, b), vectorized."""
+def fock_values(rep: ProductRep, a, b):
+    """Pointwise values of a ProductRep at mode coordinates (a, b), vectorized."""
+    _require_product(rep)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     vals = _fock_point_values(rep, matrix_unit_values(rep.cutoff, a.ravel()),
@@ -109,23 +112,18 @@ def fock_values(rep, a, b):
     return vals.reshape(a.shape) if a.shape else complex(vals[0])
 
 
-def _fock_point_values(rep, wa, wb):
-    """Values of a FockRep or ProductRep at every point p.
+def _fock_point_values(rep: ProductRep, wa, wb):
+    """Values of a ProductRep at every point p.
 
     ``wa`` and ``wb`` are matrix_unit_values of the two modes at the points,
-    shape (N, N, points).  A ProductRep contracts each mode's factor with its
-    own basis values.  A FockRep contracts its dense tensor: the first mode as
-    one matrix product, which leaves an N^2 x points array to sum against the
-    second mode.
+    shape (N, N, points); each term contracts each mode's factor with that
+    mode's basis values.
     """
-    if isinstance(rep, ProductRep):
-        vals = np.zeros(wa.shape[2], dtype=complex)
-        for c, ma, mb in rep.terms:
-            vals += (c * np.tensordot(ma, wa, axes=([0, 1], [0, 1]))
-                     * np.tensordot(mb, wb, axes=([0, 1], [0, 1])))
-        return vals
-    first = np.tensordot(rep.coeffs, wa, axes=([0, 1], [0, 1]))
-    return np.einsum("klp,klp->p", first, wb)
+    vals = np.zeros(wa.shape[2], dtype=complex)
+    for c, ma, mb in rep.terms:
+        vals += (c * np.tensordot(ma, wa, axes=([0, 1], [0, 1]))
+                 * np.tensordot(mb, wb, axes=([0, 1], [0, 1])))
+    return vals
 
 
 def fock_eval(rep, pt: PhasePoint, params: PhysParams) -> complex:
@@ -209,9 +207,7 @@ def wigner_fock(label: WignerLabel, cutoff: int) -> ProductRep:
     """Diagonal matrix unit |n><n| (x) |l><l|, one factor per mode."""
     if label.n >= cutoff or label.l >= cutoff:
         raise ValueError(f"label {label} exceeds cutoff {cutoff}")
-    ma, mb = np.zeros((cutoff, cutoff)), np.zeros((cutoff, cutoff))
-    ma[label.n, label.n] = mb[label.l, label.l] = 1.0
-    return ProductRep(cutoff, ((1.0, ma, mb),))
+    return matrix_unit(label.n, label.n, label.l, label.l, cutoff)
 
 
 def _displaced_projector(alpha1: complex, alpha2: complex, n: int, l: int,

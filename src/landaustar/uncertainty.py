@@ -23,7 +23,7 @@ import numpy as np
 from .marginals import axis_scale, marginal_1d
 from .phase_space import PhysParams
 from .quadrature import default_order, gauss_hermite
-from .star import ProductRep, StarPolynomial, apply_star_polynomial, star_traces
+from .star import ProductRep, StarPolynomial, _require_product, apply_star_polynomial, star_traces
 from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
@@ -48,9 +48,7 @@ class StateFunctional:
     params: PhysParams
 
     def __post_init__(self):
-        if not isinstance(self.state, ProductRep):
-            raise TypeError(f"StateFunctional needs a ProductRep state, "
-                            f"got {type(self.state).__name__}")
+        _require_product(self.state)
 
     def __call__(self, f: StarPolynomial) -> complex:
         return expectation(f, self)

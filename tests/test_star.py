@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from landaustar.checks import moyal_integral_star_single_mode
+from landaustar import checks
+from landaustar.checks import (
+    _random_product,
+    dense_star_contraction,
+    moyal_integral_star_single_mode,
+)
 from landaustar.phase_space import PhysParams
 from landaustar.star import (
     GENERATORS,
@@ -39,6 +44,7 @@ from landaustar.states import (
     WignerLabel,
     _fock_point_values,
     coherent_fock,
+    fock_values,
     generalized_coherent_fock,
     matrix_unit_values,
     wigner_fock,
@@ -58,8 +64,18 @@ def test_matrix_unit_ground_state():
     assert w0.coeffs[0, 0, 0, 0] == 1.0
     assert np.count_nonzero(w0.coeffs) == 1
     # pointwise it is the normalized two-mode Gaussian with peak value 4
-    from landaustar.states import fock_values
     assert fock_values(w0, 0j, 0j) == pytest.approx(4.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("unit", [(0, 0, 0, 0), (1, 3, 2, 0), (4, 4, 0, 3)])
+def test_matrix_unit_is_a_one_term_product(unit):
+    rep = matrix_unit(*unit, 5)
+    assert isinstance(rep, ProductRep) and len(rep.terms) == 1
+    ((c, a, b),) = rep.terms
+    assert c == 1.0 and a.shape == b.shape == (5, 5)
+    want = np.zeros((5,) * 4)
+    want[unit] = 1.0
+    np.testing.assert_array_equal(rep.coeffs, want)
 
 
 def test_matrix_unit_index_check():
@@ -83,7 +99,33 @@ def test_projection_and_orthogonality():
 
 def test_star_cutoff_mismatch():
     with pytest.raises(ValueError):
-        star(FockRep.zero(4), FockRep.zero(5))
+        star(ProductRep(4, ()), ProductRep(5, ()))
+
+
+# Every entry point of the star algebra, called with the dense tensor of a
+# state document in place of one ProductRep operand.
+def _entry_points():
+    rep = wigner_fock(WignerLabel(1, 0), 4)
+    return {
+        "star-left": lambda d: star(d, rep),
+        "star-right": lambda d: star(rep, d),
+        "apply_star_polynomial": lambda d: apply_star_polynomial(A * BBAR, d),
+        "apply_star_polynomial-right": lambda d: apply_star_polynomial(A, d, "right"),
+        "left_star_generator": lambda d: left_star_generator("abar", d),
+        "right_star_generator": lambda d: right_star_generator("b", d),
+        "moyal_bracket": lambda d: moyal_bracket(rep, d),
+        "anti_moyal_bracket": lambda d: anti_moyal_bracket(d, rep),
+        "fock_values": lambda d: fock_values(d, 0.1j, -0.2),
+        "ProductRep.__add__": lambda d: rep + d,
+        "ProductRep.__sub__": lambda d: rep - d,
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+def test_algebra_refuses_a_dense_state_document(entry):
+    dense = FockRep(4, wigner_fock(WignerLabel(1, 0), 4).coeffs)
+    with pytest.raises(TypeError, match="FockRep"):
+        _entry_points()[entry](dense)
 
 
 def test_gaussian_composes_to_half():
@@ -128,9 +170,9 @@ def test_overflow_flag_on_creation():
     assert not left_star_generator("abar", inner).overflow
 
 
-# Acted-on coefficient axis, einsum of the ladder matrix along it, and
-# whether the action raises that index, spelled out independently of the
-# shifted-copy implementation both storage forms share.
+# Acted-on coefficient axis, einsum of the ladder matrix along it on the
+# dense tensor, and whether the action raises that index, spelled out
+# independently of the shifted copy the per-mode factors take.
 DENSE_LADDER = {
     ("a", "left"): (0, "ij,jnkl->inkl", False),
     ("abar", "left"): (0, "ij,jnkl->inkl", True),
@@ -150,21 +192,25 @@ def test_dense_ladder_action_matches_ladder_matrix(gen, side):
     lower, raise_ = ladder_matrices(cutoff)
     mat = raise_ if gen in ("abar", "bbar") else lower
     act = left_star_generator if side == "left" else right_star_generator
-    rng = np.random.default_rng(17)
-    shape = (cutoff,) * 4
-    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    rep = FockRep(cutoff, coeffs)
+    rep = _random_product(np.random.default_rng(17), cutoff)
     res = act(gen, rep)
-    want = (np.einsum(subscripts, mat, coeffs) if side == "left"
-            else np.einsum(subscripts, coeffs, mat))
-    np.testing.assert_allclose(res.coeffs, want, rtol=0, atol=1e-14)
+    want = (np.einsum(subscripts, mat, rep.coeffs) if side == "left"
+            else np.einsum(subscripts, rep.coeffs, mat))
+    np.testing.assert_allclose(res.coeffs, want, rtol=0, atol=1e-13)
     assert res.overflow == raising
     # with the top slice of the acted-on axis empty nothing is dropped
-    inner = coeffs.copy()
-    np.moveaxis(inner, axis, 0)[-1] = 0
-    assert not act(gen, FockRep(cutoff, inner)).overflow
+    mode, index = divmod(axis, 2)
+    terms = []
+    for c, *factors in rep.terms:
+        factor = factors[mode].copy()
+        np.moveaxis(factor, index, 0)[-1] = 0
+        factors[mode] = factor
+        terms.append((c, *factors))
+    inner = ProductRep(cutoff, tuple(terms))
+    assert not np.moveaxis(inner.coeffs, axis, 0)[-1].any()
+    assert not act(gen, inner).overflow
     # the flag is sticky
-    assert act(gen, FockRep(cutoff, inner, overflow=True)).overflow
+    assert act(gen, ProductRep(cutoff, inner.terms, overflow=True)).overflow
 
 
 def test_moyal_bracket_generators_normal_form():
@@ -319,28 +365,41 @@ def test_integrate_diagonal_rule():
     assert integrate(matrix_unit(0, 1, 0, 0, 4), PARAMS) == 0.0
 
 
+@pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
+def test_trace_property_holds_at_any_units(hbar, monkeypatch):
+    """Over the axis units the check compares (2 pi)^2 tr(f*g), so it neither
+    overflows nor underflows: it passes, and a trace wrong by 1e-8 fails it."""
+    params = PhysParams(hbar=hbar)
+    assert checks.check_trace_property(params).passed
+    trace = ProductRep.trace
+    monkeypatch.setattr(ProductRep, "trace", lambda self: trace(self) * (1.0 + 1e-8))
+    result = checks.check_trace_property(params)
+    assert not result.passed and result.residual > 1e-9
+
+
 def test_hermitian_involution():
     rng = np.random.default_rng(12)
-    shape = (5,) * 4
-    f = FockRep(5, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    g = FockRep(5, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    f, g = _random_product(rng, 5), _random_product(rng, 5)
     lhs = star(f, g).conjugate()
     rhs = star(g.conjugate(), f.conjugate())
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-13)
+    # the conjugate of the dense contraction, swapping each mode's row and column
+    dense = np.conj(dense_star_contraction(f, g)).transpose(1, 0, 3, 2)
+    np.testing.assert_allclose(lhs.coeffs, dense, atol=1e-13)
     # double conjugation is the identity
     np.testing.assert_allclose(f.conjugate().conjugate().coeffs, f.coeffs, atol=0)
 
 
 def test_associativity_spot():
     rng = np.random.default_rng(13)
-    shape = (6,) * 4
-    reps = [FockRep(6, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            for _ in range(3)]
-    f, g, h = reps
+    f, g, h = (_random_product(rng, 6) for _ in range(3))
     left = star(star(f, g), h)
     right = star(f, star(g, h))
     scale = float(np.max(np.abs(left.coeffs)))
     np.testing.assert_allclose(left.coeffs, right.coeffs, atol=1e-13 * max(1.0, scale))
+    # and each side against the dense contraction
+    np.testing.assert_allclose(left.coeffs, dense_star_contraction(star(f, g), h),
+                               atol=1e-13 * max(1.0, scale))
 
 
 def random_words(rng, count, max_len=6):

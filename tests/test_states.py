@@ -1,11 +1,12 @@
 import cmath
 import importlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from landaustar.checks import mixed_param_derivative
+from landaustar.checks import dense_star_contraction, mixed_param_derivative
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
     GENERATORS,
@@ -31,6 +32,7 @@ from landaustar.states import (
     fock_values,
     generalized_coherent_fock,
     generating_function,
+    matrix_unit_values,
     parse_state_label,
     state_fock,
     state_values,
@@ -445,13 +447,67 @@ def random_star_polynomial(rng, n_terms=3, max_len=3):
     return StarPolynomial.from_terms(terms)
 
 
+# The dense reference: a state's cutoff^4 tensor and its overflow flag, with
+# the ladder actions, star product, conjugate and values taken on the tensor
+# as a whole.  The per-mode product route must reproduce every one of them.
+
+@dataclass(frozen=True)
+class Dense:
+    coeffs: np.ndarray
+    overflow: bool = False
+
+
 def dense(rep):
-    """The dense FockRep reference of a product state."""
-    return FockRep(rep.cutoff, rep.coeffs.copy(), rep.overflow)
+    """The dense reference of a product state."""
+    return Dense(rep.coeffs.copy(), rep.overflow)
+
+
+def dense_generator(gen, side, ref):
+    """One ladder action on the acted-on axis of the tensor; a raising action
+    drops its top slice and flags the drop if that slice was nonzero."""
+    axis = (0 if gen in ("a", "abar") else 2) + (side == "right")
+    raising = (gen in ("abar", "bbar")) == (side == "left")
+    c = np.moveaxis(ref.coeffs, axis, 0)
+    s = np.sqrt(np.arange(1.0, c.shape[0])).reshape(-1, 1, 1, 1)
+    out = np.zeros_like(c)
+    if raising:
+        out[1:] = s * c[:-1]
+    else:
+        out[:-1] = s * c[1:]
+    return Dense(np.moveaxis(out, 0, axis),
+                 ref.overflow or (raising and bool(np.any(c[-1] != 0))))
+
+
+def dense_apply(poly, ref, side="left"):
+    """Fold each word's ladder actions over the tensor, linearly in the polynomial."""
+    total, overflow = np.zeros_like(ref.coeffs), ref.overflow
+    for c, word in poly.terms:
+        cur = ref
+        for gen in (reversed(word) if side == "left" else word):
+            cur = dense_generator(gen, side, cur)
+        total = total + c * cur.coeffs
+        overflow = overflow or cur.overflow
+    return Dense(total, overflow)
+
+
+def dense_star(f, g):
+    return Dense(dense_star_contraction(f, g), f.overflow or g.overflow)
+
+
+def dense_conjugate(f):
+    return Dense(np.conj(f.coeffs).transpose(1, 0, 3, 2), f.overflow)
+
+
+def dense_values(f, a, b):
+    """Contract the tensor with both modes' basis values: the first mode as one
+    matrix product, then the N^2 x points remainder against the second."""
+    cutoff = f.coeffs.shape[0]
+    first = np.tensordot(f.coeffs, matrix_unit_values(cutoff, a), axes=([0, 1], [0, 1]))
+    return np.einsum("klp,klp->p", first, matrix_unit_values(cutoff, b))
 
 
 def assert_same_rep(got, want):
-    assert isinstance(got, ProductRep) and isinstance(want, FockRep)
+    assert isinstance(got, ProductRep) and isinstance(want, Dense)
     scale = max(1.0, float(np.max(np.abs(want.coeffs))))
     assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= 1e-12 * scale
     assert got.overflow == want.overflow
@@ -482,11 +538,11 @@ def test_product_apply_matches_dense_reference(cutoff):
             for _ in range(polys_per_state):
                 f, g = random_star_polynomial(rng), random_star_polynomial(rng)
                 once = apply_star_polynomial(f, rep, side)
-                once_ref = apply_star_polynomial(f, ref, side)
+                once_ref = dense_apply(f, ref, side)
                 assert_same_rep(once, once_ref)
                 # the second application acts on a sum of product terms
                 assert_same_rep(apply_star_polynomial(g, once, side),
-                                apply_star_polynomial(g, once_ref, side))
+                                dense_apply(g, once_ref, side))
                 flags.add(once_ref.overflow)
     assert flags == {False, True}
 
@@ -500,7 +556,7 @@ def test_product_overflow_needs_a_live_other_factor():
     live = StarPolynomial.from_terms([(1.0, ("b", "abar"))])
     for poly, flagged in ((dead, False), (live, True)):
         got = apply_star_polynomial(poly, rep)
-        assert_same_rep(got, apply_star_polynomial(poly, dense(rep)))
+        assert_same_rep(got, dense_apply(poly, dense(rep)))
         assert got.overflow is flagged
 
 
@@ -512,16 +568,17 @@ def test_product_star_and_values_match_dense_reference(cutoff):
     # a two-term state as well as the one-term constructions
     reps.append(apply_star_polynomial(random_star_polynomial(rng), reps[3]))
     for f in reps:
-        np.testing.assert_allclose(fock_values(f, a, b), fock_values(dense(f), a, b),
+        np.testing.assert_allclose(fock_values(f, a, b), dense_values(f, a, b),
                                    rtol=1e-12, atol=1e-12)
-        assert_same_rep(f.conjugate(), dense(f).conjugate())
+        assert_same_rep(f.conjugate(), dense_conjugate(dense(f)))
         for g in reps:
-            assert_same_rep(star(f, g), star(dense(f), dense(g)))
-            assert_same_rep(moyal_bracket(f, g), moyal_bracket(dense(f), dense(g)))
-        # mixed sums fall back to the dense tensor
-        mixed = f + dense(reps[0])
-        assert isinstance(mixed, FockRep)
-        np.testing.assert_array_equal(mixed.coeffs, f.coeffs + reps[0].coeffs)
+            fg, gf = dense_star(f, g), dense_star(g, f)
+            assert_same_rep(star(f, g), fg)
+            assert_same_rep(moyal_bracket(f, g), Dense(fg.coeffs - gf.coeffs, fg.overflow))
+        # sums stay products; a dense state document is refused, not mixed in
+        np.testing.assert_array_equal((f + reps[0]).coeffs, f.coeffs + reps[0].coeffs)
+        with pytest.raises(TypeError, match="FockRep"):
+            f + FockRep(cutoff, reps[0].coeffs)
 
 
 def test_constructed_states_are_exactly_real():
