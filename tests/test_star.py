@@ -196,7 +196,7 @@ def test_dense_ladder_action_matches_ladder_matrix(gen, side):
     res = act(gen, rep)
     want = (np.einsum(subscripts, mat, rep.coeffs) if side == "left"
             else np.einsum(subscripts, rep.coeffs, mat))
-    np.testing.assert_allclose(res.coeffs, want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.coeffs, want, rtol=0, atol=1e-14)
     assert res.overflow == raising
     # with the top slice of the acted-on axis empty nothing is dropped
     mode, index = divmod(axis, 2)
@@ -397,7 +397,7 @@ def test_associativity_spot():
     right = star(f, star(g, h))
     scale = float(np.max(np.abs(left.coeffs)))
     np.testing.assert_allclose(left.coeffs, right.coeffs, atol=1e-13 * max(1.0, scale))
-    # and each side against the dense contraction
+    # and against the dense contraction of f * g with h
     np.testing.assert_allclose(left.coeffs, dense_star_contraction(star(f, g), h),
                                atol=1e-13 * max(1.0, scale))
 
