@@ -18,7 +18,6 @@ from .star import (
     apply_star_polynomial,
     bidifferential_star,
     canonical_star,
-    integrate,
     left_star_generator,
     matrix_unit,
     moyal_bracket,

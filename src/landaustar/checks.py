@@ -6,6 +6,13 @@ numeric integral form of the star product, or contour-quadrature parameter
 derivatives) and reported as a named residual with its tolerance.  The CLI
 ``verify`` subcommand and the acceptance tests both run these checks; all
 sampling is internally seeded so reports are reproducible bit for bit.
+
+Residuals are unit-free, so each check means the same at every accepted unit:
+quadratures run over the axis units (_axis_mode_coords), the moment, slack and
+coherent checks compute on uncertainty.axis_polynomials, and a residual in a
+physical unit is divided by that unit (hbar omega for the energy, hbar for the
+angular momentum and the uncertainty bound).  No check forms hbar^2, gamma^2 or
+h^2.
 """
 
 from __future__ import annotations
@@ -66,10 +73,13 @@ from .states import (
 )
 from .uncertainty import (
     StateFunctional,
+    angular_momentum_polynomial,
+    axis_polynomials,
     coherent_moment_predictions,
     coordinate_moment,
-    coordinate_polynomials,
+    displaced_power_residual,
     expectation,
+    hamiltonian_polynomial,
     inner_product,
     robertson_schrodinger_slack,
     second_moment,
@@ -220,6 +230,12 @@ def _stacked_values(reps, cutoff: int, a, b):
     return vals.reshape(a.shape + (len(reps),))
 
 
+def _axis_mode_coords(params: PhysParams, u1, u2, u3, u4):
+    """Mode coordinates (a, b) of the points with axis units (u1, u2, u3, u4)."""
+    sq, sp = axis_scale("q1", params), axis_scale("p1", params)
+    return mode_coords_arrays(sq * u1, sq * u2, sp * u3, sp * u4, params)
+
+
 def _random_points(rng, count: int, params: PhysParams):
     g = params.gamma
     qs = rng.uniform(-1.2 * g, 1.2 * g, size=(count, 2))
@@ -315,12 +331,10 @@ def check_trace_property(params: PhysParams, pairs: int = 3, cutoff: int = 3) ->
     """
     rng = np.random.default_rng(1003)
     rule = gauss_hermite(24)
-    g_, sp = params.gamma, params.hbar / params.gamma
     reps = [_random_product(rng, cutoff) for _ in range(2 * pairs)]  # f, g of each pair
 
-    def pointwise(u1, u2, u3, u4):
-        am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
-        vals = _stacked_values(reps, cutoff, am, bm)
+    def pointwise(*u):
+        vals = _stacked_values(reps, cutoff, *_axis_mode_coords(params, *u))
         return vals[..., 0::2] * vals[..., 1::2]
 
     # the pointwise product of two states decays twice as fast as one state
@@ -358,7 +372,7 @@ def check_ladder_consistency(params: PhysParams, nmax: int = 6) -> CheckResult:
     return CheckResult("ladder-consistency", worst, 1e-13)
 
 
-def _eigen_residual(params: PhysParams, poly: StarPolynomial, eigval, nmax: int) -> float:
+def _eigen_residual(poly: StarPolynomial, eigval, nmax: int) -> float:
     cutoff = nmax + 3
     worst = 0.0
     for n in range(nmax + 1):
@@ -372,19 +386,15 @@ def _eigen_residual(params: PhysParams, poly: StarPolynomial, eigval, nmax: int)
 
 
 def check_energy_eigenvalues(params: PhysParams, nmax: int = 6) -> CheckResult:
-    from .uncertainty import hamiltonian_polynomial
-
-    h = hamiltonian_polynomial(params)
-    worst = _eigen_residual(params, h, lambda n, l: params.hbar * params.omega * (n + 0.5), nmax)
-    return CheckResult("eigenvalue-energy", worst, 1e-12)
+    hw = params.hbar * params.omega
+    worst = _eigen_residual(hamiltonian_polynomial(params), lambda n, l: hw * (n + 0.5), nmax)
+    return CheckResult("eigenvalue-energy", worst / hw, 1e-12)
 
 
 def check_angular_momentum_eigenvalues(params: PhysParams, nmax: int = 6) -> CheckResult:
-    from .uncertainty import angular_momentum_polynomial
-
-    j = angular_momentum_polynomial(params)
-    worst = _eigen_residual(params, j, lambda n, l: params.hbar * (l - n), nmax)
-    return CheckResult("eigenvalue-angular-momentum", worst, 1e-12)
+    hb = params.hbar
+    worst = _eigen_residual(angular_momentum_polynomial(params), lambda n, l: hb * (l - n), nmax)
+    return CheckResult("eigenvalue-angular-momentum", worst / hb, 1e-12)
 
 
 def check_matrix_unit_trace_rule(params: PhysParams) -> CheckResult:
@@ -393,13 +403,11 @@ def check_matrix_unit_trace_rule(params: PhysParams) -> CheckResult:
     Integrated over the four axis units, where h^2 reads (2 pi)^2 at any units.
     """
     rule = gauss_hermite(20)
-    g_, sp = params.gamma, params.hbar / params.gamma
     units = [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (2, 1, 1, 1), (1, 1, 2, 2), (0, 0, 1, 2)]
     reps = [matrix_unit(*unit, 4) for unit in units]
 
-    def pointwise(u1, u2, u3, u4):
-        am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
-        return _stacked_values(reps, 4, am, bm)
+    def pointwise(*u):
+        return _stacked_values(reps, 4, *_axis_mode_coords(params, *u))
 
     got = integrate_nd(pointwise, (1.0,) * 4, rule)
     want = np.array([WIGNER_NORM if (m == n and k == l) else 0.0 for m, n, k, l in units])
@@ -436,30 +444,32 @@ def check_gaussian_composition(params: PhysParams) -> CheckResult:
 
 
 def check_canonical_classical_limit(params: PhysParams) -> CheckResult:
+    """Brackets in units of their values; x * x and x * x * x with the rounding
+    of their hbar terms, which cancel, stated per max(1, hbar)."""
     q1 = CanonicalPoly.coordinate("q1")
     p1 = CanonicalPoly.coordinate("p1")
     hb = params.hbar
-    worst = 0.0
     br = moyal_bracket(q1, p1, params)
-    want = CanonicalPoly.constant(1j * hb)
-    worst = max(worst, _poly_distance(br, want))
+    worst = _poly_distance(br, CanonicalPoly.constant(1j * hb)) / hb
     # (x_star)^k = x^k for linear x
+    cancelled = max(1.0, hb)
     rng = np.random.default_rng(1005)
     for _ in range(5):
         coefs = rng.normal(size=4)
         x = sum((c * CanonicalPoly.coordinate(nm) for c, nm in zip(coefs, ("q1", "q2", "p1", "p2"))),
                 CanonicalPoly({}))
         sq = canonical_star(x, x, params)
-        worst = max(worst, _poly_distance(sq, x.pointwise_mul(x)))
+        worst = max(worst, _poly_distance(sq, x.pointwise_mul(x)) / cancelled)
         cube = canonical_star(sq, x, params)
-        worst = max(worst, _poly_distance(cube, x.pointwise_mul(x).pointwise_mul(x)))
+        cube_want = x.pointwise_mul(x).pointwise_mul(x)
+        worst = max(worst, _poly_distance(cube, cube_want) / cancelled)
     # cyclotron-center functions: bracket is -i m hbar omega
     mw = params.mass * params.omega
+    mhw = params.mass * hb * params.omega
     x1 = CanonicalPoly.coordinate("p2") + 0.5 * mw * CanonicalPoly.coordinate("q1")
     x2 = -1.0 * CanonicalPoly.coordinate("p1") + 0.5 * mw * CanonicalPoly.coordinate("q2")
     br = moyal_bracket(x1, x2, params)
-    want = CanonicalPoly.constant(-1j * params.mass * hb * params.omega)
-    worst = max(worst, _poly_distance(br, want))
+    worst = max(worst, _poly_distance(br, CanonicalPoly.constant(-1j * mhw)) / mhw)
     return CheckResult("canonical-classical-limit", worst, 1e-13)
 
 
@@ -495,15 +505,13 @@ def check_displacement_closed_form(params: PhysParams) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult:
-    g_, sp = params.gamma, params.hbar / params.gamma
     worst = 0.0
     for n in range(nmax + 1):
         for l in range(nmax + 1):
             rule = gauss_hermite(max(16, n + l + 8))
 
-            def wfun(u1, u2, u3, u4):
-                am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
-                return wigner_values(n, l, am, bm)
+            def wfun(*u):
+                return wigner_values(n, l, *_axis_mode_coords(params, *u))
 
             got = integrate_nd(wfun, (1.0,) * 4, rule)
             worst = max(worst, abs(got - WIGNER_NORM) / WIGNER_NORM)
@@ -609,7 +617,6 @@ def integral_equality_checks(params: PhysParams) -> list[CheckResult]:
 def check_generating_plane(params: PhysParams) -> CheckResult:
     """Momentum-integrated generating function reproduces its plane closed form."""
     rule = gauss_hermite(32)
-    g_, sp = params.gamma, params.hbar / params.gamma
     samples = [
         ((0j, 0j), (0j, 0j)),
         ((0.4 + 0.2j, -0.3j), (0.1 - 0.2j, 0.25 + 0.1j)),
@@ -620,8 +627,7 @@ def check_generating_plane(params: PhysParams) -> CheckResult:
         for u, v in [(0.0, 0.0), (0.4, -0.3)]:
             def gfun(t1, t2):
                 return generating_function(alpha[0], beta[0], alpha[1], beta[1],
-                                           *mode_coords_arrays(g_ * u, g_ * v, sp * t1,
-                                                               sp * t2, params))
+                                           *_axis_mode_coords(params, u, v, t1, t2))
 
             got = integrate_nd(gfun, (1.0, 1.0), rule) / WIGNER_NORM
             want = position_plane_generating(alpha, beta, u, v)
@@ -688,7 +694,7 @@ def check_uncertainty_lower_bound(params: PhysParams, nmax: int = 6) -> CheckRes
     for n in range(nmax + 1):
         for l in range(nmax + 1):
             for j in (1, 2):
-                gap = uncertainty_product(n, l, j, params) - 0.5 * hb
+                gap = uncertainty_product(n, l, j, params) / hb - 0.5
                 worst = max(worst, max(0.0, -gap))
     return CheckResult("uncertainty-lower-bound", worst, 1e-12)
 
@@ -696,18 +702,15 @@ def check_uncertainty_lower_bound(params: PhysParams, nmax: int = 6) -> CheckRes
 def check_moment_route_agreement(params: PhysParams) -> CheckResult:
     """Second moments (n + l + 1)/2 versus the mixture weights, marginal quadrature and
     Fock traces, relative in axis units so that the check means the same at any units."""
-    coords = coordinate_polynomials(params)
+    coords = axis_polynomials().values()
     worst = 0.0
     for n, l in [(0, 0), (1, 0), (2, 1), (3, 3)]:
         s = StateFunctional(wigner_fock(WignerLabel(n, l), n + l + 6), params)
         moment = second_moment(n, l)
         weights = float(_mixture_weights(n, l) @ (np.arange(n + l + 1) + 0.5))
-        worst = max(worst, abs(weights - moment) / moment)
-        for axis in AXES:
-            poly, scale = coords[axis], axis_scale(axis, params)
-            for oracle in (expectation(poly * poly, s).real,
-                           coordinate_moment(axis, 2, WignerLabel(n, l), params)):
-                worst = max(worst, abs(oracle / scale ** 2 - moment) / moment)
+        oracles = [weights, coordinate_moment(2, WignerLabel(n, l))]
+        oracles += [expectation(poly * poly, s).real for poly in coords]
+        worst = max(worst, max(abs(oracle - moment) / moment for oracle in oracles))
     return CheckResult("moment-route-agreement", worst, 1e-9)
 
 
@@ -729,13 +732,12 @@ def check_robertson_schrodinger(params: PhysParams, n_pairs: int = 100) -> Check
 
 
 def check_rs_known_slack(params: PhysParams) -> CheckResult:
-    coords = coordinate_polynomials(params)
+    coords = axis_polynomials()
     q1, p1 = coords["q1"], coords["p1"]
-    hb = params.hbar
     s0 = StateFunctional(wigner_fock(WignerLabel(0, 0), 8), params)
     s11 = StateFunctional(wigner_fock(WignerLabel(1, 1), 8), params)
     worst = abs(robertson_schrodinger_slack(q1, p1, s0))
-    worst = max(worst, abs(robertson_schrodinger_slack(q1, p1, s11) - 2.0 * hb ** 2))
+    worst = max(worst, abs(robertson_schrodinger_slack(q1, p1, s11) - 2.0))
     return CheckResult("rs-known-slack", worst, 1e-10)
 
 
@@ -825,54 +827,51 @@ def check_coherent_normalization(params: PhysParams) -> CheckResult:
     for a1, a2 in _ALPHA_SAMPLES:
         g = coherent_fock(CoherentLabel(a1, a2), _COHERENT_CUTOFF)
         worst = max(worst, abs(g.trace() - 1.0))
-    g_, sp = params.gamma, params.hbar / params.gamma
     rule = gauss_hermite(32)
     label = CoherentLabel(1 + 1j, -0.5)
 
-    def gs(u1, u2, u3, u4):
-        am, bm = mode_coords_arrays(g_ * u1, g_ * u2, sp * u3, sp * u4, params)
-        return coherent_values(label, am, bm)
+    def gs(*u):
+        return coherent_values(label, *_axis_mode_coords(params, *u))
 
     worst = max(worst, abs(integrate_nd(gs, (1.0,) * 4, rule) - WIGNER_NORM) / WIGNER_NORM)
     return CheckResult("coherent-normalization", worst, 1e-9)
 
 
 def check_coherent_moments(params: PhysParams) -> CheckResult:
-    coords = coordinate_polynomials(params)
+    coords = axis_polynomials()
     worst = 0.0
     for a1, a2 in _ALPHA_SAMPLES:
         label = CoherentLabel(a1, a2)
         s = StateFunctional(coherent_fock(label, _COHERENT_CUTOFF), params)
-        pred = coherent_moment_predictions(label, params)
+        pred = coherent_moment_predictions(label)
         for axis in AXES:
             got = expectation(coords[axis], s)
             worst = max(worst, abs(got - pred[f"{axis}_mean"]))
         got_q1sq = inner_product(coords["q1"], coords["q1"], s).real
         worst = max(worst, abs(got_q1sq - pred["q1_sq"]))
-    return CheckResult("coherent-moments", worst, 1e-9)
+    return CheckResult("coherent-moments", worst, 5e-10)
 
 
 def check_coherent_min_uncertainty(params: PhysParams) -> CheckResult:
-    coords = coordinate_polynomials(params)
-    hb = params.hbar
+    coords = axis_polynomials()
     worst = 0.0
     for a1, a2 in _ALPHA_SAMPLES:
         s = StateFunctional(coherent_fock(CoherentLabel(a1, a2), _COHERENT_CUTOFF), params)
         for j in (1, 2):
             prod = math.sqrt(variance(coords[f"q{j}"], s) * variance(coords[f"p{j}"], s))
-            worst = max(worst, abs(prod - 0.5 * hb))
+            worst = max(worst, abs(prod - 0.5))
     return CheckResult("coherent-min-uncertainty", worst, 1e-9)
 
 
 def check_coherent_variance_independence(params: PhysParams) -> CheckResult:
-    coords = coordinate_polynomials(params)
+    coords = axis_polynomials()
     alphas = (0j, 1.0 + 0j, 1.0 + 1.0j, -2.0j)
     vals = []
     for a1 in alphas:
         s = StateFunctional(coherent_fock(CoherentLabel(a1, 0j), _COHERENT_CUTOFF + 2), params)
         vals.append(variance(coords["q1"], s))
     worst = max(abs(v - vals[0]) for v in vals)
-    return CheckResult("coherent-variance-independence", worst, 1e-10)
+    return CheckResult("coherent-variance-independence", worst, 5e-11)
 
 
 def check_displacement_unitarity(params: PhysParams) -> CheckResult:
@@ -984,12 +983,9 @@ def check_coherent_eigenvalue(params: PhysParams) -> CheckResult:
 
 def check_coherent_positivity(params: PhysParams) -> CheckResult:
     label = CoherentLabel(1 + 1j, -0.5)
-    g_ = params.gamma
-    q = np.linspace(-3 * g_, 3 * g_, 10)
-    p = np.linspace(-3 * params.hbar / g_, 3 * params.hbar / g_, 10)
-    Q1, Q2, P1, P2 = np.meshgrid(q, q, p, p, indexing="ij")
-    a, b = mode_coords_arrays(Q1, Q2, P1, P2, params)
-    vals = coherent_values(label, a, b)
+    u = np.linspace(-3.0, 3.0, 10)
+    grid = np.meshgrid(u, u, u, u, indexing="ij")
+    vals = coherent_values(label, *_axis_mode_coords(params, *grid))
     min_val = float(np.min(vals))
     return CheckResult("coherent-positivity", max(0.0, -min_val) if min_val <= 0 else 0.0, 0.0)
 
@@ -1030,8 +1026,6 @@ def check_state_reality(params: PhysParams) -> CheckResult:
 
 
 def check_generalized_power_theorem(params: PhysParams) -> list[CheckResult]:
-    from .uncertainty import displaced_power_residual
-
     a = StarPolynomial.generator("a")
     abar = StarPolynomial.generator("abar")
     bbar = StarPolynomial.generator("bbar")
@@ -1051,8 +1045,7 @@ def check_generalized_power_theorem(params: PhysParams) -> list[CheckResult]:
 
 
 def check_generalized_variance_invariance(params: PhysParams) -> CheckResult:
-    coords = coordinate_polynomials(params)
-    q1 = coords["q1"]
+    q1 = axis_polynomials()["q1"]
     worst = 0.0
     for n, l in [(0, 1), (2, 1), (2, 2)]:
         base = StateFunctional(wigner_fock(WignerLabel(n, l), 20), params)
@@ -1061,7 +1054,7 @@ def check_generalized_variance_invariance(params: PhysParams) -> CheckResult:
             label = GeneralizedCoherentLabel(a1, a2, WignerLabel(n, l))
             s = StateFunctional(generalized_coherent_fock(label, 20), params)
             worst = max(worst, abs(variance(q1, s) - want))
-    return CheckResult("generalized-variance-invariance", worst, 1e-9)
+    return CheckResult("generalized-variance-invariance", worst, 5e-10)
 
 
 def check_generalized_normalization(params: PhysParams) -> CheckResult:

@@ -3,7 +3,8 @@
 Representation A: phase-space functions expanded over the two-mode
 matrix-unit basis.  The basis elements compose under the star product exactly
 like matrix units, u_{mn} * u_{m'n'} = delta_{n m'} u_{m n'}, so star products,
-ladder actions and phase-space integrals reduce to finite linear algebra.
+ladder actions and phase-space integrals reduce to finite linear algebra: the
+integral of f is h^2 tr(f), or (2 pi)^2 tr(f) over the four axis units.
 The basis is normalized so that this composition rule carries no extra
 factors; the pointwise evaluator (states module) owns the conversion back to
 function values.  It has one storage form, ProductRep: a short sum of
@@ -190,11 +191,6 @@ def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
     else:
         out[:-1] = s * x[1:]
     return out
-
-
-def integrate(f, params: PhysParams) -> complex:
-    """Phase-space integral of f: h^2 times the coefficient trace."""
-    return params.planck_h ** 2 * f.trace()
 
 
 def fock_to_entries(f):

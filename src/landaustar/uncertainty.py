@@ -6,16 +6,23 @@ as a product of one trace per mode, without building the applied state.
 Expectation, inner product and the Robertson-Schrodinger slack are each one
 call of it; variance is one inner product and two expectations.
 
+These relations are unit-free, so the coordinates are defined once, in axis
+units u = q/gamma and v = p gamma/hbar (axis_polynomials), and so are the
+oracles coordinate_moment and coherent_moment_predictions; physical units
+enter only through marginals.axis_scale (coordinate_polynomials).
+
 A Wigner state's coordinates have the second moment m = (n + l + 1)/2 in axis
 units on every axis, so Delta q = gamma sqrt(m), Delta p = (hbar/gamma) sqrt(m)
 and their product is hbar m: no quadrature and no h^2.  Its oracles, in the
 checks, are the shape's mixture-weight sum, marginal quadrature and Fock
 traces.  The general two-observable uncertainty relation (Robertson-Schrodinger
-form) is evaluated for arbitrary real star polynomials.
+form) is evaluated for arbitrary real star polynomials; a slack out of the
+double range raises ValueError rather than returning inf or nan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,25 +89,29 @@ def variance(f: StarPolynomial, s: StateFunctional) -> float:
     return float(val.real)
 
 
-def coordinate_polynomials(params: PhysParams) -> dict:
-    """Canonical coordinates as star polynomials in the mode generators.
+def axis_polynomials() -> dict:
+    """Canonical coordinates in axis units, u = q/gamma and v = p gamma/hbar, as star
+    polynomials in the mode generators; every coefficient is +-1/2 or +-i/2.
 
     q1 and p1 follow from inverting the mode map on the difference a - b;
     q2 and p2 from the sum a + b.  All four are validated pointwise against
     the coordinate map in the test suite.
     """
-    g = params.gamma
-    mgw = params.mass * g * params.omega
     d = _A - _B
     dbar = _ABAR - _BBAR
     t = _A + _B
     tbar = _ABAR + _BBAR
     return {
-        "q1": 0.5j * g * (d - dbar),
-        "p1": 0.25 * mgw * (d + dbar),
-        "q2": 0.5 * g * (t + tbar),
-        "p2": -0.25j * mgw * (t - tbar),
+        "q1": 0.5j * (d - dbar),
+        "p1": 0.5 * (d + dbar),
+        "q2": 0.5 * (t + tbar),
+        "p2": -0.5j * (t - tbar),
     }
+
+
+def coordinate_polynomials(params: PhysParams) -> dict:
+    """Canonical coordinates in physical units: each axis polynomial times its axis scale."""
+    return {axis: axis_scale(axis, params) * poly for axis, poly in axis_polynomials().items()}
 
 
 def hamiltonian_polynomial(params: PhysParams) -> StarPolynomial:
@@ -121,9 +132,9 @@ def second_moment(n: int, l: int) -> float:
     return 0.5 * (n + l + 1)
 
 
-def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams) -> float:
-    """k-th moment of a coordinate in a Wigner state, s^k sum_t w_t t^k shape(t) by
-    quadrature of its 1D shape: the oracle of second_moment.  Odd moments are exact zeros."""
+def coordinate_moment(k: int, label: WignerLabel) -> float:
+    """k-th moment of any coordinate in a Wigner state, in axis units: sum_t w_t t^k shape(t)
+    by quadrature of its 1D shape, the oracle of second_moment.  Odd moments are exact zeros."""
     if k < 0 or k > 8:
         raise ValueError("moment order must be in 0..8")
     if k % 2 == 1:
@@ -131,7 +142,7 @@ def coordinate_moment(axis: str, k: int, label: WignerLabel, params: PhysParams)
     rule = gauss_hermite(max(default_order(label.n, label.l), (k + 2) // 2 + label.n + label.l + 8))
     t, w = rule.scaled(1.0)
     shape = marginal_1d(label.n, label.l, t)
-    return float(axis_scale(axis, params) ** k * np.sum(w * t ** k * shape))
+    return float(np.sum(w * t ** k * shape))
 
 
 def uncertainty_product(n: int, l: int, j: int, params: PhysParams) -> float:
@@ -160,30 +171,30 @@ def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,
     anti = fg + gf - 2.0 * mean_f * mean_g
     if abs(anti.imag) > 1e-12 * max(1.0, abs(anti)):
         raise ValueError(f"anti-bracket mean not purely real: {anti}")
-    bound = 0.25 * (bracket.imag ** 2 + anti.real ** 2)
+    bound = 0.25 * (bracket.imag * bracket.imag + anti.real * anti.real)
     var_f = float((ff - mean_f * mean_f).real)
     var_g = float((gg - mean_g * mean_g).real)
-    return var_f * var_g - bound
+    slack = var_f * var_g - bound
+    if not math.isfinite(slack):
+        raise ValueError("the Robertson-Schrodinger slack overflows in these units; "
+                         "state the observables in axis units (axis_polynomials)")
+    return slack
 
 
-def coherent_moment_predictions(label: CoherentLabel, params: PhysParams) -> dict:
-    """Closed-form coherent-state moments: means, second moments, variances."""
-    g = params.gamma
-    mgw = params.mass * g * params.omega
+def coherent_moment_predictions(label: CoherentLabel) -> dict:
+    """Closed-form coherent-state moments of the axis_polynomials coordinates: means,
+    the second moment of q1, variances and the product Delta u Delta v."""
     a1, a2 = complex(label.alpha1), complex(label.alpha2)
     di = a1.imag - a2.imag
-    dr = a1.real - a2.real
-    si = a1.imag + a2.imag
-    sr = a1.real + a2.real
     return {
-        "q1_mean": -g * di,
-        "p1_mean": 0.5 * mgw * dr,
-        "q2_mean": g * sr,
-        "p2_mean": 0.5 * mgw * si,
-        "q1_sq": 0.5 * g ** 2 + g ** 2 * di ** 2,
-        "var_q": 0.5 * g ** 2,
-        "var_p": 0.5 * params.hbar ** 2 / g ** 2,
-        "product": 0.5 * params.hbar,
+        "q1_mean": -di,
+        "p1_mean": a1.real - a2.real,
+        "q2_mean": a1.real + a2.real,
+        "p2_mean": a1.imag + a2.imag,
+        "q1_sq": 0.5 + di * di,
+        "var_q": 0.5,
+        "var_p": 0.5,
+        "product": 0.5,
     }
 
 

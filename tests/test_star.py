@@ -28,7 +28,6 @@ from landaustar.star import (
     fock_to_entries,
     fock_to_json_dict,
     generator_symbol,
-    integrate,
     ladder_matrices,
     left_star_generator,
     matrix_unit,
@@ -356,13 +355,13 @@ def test_matrix_unit_rule_against_integral_oracle():
 # trace, integration, serialization
 # ---------------------------------------------------------------------------
 
-def test_integrate_diagonal_rule():
-    h2 = PARAMS.planck_h ** 2
-    assert integrate(wigner_fock(WignerLabel(0, 0), 8), PARAMS) == pytest.approx(h2)
+def test_trace_diagonal_rule():
+    """The integral of f is h^2 tr(f): every Wigner state has trace 1, an
+    off-diagonal matrix unit trace 0."""
+    assert wigner_fock(WignerLabel(0, 0), 8).trace() == pytest.approx(1.0)
     for n, l in [(1, 0), (4, 6), (6, 6)]:
-        val = integrate(wigner_fock(WignerLabel(n, l), 8), PARAMS)
-        assert val == pytest.approx(h2, rel=1e-14)
-    assert integrate(matrix_unit(0, 1, 0, 0, 4), PARAMS) == 0.0
+        assert wigner_fock(WignerLabel(n, l), 8).trace() == pytest.approx(1.0, rel=1e-14)
+    assert matrix_unit(0, 1, 0, 0, 4).trace() == 0.0
 
 
 @pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])

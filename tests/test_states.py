@@ -15,7 +15,6 @@ from landaustar.star import (
     StarPolynomial,
     apply_star_polynomial,
     displacement_matrix,
-    integrate,
     left_star_generator,
     moyal_bracket,
     star,
@@ -213,7 +212,7 @@ def test_coherent_positivity_on_grid():
 def test_coherent_normalization():
     label = CoherentLabel(1 + 1j, -0.5 + 0j)
     rep = coherent_fock(label, 24)
-    assert integrate(rep, PARAMS) == pytest.approx(PARAMS.planck_h ** 2, rel=1e-12)
+    assert rep.trace() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_coherent_constant_reconciliation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from landaustar import checks
 from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_checks
-from landaustar.marginals import _mixture_weights
+from landaustar.marginals import AXES, _mixture_weights, axis_scale
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import FockRep, StarPolynomial, apply_star_polynomial
 from landaustar.states import (
@@ -21,6 +22,7 @@ from landaustar.uncertainty import (
     MomentReport,
     StateFunctional,
     angular_momentum_polynomial,
+    axis_polynomials,
     coherent_moment_predictions,
     coherent_uncertainties,
     coordinate_moment,
@@ -65,55 +67,63 @@ def test_expectation_in_coherent_state():
     assert expectation(ABAR, s) == pytest.approx(np.conj(label.alpha1), abs=1e-11)
 
 
+def _evaluate(poly, values):
+    """The pointwise value of a star polynomial's terms at the given generator values."""
+    total = 0j
+    for coef, word in poly.terms:
+        term = coef
+        for gen in word:
+            term *= values[gen]
+        total += term
+    return total
+
+
 def test_coordinate_dictionary_matches_pointwise_map():
-    """The generator expansion of each coordinate evaluates to the coordinate."""
-    coords = coordinate_polynomials(PARAMS)
+    """The generator expansion of each coordinate evaluates to the coordinate, and
+    that of each axis polynomial to (q/gamma, p gamma/hbar), at any hbar."""
     rng = np.random.default_rng(41)
-    for _ in range(20):
-        pt = PhasePoint(*rng.uniform(-2, 2, size=4))
-        mc = to_mode_coords(pt, PARAMS)
-        values = {"a": mc.a, "abar": mc.abar, "b": mc.b, "bbar": mc.bbar}
-        for axis, want in (("q1", pt.q1), ("q2", pt.q2), ("p1", pt.p1), ("p2", pt.p2)):
-            total = 0j
-            for coef, word in coords[axis].terms:
-                term = coef
-                for gen in word:
-                    term *= values[gen]
-                total += term
-            assert total.real == pytest.approx(want, rel=1e-12, abs=1e-13)
-            assert abs(total.imag) <= 1e-13
+    for hbar in (1e-200, 1.0, 1e200):
+        params = PhysParams(hbar=hbar)
+        physical, unit_free = coordinate_polynomials(params), axis_polynomials()
+        scales = {axis: axis_scale(axis, params) for axis in AXES}
+        for _ in range(20):
+            pt = PhasePoint(**{axis: scales[axis] * rng.uniform(-2, 2) for axis in AXES})
+            mc = to_mode_coords(pt, params)
+            values = {"a": mc.a, "abar": mc.abar, "b": mc.b, "bbar": mc.bbar}
+            for axis in AXES:
+                x, scale = getattr(pt, axis), scales[axis]
+                total = _evaluate(physical[axis], values)
+                assert total.real == pytest.approx(x, rel=1e-12, abs=1e-13 * scale)
+                assert abs(total.imag) <= 1e-13 * scale
+                total = _evaluate(unit_free[axis], values)
+                assert total.real == pytest.approx(x / scale, rel=1e-12, abs=1e-13)
+                assert abs(total.imag) <= 1e-13
 
 
 def test_coordinate_polynomials_are_real_observables():
-    for poly in coordinate_polynomials(PARAMS).values():
+    for poly in (*coordinate_polynomials(PARAMS).values(), *axis_polynomials().values()):
         assert poly.is_real_observable()
 
 
 def test_second_moments_closed_form():
+    """In axis units every coordinate has the second moment (n + l + 1)/2."""
     for n, l in [(0, 0), (1, 2), (3, 3), (6, 0)]:
-        want_q = 0.5 * PARAMS.gamma ** 2 * (n + l + 1)
-        want_p = 0.5 * (HBAR / PARAMS.gamma) ** 2 * (n + l + 1)
-        label = WignerLabel(n, l)
-        assert coordinate_moment("q1", 2, label, PARAMS) == pytest.approx(
-            want_q, rel=1e-12)
-        assert coordinate_moment("q2", 2, label, PARAMS) == pytest.approx(
-            want_q, rel=1e-12)
-        assert coordinate_moment("p1", 2, label, PARAMS) == pytest.approx(
-            want_p, rel=1e-12)
+        assert coordinate_moment(2, WignerLabel(n, l)) == pytest.approx(
+            0.5 * (n + l + 1), rel=1e-12)
 
 
 def test_odd_moments_vanish_exactly():
-    assert coordinate_moment("q1", 1, WignerLabel(2, 1), PARAMS) == 0.0
-    assert coordinate_moment("p2", 3, WignerLabel(1, 1), PARAMS) == 0.0
+    assert coordinate_moment(1, WignerLabel(2, 1)) == 0.0
+    assert coordinate_moment(3, WignerLabel(1, 1)) == 0.0
 
 
 def test_moment_routes_agree():
-    coords = coordinate_polynomials(PARAMS)
+    coords = axis_polynomials()
     for n, l in [(0, 0), (2, 1)]:
         s = wigner_functional(n, l)
-        for axis in ("q1", "p1", "q2", "p2"):
+        quad_route = coordinate_moment(2, WignerLabel(n, l))
+        for axis in AXES:
             trace_route = inner_product(coords[axis], coords[axis], s).real
-            quad_route = coordinate_moment(axis, 2, WignerLabel(n, l), PARAMS)
             assert trace_route == pytest.approx(quad_route, rel=1e-9)
 
 
@@ -188,6 +198,18 @@ def test_robertson_schrodinger_equal_observables():
     assert abs(slack) <= 1e-10
 
 
+def test_robertson_schrodinger_slack_refuses_to_overflow():
+    """The slack of physical q1, p1 is about hbar^2: at hbar = 1e200 it is out of
+    range, and raises instead of an OverflowError; in axis units it is 2."""
+    params = PhysParams(hbar=1e200)
+    coords = coordinate_polynomials(params)
+    s = StateFunctional(wigner_fock(WignerLabel(1, 1), 8), params)
+    with pytest.raises(ValueError, match="overflows in these units"):
+        robertson_schrodinger_slack(coords["q1"], coords["p1"], s)
+    u = axis_polynomials()
+    assert robertson_schrodinger_slack(u["q1"], u["p1"], s) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_robertson_schrodinger_rejects_complex_observable():
     s = wigner_functional(0, 0, cutoff=6)
     with pytest.raises(ValueError):
@@ -212,10 +234,10 @@ def test_semidefiniteness_and_kernel():
 def test_coherent_uncertainty_reports():
     label = CoherentLabel(1j, 0j)
     reports = coherent_uncertainties(label, PARAMS)
-    pred = coherent_moment_predictions(label, PARAMS)
+    pred = coherent_moment_predictions(label)
     assert isinstance(reports["q1"], MomentReport)
     assert reports["q1"].mean.real == pytest.approx(-math.sqrt(2.0), abs=1e-10)
-    assert reports["q1"].mean.real == pytest.approx(pred["q1_mean"], abs=1e-10)
+    assert reports["q1"].mean.real == pytest.approx(PARAMS.gamma * pred["q1_mean"], abs=1e-10)
     for j in (1, 2):
         prod = math.sqrt(reports[f"q{j}"].variance * reports[f"p{j}"].variance)
         assert prod == pytest.approx(0.5 * HBAR, abs=1e-9)
@@ -237,13 +259,13 @@ def test_coherent_uncertainties_refuse_a_truncating_cutoff():
     for alphas in ((5.0 + 0j, 0j), (10.0 + 0j, 0j), (10.0 + 3.0j, -7.0j)):
         label = CoherentLabel(*alphas)
         reports = coherent_uncertainties(label, PARAMS)
-        pred = coherent_moment_predictions(label, PARAMS)
+        pred = coherent_moment_predictions(label)
         for axis in ("q1", "p1", "q2", "p2"):
-            scale = PARAMS.gamma if axis[0] == "q" else PARAMS.hbar / PARAMS.gamma
-            want = pred[f"{axis}_mean"]
+            scale = axis_scale(axis, PARAMS)
+            want = scale * pred[f"{axis}_mean"]
             assert abs(reports[axis].mean - want) <= 1e-10 * max(abs(want), scale)
             want = pred["var_q"] if axis[0] == "q" else pred["var_p"]
-            assert reports[axis].variance == pytest.approx(want, rel=1e-10)
+            assert reports[axis].variance / scale ** 2 == pytest.approx(want, rel=1e-10)
 
 
 def test_coherent_ground_case():
@@ -387,3 +409,41 @@ def test_moment_route_check_catches_a_wrong_moment_at_any_units(monkeypatch, hba
     assert result.passed and result.residual < 1e-13
     monkeypatch.setattr(checks, "second_moment", lambda n, l: 0.5 * (n + l + 1) * (1 + 1e-8))
     assert not checks.check_moment_route_agreement(params).passed
+
+
+def _scaled_after(fn, factor, exact_calls):
+    """fn with every result after its first ``exact_calls`` calls multiplied by factor."""
+    calls = itertools.count()
+    return lambda *args: (1.0 if next(calls) < exact_calls else factor) * fn(*args)
+
+
+# each check whose residual is stated in axis units, the quantity it reads (a name in
+# the checks module), the 1e-8 error put into it, and how many first calls stay exact
+# where the check compares values against the first one
+AXIS_UNIT_CHECKS = [
+    ("check_energy_eigenvalues", "hamiltonian_polynomial", 1 + 1e-8, 0),
+    ("check_angular_momentum_eigenvalues", "angular_momentum_polynomial", 1 + 1e-8, 0),
+    ("check_canonical_classical_limit", "moyal_bracket", 1 + 1e-8, 0),
+    ("check_uncertainty_lower_bound", "uncertainty_product", 1 - 1e-8, 0),
+    ("check_rs_known_slack", "robertson_schrodinger_slack", 1 + 1e-8, 0),
+    ("check_coherent_moments", "expectation", 1 + 1e-8, 0),
+    ("check_coherent_min_uncertainty", "variance", 1 + 1e-8, 0),
+    ("check_coherent_variance_independence", "variance", 1 + 1e-8, 1),
+    ("check_generalized_variance_invariance", "variance", 1 + 1e-8, 1),
+]
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("check, quantity, factor, exact_calls", AXIS_UNIT_CHECKS,
+                         ids=[row[0] for row in AXIS_UNIT_CHECKS])
+def test_axis_unit_checks_catch_a_1e8_error_at_any_units(monkeypatch, check, quantity,
+                                                         factor, exact_calls, hbar):
+    """Residuals in physical units passed a 1e-8 error at hbar = 1e-200 (the
+    product underflowed, or the residual was ~1e-208 against 1e-9) and overflowed
+    at 1e200; in axis units each check passes and catches the error at every unit."""
+    params = PhysParams(hbar=hbar)
+    run = getattr(checks, check)
+    assert run(params).passed
+    monkeypatch.setattr(checks, quantity,
+                        _scaled_after(getattr(checks, quantity), factor, exact_calls))
+    assert not run(params).passed
