@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,6 +106,9 @@ class CheckResult:
     name: str
     residual: float
     tolerance: float
+    # wall time of the check, set by the suite runners; a check that reports
+    # several results shares its time equally among them
+    seconds: float | None = field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -162,6 +166,19 @@ def dense_star_contraction(f, g) -> np.ndarray:
     out = np.tensordot(f.coeffs, g.coeffs, axes=([1, 3], [0, 2]))
     # tensordot leaves axes ordered (m1, m2, n1, n2)
     return out.transpose(0, 2, 1, 3)
+
+
+def _dense(rep: ProductRep) -> np.ndarray:
+    """The dense cutoff^4 tensor of sum c_k A_k (x) B_k as one matrix product.
+
+    The K terms' scaled first-mode factors and second-mode factors are stacked
+    as two (K, N^2) matrices, and (K, N^2)^T @ (K, N^2) is the (N^2, N^2)
+    matrix over ((m1, n1), (m2, n2)): one product instead of K outer products.
+    """
+    n, k = rep.cutoff, len(rep.terms)
+    a = np.stack([c * a for c, a, _ in rep.terms]).reshape(k, n * n)
+    b = np.stack([b for _, _, b in rep.terms]).reshape(k, n * n)
+    return (a.T @ b).reshape((n,) * 4)
 
 
 def _gap(f: ProductRep, g: ProductRep | None = None) -> float:
@@ -274,16 +291,20 @@ def check_orthogonality(params: PhysParams, nmax: int = 6) -> CheckResult:
 
 def check_associativity(params: PhysParams, triples: int = 200, cutoff: int = 12) -> CheckResult:
     """(f * g) * h = f * (g * h) on random products, and each f * g against the
-    dense contraction, each relative to the size of its result."""
+    dense contraction, each relative to the size of its result.
+
+    The 9-term f * g and the two 27-term sides are made dense by _dense; the
+    oracle contracts f's and g's own dense tensors.
+    """
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(triples):
         f, g, h = (_random_product(rng, cutoff) for _ in range(3))
         fg = star(f, g)
         dense = dense_star_contraction(f, g)
-        worst = max(worst, float(np.max(np.abs(fg.coeffs - dense)))
+        worst = max(worst, float(np.max(np.abs(_dense(fg) - dense)))
                     / max(1.0, float(np.max(np.abs(dense)))))
-        left, right = star(fg, h).coeffs, star(f, star(g, h)).coeffs
+        left, right = _dense(star(fg, h)), _dense(star(f, star(g, h)))
         worst = max(worst, float(np.max(np.abs(left - right)))
                     / max(1.0, float(np.max(np.abs(left)))))
     return CheckResult("associativity", worst, 1e-13)
@@ -293,11 +314,14 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
                              n_points: int = 25) -> CheckResult:
     """Ladder route versus bidifferential route, pointwise, for all short words.
 
-    Words are swept as a prefix tree: extending a word on the left means one
-    more generator application on each route, so every word of length <= 4 is
-    covered with one ladder step and one series step per tree node.
+    Each root's words are expanded level by level: extending a word on the
+    left means one more generator application on each route, so every word of
+    length <= 4 is covered with one ladder step and one series step per node.
+    The ladder values are read node by node; a root's symbols share its
+    Gaussian, so their monomials and the Gaussian are evaluated once for all
+    of them (eval_symbols).
     """
-    from .star import bidifferential_star, generator_symbol
+    from .star import bidifferential_star, eval_symbols, generator_symbol
 
     rng = np.random.default_rng(1002)
     a, b = _random_points(rng, n_points, params)
@@ -308,18 +332,17 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
     worst = 0.0
     for n in range(nmax + 1):
         for l in range(nmax + 1):
-            root = (wigner_fock(WignerLabel(n, l), cutoff), wigner_symbol(n, l))
-            stack = [(0, root)]
-            while stack:
-                depth, (rep, symbol) = stack.pop()
-                vals_ladder = _fock_point_values(rep, wa, wb)
-                vals_oracle = symbol.eval(a, b)
-                worst = max(worst, _rel_residual(vals_ladder, vals_oracle))
+            level = [(wigner_fock(WignerLabel(n, l), cutoff), wigner_symbol(n, l))]
+            ladder, symbols = [], []
+            for depth in range(max_len + 1):
+                for rep, symbol in level:
+                    ladder.append(_fock_point_values(rep, wa, wb))
+                    symbols.append(symbol)
                 if depth < max_len:
-                    for g in GENERATORS:
-                        child = (left_star_generator(g, rep),
-                                 bidifferential_star(gen_symbols[g], symbol))
-                        stack.append((depth + 1, child))
+                    level = [(left_star_generator(g, rep),
+                              bidifferential_star(gen_symbols[g], symbol))
+                             for rep, symbol in level for g in GENERATORS]
+            worst = max(worst, _rel_residual(ladder, eval_symbols(symbols, a, b)))
     return CheckResult("oracle-equivalence", worst, 1e-10)
 
 
@@ -1070,79 +1093,88 @@ def check_generalized_normalization(params: PhysParams) -> CheckResult:
 # suite runners
 # ---------------------------------------------------------------------------
 
+def _run(suite, params: PhysParams) -> list[CheckResult]:
+    """Run each check of a suite, in order, and record its wall time."""
+    out = []
+    for check in suite:
+        start = time.perf_counter()
+        got = check(params)
+        got = got if isinstance(got, list) else [got]
+        share = (time.perf_counter() - start) / len(got)
+        out.extend(replace(r, seconds=share) for r in got)
+    return out
+
+
 def run_star_suite(params: PhysParams) -> list[CheckResult]:
-    return [
-        check_projection(params),
-        check_orthogonality(params),
-        check_associativity(params),
-        check_oracle_equivalence(params),
-        check_trace_property(params),
-        check_hermitian_involution(params),
-        check_ladder_consistency(params),
-        check_energy_eigenvalues(params),
-        check_angular_momentum_eigenvalues(params),
-        check_matrix_unit_trace_rule(params),
-        check_gaussian_composition(params),
-        check_canonical_classical_limit(params),
-        check_generator_brackets(params),
-        check_displacement_closed_form(params),
-    ]
+    return _run((
+        check_projection,
+        check_orthogonality,
+        check_associativity,
+        check_oracle_equivalence,
+        check_trace_property,
+        check_hermitian_involution,
+        check_ladder_consistency,
+        check_energy_eigenvalues,
+        check_angular_momentum_eigenvalues,
+        check_matrix_unit_trace_rule,
+        check_gaussian_composition,
+        check_canonical_classical_limit,
+        check_generator_brackets,
+        check_displacement_closed_form,
+    ), params)
 
 
 def run_marginals_suite(params: PhysParams) -> list[CheckResult]:
-    out = [
-        check_wigner_normalization(params),
-        check_marginal_normalization(params),
-        check_marginal_wigner_consistency(params),
-        check_plane_consistency(params),
-        check_plane_quadrature_consistency(params),
-        check_marginal_evenness(params),
-        check_marginal_positivity(params),
-        check_plane_positivity(params),
-        check_marginal_symmetry(params),
-        check_generating_plane(params),
-        check_generating_axis(params),
-        check_generating_derivatives(params),
-    ]
-    out.extend(integral_equality_checks(params))
-    return out
+    return _run((
+        check_wigner_normalization,
+        check_marginal_normalization,
+        check_marginal_wigner_consistency,
+        check_plane_consistency,
+        check_plane_quadrature_consistency,
+        check_marginal_evenness,
+        check_marginal_positivity,
+        check_plane_positivity,
+        check_marginal_symmetry,
+        check_generating_plane,
+        check_generating_axis,
+        check_generating_derivatives,
+        integral_equality_checks,
+    ), params)
 
 
 def run_uncertainty_suite(params: PhysParams) -> list[CheckResult]:
-    out = uncertainty_table_checks(params)
-    out.extend([
-        check_uncertainty_lower_bound(params),
-        check_moment_route_agreement(params),
-        check_robertson_schrodinger(params),
-        check_rs_known_slack(params),
-        check_cbs(params),
-        check_semidefiniteness(params),
-        check_degenerate_kernel(params),
-        check_expectation_identities(params),
-    ])
-    return out
+    return _run((
+        uncertainty_table_checks,
+        check_uncertainty_lower_bound,
+        check_moment_route_agreement,
+        check_robertson_schrodinger,
+        check_rs_known_slack,
+        check_cbs,
+        check_semidefiniteness,
+        check_degenerate_kernel,
+        check_expectation_identities,
+    ), params)
 
 
 def run_coherent_suite(params: PhysParams) -> list[CheckResult]:
-    out = [
-        check_coherent_projection(params),
-        check_coherent_normalization(params),
-        check_coherent_moments(params),
-        check_coherent_min_uncertainty(params),
-        check_coherent_variance_independence(params),
-        check_displacement_unitarity(params),
-        check_displacement_conjugation(params),
-        check_displaced_polynomial(params),
-        check_coherent_pointwise(params),
-        check_coherent_eigenvalue(params),
-        check_coherent_positivity(params),
-        check_only_ground_coherent(params),
-        check_state_reality(params),
-        check_generalized_variance_invariance(params),
-        check_generalized_normalization(params),
-    ]
-    out.extend(check_generalized_power_theorem(params))
-    return out
+    return _run((
+        check_coherent_projection,
+        check_coherent_normalization,
+        check_coherent_moments,
+        check_coherent_min_uncertainty,
+        check_coherent_variance_independence,
+        check_displacement_unitarity,
+        check_displacement_conjugation,
+        check_displaced_polynomial,
+        check_coherent_pointwise,
+        check_coherent_eigenvalue,
+        check_coherent_positivity,
+        check_only_ground_coherent,
+        check_state_reality,
+        check_generalized_variance_invariance,
+        check_generalized_normalization,
+        check_generalized_power_theorem,
+    ), params)
 
 
 def run_suite(name: str, params: PhysParams) -> list[CheckResult]:

@@ -296,15 +296,20 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     results = checks.run_suite(args.suite, cfg.params)
     passed = [bool(r.passed) for r in results]
     n_pass = sum(passed)
+    timings = args.timings
     if cfg.fmt == "json":
+        header = ("check", "passed", "residual", "tolerance") + (("seconds",) if timings else ())
         rows = [[r.name, ok, float(r.residual), float(r.tolerance)]
+                + ([float(r.seconds)] if timings else [])
                 for r, ok in zip(results, passed)]
         meta = {"suite": args.suite, "params": params_doc(cfg.params),
                 "passed": n_pass, "total": len(results)}
-        text = table_text(("check", "passed", "residual", "tolerance"), rows, "json", meta)
+        text = table_text(header, rows, "json", meta)
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {r.name}: residual={fmt17(r.residual)} "
-                 f"tolerance={fmt17(r.tolerance)}" for r, ok in zip(results, passed)]
+                 f"tolerance={fmt17(r.tolerance)}"
+                 + (f" seconds={r.seconds:.3g}" if timings else "")
+                 for r, ok in zip(results, passed)]
         lines.append(f"{n_pass}/{len(results)} checks passed")
         text = "\n".join(lines) + "\n"
     emit(text, args.out)
@@ -440,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run the verification suite")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=("all",) + checks.SUITES)
+    p_verify.add_argument("--timings", action="store_true",
+                          help="report each check's wall time in seconds")
 
     p_unc = sub.add_parser("uncertainty", parents=[common],
                            help="uncertainty product table")

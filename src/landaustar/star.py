@@ -604,23 +604,35 @@ class PolyGauss:
 
     def eval(self, a, b):
         """Pointwise value of a mode-variable symbol with abar = conj(a), bbar = conj(b)."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        a, b = np.broadcast_arrays(a, b)
-        shape = a.shape
-        vals = np.stack([a.ravel(), np.conj(a).ravel(), b.ravel(), np.conj(b).ravel()])
-        if self.coeffs:
-            expo_mat = np.array(list(self.coeffs.keys()))          # (n_mono, 4)
-            coefs = np.array(list(self.coeffs.values()))           # (n_mono,)
-            mono = np.prod(vals[None, :, :] ** expo_mat[:, :, None], axis=1)
-            tot = coefs @ mono
-        else:
-            tot = np.zeros(vals.shape[1], dtype=complex)
-        expo = np.asarray(self.linear, dtype=complex) @ vals
-        if self.gaussian:
-            expo = expo - 2.0 * (np.abs(vals[0]) ** 2 + np.abs(vals[2]) ** 2)
-        out = (tot * np.exp(expo)).reshape(shape)
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        out = eval_symbols((self,), a.ravel(), b.ravel())[0].reshape(a.shape)
         return out if out.ndim else complex(out)
+
+
+def eval_symbols(symbols, a, b) -> np.ndarray:
+    """Values of symbols that share one exponent at the points (a, b), one row each.
+
+    The monomials are evaluated once, on the union of the symbols' exponents,
+    and the shared exponential once.  Each polynomial is the dot product of its
+    coefficients with its own monomials, in its own order, so every row is bit
+    for bit the value of that symbol alone.  a and b are 1D arrays.
+    """
+    gaussian, linear = symbols[0].gaussian, symbols[0].linear
+    if any((s.gaussian, s.linear) != (gaussian, linear) for s in symbols):
+        raise ValueError("symbols evaluated together must share one exponent")
+    keys = list(dict.fromkeys(itertools.chain.from_iterable(s.coeffs for s in symbols)))
+    row_of = {key: j for j, key in enumerate(keys)}
+    vals = np.stack([a, np.conj(a), b, np.conj(b)])
+    expo_mat = np.array(keys, dtype=int).reshape(-1, 4)
+    mono = np.prod(vals[None, :, :] ** expo_mat[:, :, None], axis=1)
+    expo = np.asarray(linear, dtype=complex) @ vals
+    if gaussian:
+        expo = expo - 2.0 * (np.abs(vals[0]) ** 2 + np.abs(vals[2]) ** 2)
+    out = np.zeros((len(symbols), vals.shape[1]), dtype=complex)
+    for row, s in enumerate(symbols):
+        if s.coeffs:
+            out[row] = np.array(list(s.coeffs.values())) @ mono[[row_of[k] for k in s.coeffs]]
+    return out * np.exp(expo)
 
 
 class CanonicalPoly(PolyGauss):
@@ -716,8 +728,17 @@ def bidifferential_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     a pairs with abar and b with bbar at weight +-1/2.  At least one operand
     must be a pure polynomial.  This routine is the independent oracle for the
     matrix-unit composition rule and the ladder actions.
+
+    When f is one degree-one monomial c x_i, the series has two terms, f g and
+    w_i c d_partner(i) g, and they are formed directly.
     """
-    return _moyal_series(f, g, (0, 1, 2, 3), (1, 0, 3, 2), (0.5, -0.5, 0.5, -0.5))
+    weights, g_axes = (0.5, -0.5, 0.5, -0.5), (1, 0, 3, 2)
+    if f.is_polynomial and len(f.coeffs) == 1:
+        (key,) = f.coeffs
+        if sum(key) == 1:
+            i = key.index(1)
+            return f.pointwise_mul(g) + weights[i] * f.diff(i).pointwise_mul(g.diff(g_axes[i]))
+    return _moyal_series(f, g, (0, 1, 2, 3), g_axes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +774,46 @@ def displacement_matrix_closed(alpha, cutoff: int) -> np.ndarray:
     bounded by bounded_abs2, so a huge alpha gives exact zeros, not nan.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    shape, alpha = alpha.shape, alpha.reshape(-1)
+    out = np.empty((cutoff, cutoff, alpha.size), dtype=complex)
+    for k, below, above, cur in _displacement_sweep(alpha.reshape(-1), cutoff):
+        m = cutoff - k
+        np.multiply(below[:m], cur, out=out[k:, k])
+        np.multiply(above[1:m], cur[1:], out=out[k, k + 1:])
+    return out.reshape((cutoff, cutoff) + alpha.shape)
+
+
+def displacement_column_closed(alpha, k: int, cutoff: int) -> np.ndarray:
+    """Column k of displacement_matrix_closed(alpha, cutoff), bit for bit.
+
+    Element (m, k) needs the recurrence up to lo = min(m, k) only, so the sweep
+    stops after step k: O(k cutoff) work instead of O(cutoff^2).  Returns shape
+    (cutoff, *alpha.shape).
+    """
+    if not 0 <= k < cutoff:
+        raise ValueError(f"column {k} out of range for cutoff {cutoff}")
+    alpha = np.asarray(alpha, dtype=complex)
+    out = np.empty((cutoff, alpha.size), dtype=complex)
+    for j, below, above, cur in _displacement_sweep(alpha.reshape(-1), cutoff):
+        if j == k:
+            np.multiply(below[:cutoff - k], cur, out=out[k:])
+            break
+        # above the diagonal: element (j, k) lies on diagonal k - j
+        np.multiply(above[k - j], cur[k - j], out=out[j])
+    return out.reshape((cutoff,) + alpha.shape)
+
+
+def _displacement_sweep(alpha, cutoff: int):
+    """The Laguerre recurrence of displacement_matrix_closed, one step at a time.
+
+    For a 1D alpha, yields (k, below, above, g_k) for k = 0 .. cutoff - 1:
+    g_k[d] is g_k of diagonal d < cutoff - k, and below[d], above[d] are the
+    phases (z/|alpha|)^d under and over the main diagonal.
+    """
     rho = np.abs(alpha)
     x = bounded_abs2(rho)
     # alpha/|alpha|, or 0 at alpha = 0, where only the main diagonal is nonzero
     phase = alpha * np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
-    # first[d] = g_0 = e^{-x/2} rho^d / sqrt(d!) of diagonal d; below[d] and
-    # above[d] are the phases (z/|alpha|)^d under and over the main diagonal
+    # first[d] = g_0 = e^{-x/2} rho^d / sqrt(d!) of diagonal d
     first = np.empty((cutoff, alpha.size))
     below = np.empty((cutoff, alpha.size), dtype=complex)
     first[0] = np.exp(-0.5 * x)
@@ -771,17 +825,14 @@ def displacement_matrix_closed(alpha, cutoff: int) -> np.ndarray:
     above = np.conj(below)
     above[1::2] *= -1.0
     diag = np.arange(cutoff)[:, None]
-    out = np.empty((cutoff, cutoff, alpha.size), dtype=complex)
-    prev, cur = None, first  # cur[d] = g_k of diagonal d
+    prev, cur = None, first
     for k in range(cutoff):
         m = cutoff - k
-        np.multiply(below[:m], cur, out=out[k:, k])
-        np.multiply(above[1:m], cur[1:], out=out[k, k + 1:])
+        yield k, below, above, cur
         if m == 1:
-            break
+            return
         prev, cur = cur, _laguerre_step(k, diag[:m - 1], x, cur[:m - 1],
                                         prev[:m - 1] if k else None)
-    return out.reshape((cutoff, cutoff) + shape)
 
 
 def _laguerre_step(k: int, d, x, cur, prev):

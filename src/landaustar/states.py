@@ -39,6 +39,7 @@ from .star import (
     ProductRep,
     StarPolynomial,
     _require_product,
+    displacement_column_closed,
     displacement_matrix_closed,
     matrix_unit,
 )
@@ -220,7 +221,7 @@ def _displaced_projector(alpha1: complex, alpha2: complex, n: int, l: int,
     """
     factors, tail = [], 0.0
     for alpha, k in ((alpha1, n), (alpha2, l)):
-        col = displacement_matrix_closed(alpha, cutoff)[:, k]
+        col = displacement_column_closed(alpha, k, cutoff)
         norm = float(np.linalg.norm(col))
         if norm == 0.0:
             raise ValueError(f"displacement {alpha} leaves no weight below cutoff {cutoff}")

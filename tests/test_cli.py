@@ -805,3 +805,44 @@ def test_verify_json_format(capsys, monkeypatch):
     assert out == ("PASS good: residual=0 tolerance=1\n"
                    "FAIL bad: residual=2 tolerance=1\n"
                    "1/2 checks passed\n")
+
+
+def test_verify_timings(capsys, monkeypatch):
+    """--timings adds each check's wall time; without it the report is unchanged."""
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "marginals", "--timings")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["columns"] == ["check", "passed", "residual", "tolerance", "seconds"]
+    assert doc["total"] == doc["passed"] == len(doc["points"]) > 0
+    assert all(math.isfinite(seconds) and seconds >= 0 for *_, seconds in doc["points"])
+
+    timed = [checks.CheckResult("good", 0.0, 1.0, 0.25), checks.CheckResult("bad", 2.0, 1.0, 1.5)]
+    monkeypatch.setattr(checks, "run_suite", lambda suite, params: timed)
+    _, out, _ = run_cli(capsys, "verify", "star", "--timings")
+    assert out == ("PASS good: residual=0 tolerance=1 seconds=0.25\n"
+                   "FAIL bad: residual=2 tolerance=1 seconds=1.5\n"
+                   "1/2 checks passed\n")
+    _, out, _ = run_cli(capsys, "--format", "json", "verify", "star", "--timings")
+    assert json.loads(out)["points"] == [["good", True, 0.0, 1.0, 0.25],
+                                         ["bad", False, 2.0, 1.0, 1.5]]
+    _, out, _ = run_cli(capsys, "verify", "star")
+    assert out == ("PASS good: residual=0 tolerance=1\n"
+                   "FAIL bad: residual=2 tolerance=1\n"
+                   "1/2 checks passed\n")
+    _, out, _ = run_cli(capsys, "--format", "json", "verify", "star")
+    assert json.loads(out)["points"] == [["good", True, 0.0, 1.0], ["bad", False, 2.0, 1.0]]
+
+
+def test_suite_runner_shares_a_checks_time_among_its_results():
+    def one(params):
+        return checks.CheckResult("one", 0.0, 1.0)
+
+    def two(params):
+        return [checks.CheckResult("x", 0.0, 1.0), checks.CheckResult("y", 0.0, 1.0)]
+
+    out = checks._run((one, two), PARAMS)
+    assert [r.name for r in out] == ["one", "x", "y"]
+    assert all(r.seconds >= 0 for r in out)
+    assert out[1].seconds == out[2].seconds
+    # the time is not part of a result's value
+    assert out[0] == checks.CheckResult("one", 0.0, 1.0)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from landaustar import checks
 from landaustar.checks import (
+    _dense,
     _random_product,
     dense_star_contraction,
     moyal_integral_star_single_mode,
@@ -18,12 +20,15 @@ from landaustar.star import (
     PolyGauss,
     ProductRep,
     StarPolynomial,
+    _moyal_series,
     anti_moyal_bracket,
     apply_star_polynomial,
     bidifferential_star,
     canonical_star,
+    displacement_column_closed,
     displacement_matrix,
     displacement_matrix_closed,
+    eval_symbols,
     fock_from_json_dict,
     fock_to_entries,
     fock_to_json_dict,
@@ -292,6 +297,69 @@ def test_oracle_rejects_two_gaussians():
         bidifferential_star(gauss, gauss)
 
 
+_SERIES_AXES = ((0, 1, 2, 3), (1, 0, 3, 2), (0.5, -0.5, 0.5, -0.5))
+
+
+def _word_tree_symbols(n, l, max_len=4):
+    """wigner_symbol(n, l) and its images under every generator word of length <= max_len."""
+    level, out = [wigner_symbol(n, l)], []
+    for depth in range(max_len + 1):
+        out.extend(level)
+        if depth < max_len:
+            level = [bidifferential_star(generator_symbol(g), s) for s in level for g in GENERATORS]
+    return out
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_generator_short_path_matches_the_series(n):
+    """A generator acting from the left skips the series loop; its two terms are
+    the series' own, so the coefficients are equal, key for key."""
+    for l in range(4):
+        for sym in _word_tree_symbols(n, l, max_len=3):
+            for gen in GENERATORS:
+                for coeff in (1.0, 0.3 - 2.0j):
+                    (key,) = generator_symbol(gen).coeffs
+                    f = PolyGauss.monomial(key, coeff)
+                    got = bidifferential_star(f, sym)
+                    want = _moyal_series(f, sym, *_SERIES_AXES)
+                    assert got.coeffs == want.coeffs
+                    assert (got.gaussian, got.linear, type(got)) == \
+                        (want.gaussian, want.linear, type(want))
+
+
+def test_only_a_degree_one_monomial_takes_the_short_path(monkeypatch):
+    # the package's star function shadows the star submodule
+    star_module = importlib.import_module("landaustar.star")
+    calls = []
+    series = star_module._moyal_series
+    monkeypatch.setattr(star_module, "_moyal_series",
+                        lambda *args: calls.append(args[0]) or series(*args))
+    g = wigner_symbol(2, 1)
+    bidifferential_star(generator_symbol("b"), g)
+    assert calls == []
+    for f in (PolyGauss({(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 2.0}),   # two monomials
+              PolyGauss.monomial((1, 1, 0, 0)),                     # degree two
+              PolyGauss.constant(3.0),                              # degree zero
+              PolyGauss({(1, 0, 0, 0): 1.0}, gaussian=True),        # Gaussian f
+              PolyGauss({(0, 0, 1, 0): 1.0}, linear=(0j, 0.5, 0j, 0j))):
+        calls.clear()
+        bidifferential_star(f, generator_symbol("a"))
+        assert calls == [f]
+
+
+def test_batched_symbol_values_equal_each_symbol_alone():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=7) + 1j * rng.normal(size=7)
+    b = rng.normal(size=7) + 1j * rng.normal(size=7)
+    symbols = _word_tree_symbols(2, 3, max_len=2) + [PolyGauss({}, gaussian=True)]
+    got = eval_symbols(symbols, a, b)
+    assert got.shape == (len(symbols), 7)
+    for row, sym in zip(got, symbols):
+        assert np.array_equal(row, sym.eval(a, b))
+    with pytest.raises(ValueError, match="share one exponent"):
+        eval_symbols([wigner_symbol(0, 0), generator_symbol("a")], a, b)
+
+
 def test_oracle_exponential_taylor_converges():
     """Taylor sections of exp(eta*a), starred onto the Gaussian, approach it."""
     eta = 0.8 - 0.3j
@@ -545,6 +613,53 @@ def test_displacement_kernel_is_vectorized():
         via_expm = displacement_matrix(alphas[i, j], 32)
         assert float(np.max(np.abs(via_expm[:9, :9] - closed[:9, :9, i, j]))) <= 1e-9
     np.testing.assert_array_equal(closed[:, :, 1, 2], np.eye(32))
+
+
+@pytest.mark.parametrize("cutoff", [2, 8, 24, 64])
+@pytest.mark.parametrize("alpha", [0.0, 0.7 - 0.2j, 5.0, 1e3])
+def test_displacement_column_is_the_matrix_column(cutoff, alpha):
+    closed = displacement_matrix_closed(alpha, cutoff)
+    for k in range(cutoff):
+        col = displacement_column_closed(alpha, k, cutoff)
+        assert col.shape == (cutoff,)
+        assert np.array_equal(col, closed[:, k])
+    alphas = np.array([[alpha, 1.1j], [-0.4, 2.0]])
+    assert np.array_equal(displacement_column_closed(alphas, cutoff - 1, cutoff),
+                          displacement_matrix_closed(alphas, cutoff)[:, cutoff - 1])
+    with pytest.raises(ValueError):
+        displacement_column_closed(alpha, cutoff, cutoff)
+
+
+@pytest.mark.parametrize("terms", [3, 9, 27])
+def test_dense_matrix_product_equals_coeffs(terms):
+    rng = np.random.default_rng(terms)
+    rep = _random_product(rng, 12, terms)
+    dense = _dense(rep)
+    assert dense.shape == (12,) * 4
+    assert float(np.max(np.abs(dense - rep.coeffs))) <= 1e-15 * float(np.max(np.abs(rep.coeffs)))
+
+
+def test_associativity_catches_an_extra_term(monkeypatch):
+    """A star product with one extra term of relative size 1e-10 fails the check."""
+    assert checks.check_associativity(PhysParams(), triples=3).passed
+
+    def perturbed(f, g):
+        out = star(f, g)
+        c, a, b = out.terms[0]
+        return ProductRep(out.cutoff, out.terms + ((1e-10 * c, a, b),), out.overflow)
+
+    monkeypatch.setattr(checks, "star", perturbed)
+    assert not checks.check_associativity(PhysParams(), triples=3).passed
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_oracle_equivalence_catches_a_ladder_error(monkeypatch, gen):
+    """One generator's ladder action off by 1e-9 relative fails the check."""
+    small = dict(nmax=1, max_len=2)
+    assert checks.check_oracle_equivalence(PhysParams(), **small).passed
+    monkeypatch.setattr(checks, "left_star_generator",
+                        lambda g, rep: (1.0 + 1e-9 * (g == gen)) * left_star_generator(g, rep))
+    assert not checks.check_oracle_equivalence(PhysParams(), **small).passed
 
 
 def test_anti_bracket_on_polynomials():
