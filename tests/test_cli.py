@@ -676,6 +676,7 @@ def test_equality_samples_that_overflow_are_input_errors(capsys, argv):
 # sha256 of stdout for a fixed command set, captured from the per-cell table
 # formatter; a digest moves only with a deliberate change to printed bytes
 _GRID4 = "q1=-2:2:3,q2=-1:1:2,p1=0:1.5:2,p2=-1:1:3"
+_GRID4_PINNED = "q1=-1:1:3,q2=0.25:0.25:2,p1=0.75,p2=-1.5:0:4"
 GOLDEN_OUTPUT = {
     "wigner-csv": (("--format", "csv", "eval", "wigner:2,1", "--grid", _GRID4),
                    "d7d4df7e7b040089552d610418c1686889a81593f94eee3c36ec131fd9bf48d6"),
@@ -717,6 +718,18 @@ GOLDEN_OUTPUT = {
     "marginal1d-unit-norm-hbar-1e250": (
         ("--unit-norm", "--hbar", "1e250", "eval", "marginal1d:p1", "wigner:0,0", "--grid", "0"),
         "c06fe70e51e61394417cda10cb60365ff224ef23a6f5cef5dbdb06ee2fd64a30"),
+    # a repeated coordinate (q2), zeros on q1 and p2 and a pinned p1
+    "coherent-pinned-csv": (("--format", "csv", "eval", "coherent:0.4,0,-0.6,0.3",
+                             "--grid", _GRID4_PINNED),
+                            "e7de08d48bfe086c6a4189dbc07a401dac47819e2605443ce8dc9287fdea3f6d"),
+    "coherent-pinned-json": (("--format", "json", "eval", "coherent:0.4,0,-0.6,0.3",
+                              "--grid", _GRID4_PINNED),
+                             "e3f21b65e6b90feb1986938dfd6baa8d7fa9fca247376595e3465b98bf210efd"),
+    "marginal2d-3x5-json": (("--format", "json", "eval", "marginal2d:q1,q2", "wigner:2,0",
+                             "--grid", "q1=-1:1:3,q2=-2:2:5"),
+                            "2d0d753f17a92adda867f6c9fab77bd03c25fe20a29aefad56e22fa530dc5862"),
+    "verify-marginals-json": (("--format", "json", "verify", "marginals"),
+                              "8890a1b314fe95a760ce60ec8abde9cff6eb3c8a0cbd6d68403dc0fc438f487d"),
 }
 
 
