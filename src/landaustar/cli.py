@@ -7,8 +7,17 @@ states as JSON.  Same configuration always produces byte-identical output.
 
 The argument parser is built once per process, on the first call to
 ``main``; each call then dispatches to ``cmd_<subcommand>`` by name, looked
-up at call time.  Tables are formatted a whole table at a time, with the same
-bytes as formatting each cell with ``fmt17`` or ``str``.
+up at call time.
+
+Output plumbing: every table, CSV or JSON, is written by ``table_text``,
+column by column.  A grid table names its axes' 1-D arrays, so each number
+is formatted once per distinct grid value, not once per row, and each value
+column once; the row strings are then joined axis by axis in meshgrid "ij"
+order.  Tables without a grid (``uncertainty``, ``equalities``, ``verify
+--format json``) pass per-row columns only.  The bytes are those of
+formatting each cell with ``%.17g`` or ``str`` in CSV, and of ``json.dumps``
+of the row-by-row document in JSON.  A grid holds at most
+``MAX_GRID_POINTS`` points.
 
 The kernels return unit-free shapes and moments; physical units enter only
 here: each ``eval`` target is a shape at the grid in axis units times one
@@ -52,6 +61,10 @@ EXIT_CONFIG_CONFLICT = 3
 # largest accepted |grid value|: the coordinate scaling of a value near the
 # largest double overflows before any kernel sees it
 MAX_GRID_VALUE = 1e300
+# most points one grid may hold, on one axis and in total: a table row is
+# about 100 bytes of text and a few hundred of working memory, so a larger
+# grid is refused (exit 2) before anything is allocated
+MAX_GRID_POINTS = 1_000_000
 # largest accepted |grid value| in axis units (x / axis_scale), which bounds
 # the mode coordinates under extreme units such as --mass 1e-300
 _MAX_AXIS_UNITS = 1e305
@@ -155,6 +168,9 @@ def parse_axis_spec(text: str) -> np.ndarray:
         return np.array(ends)
     if count < 1:
         raise InputError(f"grid count must be positive in {text!r}")
+    if count > MAX_GRID_POINTS:
+        raise InputError(f"grid axis {text!r} has {count} points; at most "
+                         f"{MAX_GRID_POINTS} are accepted")
     return np.linspace(*ends, count)
 
 
@@ -196,6 +212,11 @@ def parse_named_grid(text: str, axes) -> dict:
         if name in grid:
             raise InputError(f"grid axis {name!r} is given twice")
         grid[name] = parse_axis_spec(spec)
+    total = math.prod(len(values) for values in grid.values())
+    if total > MAX_GRID_POINTS:
+        counts = " x ".join(str(len(values)) for values in grid.values())
+        raise InputError(f"grid has {total} points ({counts}); at most "
+                         f"{MAX_GRID_POINTS} are accepted")
     return {ax: grid.get(ax, np.array([0.0])) for ax in axes}
 
 
@@ -211,19 +232,46 @@ def emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def table_text(header, rows, fmt: str, json_meta: dict | None = None) -> str:
-    """CSV or JSON text of rows whose columns each hold one type, read off the first row."""
+def _cell_texts(column, fmt: str) -> list:
+    """Each entry's text: in CSV ``%.17g`` for floats and ``str`` otherwise, in
+    JSON ``json.dumps``'s own; the type is read off the first entry."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if not values:
+        return []
     if fmt == "csv":
-        head = ",".join(header) + "\n"
-        if not rows:
-            return head
-        row_template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
-        body = "\n".join([row_template] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-        return head + body + "\n"
-    doc = dict(json_meta or {})
-    doc["columns"] = list(header)
-    doc["points"] = rows
-    return json.dumps(doc) + "\n"
+        if not isinstance(values[0], float):
+            return list(map(str, values))
+        return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+    if isinstance(values[0], str):
+        return list(map(json.dumps, values))
+    # numbers and booleans: no entry's text holds ", "
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def table_text(header, columns, fmt: str, json_meta: dict | None = None, axes=()) -> str:
+    """CSV or JSON text of a table whose columns each hold one type.
+
+    The leading columns are the grid ``axes``, 1-D arrays whose rows run in
+    meshgrid "ij" order (the first axis slowest); ``columns`` then hold one
+    entry per row.  Each axis value and each entry is formatted once, so a
+    grid coordinate is formatted once however many rows repeat it.  The
+    bytes are those of formatting every cell of the row-by-row table.
+    """
+    sep = "," if fmt == "csv" else ", "
+    rows = None
+    for axis in axes:
+        texts = _cell_texts(axis, fmt)
+        rows = texts if rows is None else [r + sep + t for r in rows for t in texts]
+    for column in columns:
+        texts = _cell_texts(column, fmt)
+        rows = texts if rows is None else [r + sep + t
+                                           for r, t in zip(rows, texts, strict=True)]
+    rows = rows or []
+    if fmt == "csv":
+        return "\n".join([",".join(header), *rows]) + "\n"
+    head = json.dumps({**(json_meta or {}), "columns": list(header)})
+    points = "[[" + "], [".join(rows) + "]]" if rows else "[]"
+    return head[:-1] + ', "points": ' + points + "}\n"
 
 
 def params_doc(params: PhysParams) -> dict:
@@ -246,12 +294,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         grid = parse_named_grid(args.grid, AXES)
         _refuse_far_values(grid, params)
         factor = unit_prefactor(1.0 / h / h if cfg.unit_norm else 1.0, AXES)
-        mesh = np.meshgrid(*(grid[ax] for ax in AXES), indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
+        axes = [grid[ax] for ax in AXES]
+        flat = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
         vals = factor * state_values(label, *mode_coords_arrays(*flat, params))
-        rows = np.column_stack((*flat, vals)).tolist()
         meta = {"target": "wigner", "state": state_text, "params": params_doc(params)}
-        emit(table_text(("q1", "q2", "p1", "p2", "value"), rows, cfg.fmt, meta), args.out)
+        emit(table_text((*AXES, "value"), (vals,), cfg.fmt, meta, axes=axes), args.out)
         return EXIT_OK
 
     kind, _, detail = target.partition(":")
@@ -265,9 +312,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         factor = unit_prefactor(1.0 / axis_scale(detail, params) if cfg.unit_norm else
                                 4.0 * math.sqrt(math.pi) * axis_norm(detail, params), (detail,))
         vals = factor * np.atleast_1d(marginal_1d(label.n, label.l, units[detail]))
-        rows = np.column_stack((xs, vals)).tolist()
         meta = {"axis": detail, "n": label.n, "l": label.l, "params": params_doc(params)}
-        emit(table_text(("x", "value"), rows, cfg.fmt, meta), args.out)
+        emit(table_text(("x", "value"), (vals,), cfg.fmt, meta, axes=(xs,)), args.out)
         return EXIT_OK
 
     if kind == "marginal2d":
@@ -280,13 +326,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         units = to_axis_units(grid, params)
         sx, sy = (axis_scale(ax, params) for ax in plane)
         factor = unit_prefactor(1.0 / sx / sy if cfg.unit_norm else (h / sx) * (h / sy), plane)
-        x, y = (m.reshape(-1) for m in np.meshgrid(*grid.values(), indexing="ij"))
         u, v = (m.reshape(-1) for m in np.meshgrid(*units.values(), indexing="ij"))
         vals = factor * marginal_2d(label.n, label.l, plane, u, v)
-        rows = np.column_stack((x, y, vals)).tolist()
         meta = {"plane": list(plane), "n": label.n, "l": label.l,
                 "params": params_doc(params)}
-        emit(table_text((plane[0], plane[1], "value"), rows, cfg.fmt, meta), args.out)
+        emit(table_text((*plane, "value"), (vals,), cfg.fmt, meta, axes=grid.values()),
+             args.out)
         return EXIT_OK
 
     raise InputError(f"unknown eval target {target!r}")
@@ -299,12 +344,12 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     timings = args.timings
     if cfg.fmt == "json":
         header = ("check", "passed", "residual", "tolerance") + (("seconds",) if timings else ())
-        rows = [[r.name, ok, float(r.residual), float(r.tolerance)]
-                + ([float(r.seconds)] if timings else [])
-                for r, ok in zip(results, passed)]
+        columns = ([r.name for r in results], passed,
+                   [float(r.residual) for r in results], [float(r.tolerance) for r in results],
+                   *([[float(r.seconds) for r in results]] if timings else ()))
         meta = {"suite": args.suite, "params": params_doc(cfg.params),
                 "passed": n_pass, "total": len(results)}
-        text = table_text(header, rows, "json", meta)
+        text = table_text(header, columns, "json", meta)
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {r.name}: residual={fmt17(r.residual)} "
                  f"tolerance={fmt17(r.tolerance)}"
@@ -341,7 +386,7 @@ def cmd_uncertainty(args, cfg: RunConfig) -> int:
         rows.append((n, l, sq * math.sqrt(m), sp * math.sqrt(m), hb * m, hb * (m - 0.5)))
     meta = {"params": params_doc(cfg.params)}
     emit(table_text(("n", "l", "dq1", "dp1", "product", "bound_gap"),
-                    rows, cfg.fmt, meta), args.out)
+                    list(zip(*rows)), cfg.fmt, meta), args.out)
     return EXIT_OK
 
 
@@ -374,7 +419,7 @@ def cmd_equalities(args, cfg: RunConfig) -> int:
         rows.append((n, l, float(q1 / g), lag, herm))
     meta = {"params": params_doc(cfg.params)}
     emit(table_text(("n", "l", "q1_over_gamma", "residual_position_plane",
-                     "residual_mixed_plane"), rows, cfg.fmt, meta), args.out)
+                     "residual_mixed_plane"), list(zip(*rows)), cfg.fmt, meta), args.out)
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -658,6 +660,27 @@ def test_repeated_grid_axis_is_an_input_error(capsys, argv, axis):
     assert f"'{axis}'" in err
 
 
+@pytest.mark.parametrize("argv,count", [
+    (("eval", "wigner:0,0", "--grid", "q1=0:1:1000,q2=0:1:1000,p1=0:1:1000,p2=0:1:1000"),
+     10 ** 12),
+    (("eval", "marginal1d:q1", "wigner:0,0", "--grid", "0:1:10000000000"), 10 ** 10),
+    (("eval", "marginal2d:q1,p2", "wigner:1,0", "--grid", "q1=0:1:1001,p2=0:1:1000"),
+     1001 * 1000),
+])
+def test_oversized_grids_are_input_errors(capsys, argv, count):
+    """A 1000^4 grid ended in a MemoryError traceback with exit 1, before any output."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert f"{count} points" in err and f"{cli.MAX_GRID_POINTS}" in err
+
+
+def test_grid_at_the_point_bound_is_accepted():
+    grid = cli.parse_named_grid(f"q1=0:1:{cli.MAX_GRID_POINTS // 4},p2=-1:1:4", ("q1", "p2"))
+    assert math.prod(len(v) for v in grid.values()) == cli.MAX_GRID_POINTS
+
+
 @pytest.mark.parametrize("argv", [
     ("equalities", "--pairs", "2,1", "--samples", "1e308"),
     ("equalities", "--pairs", "16,0", "--samples", "0,1e10"),
@@ -782,6 +805,39 @@ def _per_cell_table(header, rows, fmt, json_meta=None):
     return json.dumps(doc) + "\n"
 
 
+_EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _random_grid_table(seed):
+    """Grid axes (1-4, some single-point) and per-row int and float columns."""
+    rng = np.random.default_rng(seed)
+    n_axes = 1 + seed % 4
+    pool = _EXTREMES + [0.0, 1.0, 0.1] + rng.normal(scale=3.0, size=4).tolist()
+    axes = [np.array(rng.choice(pool, size=1 if k == seed % n_axes else int(rng.integers(1, 5))))
+            for k in range(n_axes)]
+    size = math.prod(len(a) for a in axes)
+    ints = rng.integers(-2 ** 62, 2 ** 62, size=size).tolist()
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    specials = (float("nan"), float("inf"), -float("inf"), *_EXTREMES)
+    at = rng.permutation(size)[:len(specials)]
+    values[at] = specials[:len(at)]
+    return axes, [ints, values]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_table_text_matches_per_cell_formatting(seed, fmt):
+    """Axes formatted once give the bytes of the row-by-row table, cell by cell."""
+    axes, columns = _random_grid_table(seed)
+    header = tuple(f"x{k}" for k in range(len(axes))) + ("k", "value")
+    rows = [(*coords, *rest) for coords, *rest in
+            zip(itertools.product(*(a.tolist() for a in axes)), columns[0], columns[1].tolist(),
+                strict=True)]
+    meta = {"seed": seed}
+    assert (cli.table_text(header, columns, fmt, meta, axes=axes)
+            == _per_cell_table(header, rows, fmt, meta))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("rows", [
     [],
@@ -790,11 +846,14 @@ def _per_cell_table(header, rows, fmt, json_meta=None):
      (1, 2 ** 70, float("inf"), np.float64(2.5), -float("inf")),
      (-3, 7, -0.0, np.float64(1e-310), 0.1),
      (4, 0, 1.7976931348623157e308, np.float64(float("nan")), -5e-324)],
-], ids=["empty", "one-row", "four-rows"])
+    [("a, b", True, 0.5, -1, 1.7976931348623157e308),
+     ('q"\\, [x]', False, -0.0, 2, -1.7976931348623157e308)],
+], ids=["empty", "one-row", "four-rows", "strings-and-booleans"])
 def test_table_text_matches_per_cell_formatting(rows, fmt):
     header = ("n", "l", "a", "b", "c")
     meta = {"params": {"hbar": 1.0}}
-    assert cli.table_text(header, rows, fmt, meta) == _per_cell_table(header, rows, fmt, meta)
+    columns = list(zip(*rows))
+    assert cli.table_text(header, columns, fmt, meta) == _per_cell_table(header, rows, fmt, meta)
 
 
 def test_verify_json_format(capsys, monkeypatch):
