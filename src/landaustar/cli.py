@@ -61,9 +61,9 @@ EXIT_CONFIG_CONFLICT = 3
 # largest accepted |grid value|: the coordinate scaling of a value near the
 # largest double overflows before any kernel sees it
 MAX_GRID_VALUE = 1e300
-# most points one grid may hold, on one axis and in total: a table row is
-# about 100 bytes of text and a few hundred of working memory, so a larger
-# grid is refused (exit 2) before anything is allocated
+# most points one grid may hold, on one axis and in total; a larger grid is
+# refused (exit 2) before anything is allocated.  A 4D table at the bound is
+# about 90 MB of text and peaks near 0.6 GB of memory
 MAX_GRID_POINTS = 1_000_000
 # largest accepted |grid value| in axis units (x / axis_scale), which bounds
 # the mode coordinates under extreme units such as --mass 1e-300
@@ -344,12 +344,12 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     timings = args.timings
     if cfg.fmt == "json":
         header = ("check", "passed", "residual", "tolerance") + (("seconds",) if timings else ())
-        columns = ([r.name for r in results], passed,
-                   [float(r.residual) for r in results], [float(r.tolerance) for r in results],
-                   *([[float(r.seconds) for r in results]] if timings else ()))
+        rows = [[r.name, ok, float(r.residual), float(r.tolerance)]
+                + ([float(r.seconds)] if timings else [])
+                for r, ok in zip(results, passed)]
         meta = {"suite": args.suite, "params": params_doc(cfg.params),
                 "passed": n_pass, "total": len(results)}
-        text = table_text(header, columns, "json", meta)
+        text = table_text(header, list(zip(*rows)), "json", meta)
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {r.name}: residual={fmt17(r.residual)} "
                  f"tolerance={fmt17(r.tolerance)}"

@@ -805,11 +805,21 @@ def _per_cell_table(header, rows, fmt, json_meta=None):
     return json.dumps(doc) + "\n"
 
 
+_ROW_TABLES = {
+    "empty": [],
+    "one-row": [(0, -1, float("nan"), np.float64(-0.0), 5e-324)],
+    "four-rows": [(0, -1, float("nan"), np.float64(-0.0), 5e-324),
+                  (1, 2 ** 70, float("inf"), np.float64(2.5), -float("inf")),
+                  (-3, 7, -0.0, np.float64(1e-310), 0.1),
+                  (4, 0, 1.7976931348623157e308, np.float64(float("nan")), -5e-324)],
+    "strings-and-booleans": [("a, b", True, 0.5, -1, 1.7976931348623157e308),
+                             ('q"\\, [x]', False, -0.0, 2, -1.7976931348623157e308)],
+}
 _EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def _random_grid_table(seed):
-    """Grid axes (1-4, some single-point) and per-row int and float columns."""
+def _grid_table(seed):
+    """Grid axes (1-4, one single-point) with an int and a float column, and its rows."""
     rng = np.random.default_rng(seed)
     n_axes = 1 + seed % 4
     pool = _EXTREMES + [0.0, 1.0, 0.1] + rng.normal(scale=3.0, size=4).tolist()
@@ -821,39 +831,25 @@ def _random_grid_table(seed):
     specials = (float("nan"), float("inf"), -float("inf"), *_EXTREMES)
     at = rng.permutation(size)[:len(specials)]
     values[at] = specials[:len(at)]
-    return axes, [ints, values]
+    rows = [(*coords, k, v) for coords, k, v in
+            zip(itertools.product(*(a.tolist() for a in axes)), ints, values.tolist(),
+                strict=True)]
+    return axes, [ints, values], rows
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("seed", range(12))
-def test_grid_table_text_matches_per_cell_formatting(seed, fmt):
-    """Axes formatted once give the bytes of the row-by-row table, cell by cell."""
-    axes, columns = _random_grid_table(seed)
-    header = tuple(f"x{k}" for k in range(len(axes))) + ("k", "value")
-    rows = [(*coords, *rest) for coords, *rest in
-            zip(itertools.product(*(a.tolist() for a in axes)), columns[0], columns[1].tolist(),
-                strict=True)]
-    meta = {"seed": seed}
+@pytest.mark.parametrize("case", [*_ROW_TABLES, *(f"grid-{seed}" for seed in range(12))])
+def test_table_text_matches_per_cell_formatting(case, fmt):
+    """Column-wise text, each grid axis formatted once, equals the per-cell text of the rows."""
+    if case in _ROW_TABLES:
+        rows = _ROW_TABLES[case]
+        header, axes, columns = ("n", "l", "a", "b", "c"), (), list(zip(*rows))
+    else:
+        axes, columns, rows = _grid_table(int(case.removeprefix("grid-")))
+        header = tuple(f"x{k}" for k in range(len(axes))) + ("k", "value")
+    meta = {"params": {"hbar": 1.0}}
     assert (cli.table_text(header, columns, fmt, meta, axes=axes)
             == _per_cell_table(header, rows, fmt, meta))
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", [
-    [],
-    [(0, -1, float("nan"), np.float64(-0.0), 5e-324)],
-    [(0, -1, float("nan"), np.float64(-0.0), 5e-324),
-     (1, 2 ** 70, float("inf"), np.float64(2.5), -float("inf")),
-     (-3, 7, -0.0, np.float64(1e-310), 0.1),
-     (4, 0, 1.7976931348623157e308, np.float64(float("nan")), -5e-324)],
-    [("a, b", True, 0.5, -1, 1.7976931348623157e308),
-     ('q"\\, [x]', False, -0.0, 2, -1.7976931348623157e308)],
-], ids=["empty", "one-row", "four-rows", "strings-and-booleans"])
-def test_table_text_matches_per_cell_formatting(rows, fmt):
-    header = ("n", "l", "a", "b", "c")
-    meta = {"params": {"hbar": 1.0}}
-    columns = list(zip(*rows))
-    assert cli.table_text(header, columns, fmt, meta) == _per_cell_table(header, rows, fmt, meta)
 
 
 def test_verify_json_format(capsys, monkeypatch):
