@@ -294,11 +294,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         grid = parse_named_grid(args.grid, AXES)
         _refuse_far_values(grid, params)
         factor = unit_prefactor(1.0 / h / h if cfg.unit_norm else 1.0, AXES)
-        axes = [grid[ax] for ax in AXES]
-        flat = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
+        flat = [m.reshape(-1) for m in np.meshgrid(*grid.values(), indexing="ij")]
         vals = factor * state_values(label, *mode_coords_arrays(*flat, params))
         meta = {"target": "wigner", "state": state_text, "params": params_doc(params)}
-        emit(table_text((*AXES, "value"), (vals,), cfg.fmt, meta, axes=axes), args.out)
+        emit(table_text((*AXES, "value"), (vals,), cfg.fmt, meta, axes=grid.values()),
+             args.out)
         return EXIT_OK
 
     kind, _, detail = target.partition(":")
