@@ -12,8 +12,8 @@ from .phase_space import (
 from .quadrature import QuadratureRule, gauss_hermite, integrate_nd
 from .star import (
     CanonicalPoly,
-    FockRep,
     PolyGauss,
+    ProductRep,
     StarPolynomial,
     apply_star_polynomial,
     bidifferential_star,

@@ -49,7 +49,7 @@ from .marginals import (
     marginal_2d,
 )
 from .phase_space import PhysParams, mode_coords_arrays
-from .star import fock_from_json_dict, fock_to_json_dict
+from .star import MAX_DOCUMENT_CUTOFF, fock_from_json_dict, fock_to_json_dict
 from .states import WignerLabel, parse_state_label, state_fock, state_values
 from .uncertainty import second_moment
 
@@ -425,24 +425,22 @@ def cmd_equalities(args, cfg: RunConfig) -> int:
 
 def cmd_state(args, cfg: RunConfig) -> int:
     if args.action == "dump":
+        if cfg.cutoff > MAX_DOCUMENT_CUTOFF:
+            raise ConfigConflict(f"cutoff {cfg.cutoff} exceeds {MAX_DOCUMENT_CUTOFF}, "
+                                 "the largest cutoff of a state document")
         label = parse_state_label(args.source)
         cfg.require_labels_fit(label)
         rep = state_fock(label, cfg.cutoff)
-        emit(json.dumps(fock_to_json_dict(rep)) + "\n", args.out)
-        return EXIT_OK
-    # load: parse, validate, re-emit canonical form
-    try:
-        with open(args.source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read state file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed state file at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
-    try:
+    else:  # load: parse, validate, re-emit canonical form
+        try:
+            with open(args.source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read state file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed state file at line {exc.lineno}, "
+                             f"column {exc.colno}: {exc.msg}") from exc
         rep = fock_from_json_dict(doc)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     emit(json.dumps(fock_to_json_dict(rep)) + "\n", args.out)
     return EXIT_OK
 
@@ -461,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mass", type=float)
     common.add_argument("--omega", type=float)
     common.add_argument("--cutoff", type=int,
-                        help="Fock cutoff of the tensor 'state dump' writes (default 32)")
+                        help="Fock cutoff of 'state dump', from 2 to 32 (default 32)")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--unit-norm", action="store_true",
                         help="divide density values by h^2")

@@ -22,7 +22,7 @@ D(alpha)|n>, normalized over the kept levels; the weight the column loses
 past the cutoff sets ``overflow``.
 The dense tensor is built only where a consumer asks for ``coeffs`` (JSON
 dump, the reality residual); ``fock_values`` contracts each mode's factor
-with that mode's basis values and refuses a dense FockRep.
+with that mode's basis values, of a loaded state document too.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .star import (
     PolyGauss,
     ProductRep,
     StarPolynomial,
-    _require_product,
     displacement_column_closed,
     displacement_matrix_closed,
     matrix_unit,
@@ -105,7 +104,6 @@ def matrix_unit_values(cutoff: int, z):
 
 def fock_values(rep: ProductRep, a, b):
     """Pointwise values of a ProductRep at mode coordinates (a, b), vectorized."""
-    _require_product(rep)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     vals = _fock_point_values(rep, matrix_unit_values(rep.cutoff, a.ravel()),

@@ -30,7 +30,7 @@ import numpy as np
 from .marginals import axis_scale, marginal_1d
 from .phase_space import PhysParams
 from .quadrature import default_order, gauss_hermite
-from .star import ProductRep, StarPolynomial, _require_product, apply_star_polynomial, star_traces
+from .star import ProductRep, StarPolynomial, apply_star_polynomial, star_traces
 from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
@@ -53,9 +53,6 @@ class StateFunctional:
 
     state: ProductRep
     params: PhysParams
-
-    def __post_init__(self):
-        _require_product(self.state)
 
     def __call__(self, f: StarPolynomial) -> complex:
         return expectation(f, self)
@@ -202,9 +199,11 @@ def coherent_uncertainties(label: CoherentLabel, params: PhysParams):
     """Per-coordinate moment reports for a coherent state, exact at any displacement.
 
     The moments of each coordinate are those of the displaced coordinate in
-    the ground state, the displacement theorem of displaced_power_residual.  A
-    word of length d lifts the ground state to level d, so cutoff 2d + 1 holds
-    the variance's words exactly.
+    the ground state, the displacement theorem of displaced_power_residual.  The
+    ground state's mean of one letter is zero, so the mean is the constant term,
+    and the variance, of the coordinate minus it, cannot cancel.  A word of
+    length d lifts the ground state to level d, so cutoff 2d + 1 holds the
+    variance's words exactly.
     """
     shifted = {name: displaced_polynomial(poly, label.alpha1, label.alpha2)
                for name, poly in coordinate_polynomials(params).items()}
@@ -212,8 +211,10 @@ def coherent_uncertainties(label: CoherentLabel, params: PhysParams):
     s = StateFunctional(wigner_fock(label.base, 2 * degree + 1), params)
     reports = {}
     for name, poly in shifted.items():
-        assert not apply_star_polynomial(poly, apply_star_polynomial(poly, s.state)).overflow
-        reports[name] = MomentReport(name, expectation(poly, s), variance(poly, s))
+        mean = {word: c for c, word in poly.terms}.get((), 0j)
+        centred = poly - mean
+        assert not apply_star_polynomial(centred, apply_star_polynomial(centred, s.state)).overflow
+        reports[name] = MomentReport(name, mean, variance(centred, s))
     return reports
 
 

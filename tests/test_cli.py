@@ -173,6 +173,18 @@ def test_state_dump_refuses_a_label_past_the_cutoff(capsys):
     assert "cutoff 8" in err
 
 
+def test_state_documents_past_the_cutoff_bound_are_refused_at_once(tmp_path, capsys):
+    """A cutoff-1000 tensor would take 14.6 TiB; the bound refuses it unallocated."""
+    path = tmp_path / "big.json"
+    path.write_text('{"cutoff": 1000, "entries": []}', encoding="utf-8")
+    for argv, want in ((("state", "load", str(path)), 2),
+                       (("--cutoff", "1000", "state", "dump", "wigner:0,0"), 3)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == want and out == "" and "1000" in err and "32" in err
+
+
 def test_eval_bad_grid(capsys):
     code, _, err = run_cli(capsys, "eval", "wigner:0,0", "--grid", "q9=0")
     assert code == 2

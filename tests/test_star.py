@@ -15,11 +15,12 @@ from landaustar.checks import (
 from landaustar.phase_space import PhysParams
 from landaustar.star import (
     GENERATORS,
+    MAX_DOCUMENT_CUTOFF,
     CanonicalPoly,
-    FockRep,
     PolyGauss,
     ProductRep,
     StarPolynomial,
+    _dense_product,
     _moyal_series,
     anti_moyal_bracket,
     apply_star_polynomial,
@@ -106,8 +107,8 @@ def test_star_cutoff_mismatch():
         star(ProductRep(4, ()), ProductRep(5, ()))
 
 
-# Every entry point of the star algebra, called with the dense tensor of a
-# state document in place of one ProductRep operand.
+# Every entry point of the star algebra, called with a state in place of one
+# ProductRep operand.
 def _entry_points():
     rep = wigner_fock(WignerLabel(1, 0), 4)
     return {
@@ -126,10 +127,24 @@ def _entry_points():
 
 
 @pytest.mark.parametrize("entry", sorted(_entry_points()))
-def test_algebra_refuses_a_dense_state_document(entry):
-    dense = FockRep(4, wigner_fock(WignerLabel(1, 0), 4).coeffs)
-    with pytest.raises(TypeError, match="FockRep"):
-        _entry_points()[entry](dense)
+def test_algebra_takes_a_reloaded_state_document(entry):
+    state = generalized_coherent_fock(
+        GeneralizedCoherentLabel(0.3 - 0.2j, 0.1j, WignerLabel(1, 0)), 4)
+    loaded = fock_from_json_dict(json.loads(json.dumps(fock_to_json_dict(state))))
+    assert len(loaded.terms) == 16
+    want, got = (_entry_points()[entry](d) for d in (state, loaded))
+    if isinstance(want, ProductRep):
+        want, got = want.coeffs, got.coeffs
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_sums_take_only_product_states():
+    rep = wigner_fock(WignerLabel(1, 0), 4)
+    for other in (1.0, rep.coeffs, "state"):
+        with pytest.raises(TypeError):
+            rep + other
+        with pytest.raises(TypeError):
+            rep - other
 
 
 def test_gaussian_composes_to_half():
@@ -555,8 +570,20 @@ def test_entries_match_a_sorted_loop():
     coeffs.flat[[3, 40, 41]] = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0)]
     want = sorted([int(m1), int(n1), int(m2), int(n2), float(c.real), float(c.imag)]
                   for (m1, n1, m2, n2), c in np.ndenumerate(coeffs) if c != 0)
-    got = fock_to_entries(FockRep(5, coeffs))
+    got = fock_to_entries(_dense_product(coeffs))
     assert json.dumps(got) == json.dumps(want)
+
+
+def test_a_dense_tensor_loads_as_its_exact_slices():
+    rng = np.random.default_rng(17)
+    shape = (5,) * 4
+    coeffs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.3)
+    coeffs[:, :, 1, 3] = coeffs[:, :, 4, 0] = 0.0
+    rep = _dense_product(coeffs)
+    # the tensor is kept as read, and the terms, one per nonzero slice, sum to it
+    assert rep.coeffs is coeffs and len(rep.terms) == 23 and not rep.overflow
+    np.testing.assert_array_equal(ProductRep(5, rep.terms).coeffs, coeffs)
+    assert rep.trace() == pytest.approx(np.einsum("iijj->", coeffs), rel=1e-14)
 
 
 def test_serialization_rejects_bad_docs():
@@ -566,6 +593,11 @@ def test_serialization_rejects_bad_docs():
         fock_from_json_dict({"cutoff": 4, "entries": [[0, 0, 0, 0, 1.0]]})
     with pytest.raises(ValueError):
         fock_from_json_dict({"cutoff": 4, "entries": [[0, 0, 0, 9, 1.0, 0.0]]})
+    # a cutoff past the bound is refused before its tensor is allocated
+    for cutoff in (MAX_DOCUMENT_CUTOFF + 1, 1000, 10 ** 30):
+        with pytest.raises(ValueError, match=f"from 2 to {MAX_DOCUMENT_CUTOFF}"):
+            fock_from_json_dict({"cutoff": cutoff, "entries": []})
+    assert fock_from_json_dict({"cutoff": MAX_DOCUMENT_CUTOFF, "entries": []}).terms == ()
 
 
 def test_serialization_reads_entries_like_the_per_entry_rule():

@@ -10,11 +10,12 @@ from landaustar.checks import dense_star_contraction, mixed_param_derivative
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
     GENERATORS,
-    FockRep,
     ProductRep,
     StarPolynomial,
     apply_star_polynomial,
     displacement_matrix,
+    fock_from_json_dict,
+    fock_to_json_dict,
     left_star_generator,
     moyal_bracket,
     star,
@@ -574,10 +575,11 @@ def test_product_star_and_values_match_dense_reference(cutoff):
             fg, gf = dense_star(f, g), dense_star(g, f)
             assert_same_rep(star(f, g), fg)
             assert_same_rep(moyal_bracket(f, g), Dense(fg.coeffs - gf.coeffs, fg.overflow))
-        # sums stay products; a dense state document is refused, not mixed in
+        # sums stay products, and a reloaded state document sums like its source
         np.testing.assert_array_equal((f + reps[0]).coeffs, f.coeffs + reps[0].coeffs)
-        with pytest.raises(TypeError, match="FockRep"):
-            f + FockRep(cutoff, reps[0].coeffs)
+        loaded = fock_from_json_dict(fock_to_json_dict(reps[0]))
+        np.testing.assert_allclose((f - loaded).coeffs, f.coeffs - reps[0].coeffs,
+                                   rtol=0, atol=1e-15)
 
 
 def test_constructed_states_are_exactly_real():

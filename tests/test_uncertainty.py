@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,19 @@ from landaustar import checks
 from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_checks
 from landaustar.marginals import AXES, _mixture_weights, axis_scale
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
-from landaustar.star import FockRep, StarPolynomial, apply_star_polynomial
+from landaustar.star import (
+    StarPolynomial,
+    apply_star_polynomial,
+    fock_from_json_dict,
+    fock_to_json_dict,
+)
 from landaustar.states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
     WignerLabel,
     coherent_fock,
     fock_values,
+    parse_state_label,
     state_fock,
     wigner_fock,
 )
@@ -255,8 +262,10 @@ def test_coherent_variance_independent_of_displacement():
 
 def test_coherent_uncertainties_refuse_a_truncating_cutoff():
     """No cutoff truncates a coherent state's moments: |alpha| = 5 was refused at
-    the default cutoff 32, and the Fock route needs cutoff 180 at |alpha| = 10."""
-    for alphas in ((5.0 + 0j, 0j), (10.0 + 0j, 0j), (10.0 + 3.0j, -7.0j)):
+    the default cutoff 32, and the Fock route needs cutoff 180 at |alpha| = 10.
+    Far out the variances once cancelled to 0 (|alpha| = 1e8, 1e12) or nan (1e200)."""
+    far = [(x * (1 + 0.3j), -0.5 * x + 0j) for x in (1e3, 1e8, 1e12, 1e100, 1e200)]
+    for alphas in [(5.0 + 0j, 0j), (10.0 + 0j, 0j), (10.0 + 3.0j, -7.0j)] + far:
         label = CoherentLabel(*alphas)
         reports = coherent_uncertainties(label, PARAMS)
         pred = coherent_moment_predictions(label)
@@ -334,10 +343,29 @@ def test_queries_match_applied_state_traces(label):
         assert abs(got - slack) <= 1e-12 * max(1.0, abs(slack))
 
 
-def test_functional_needs_a_product_state():
-    dense = FockRep(4, wigner_fock(WignerLabel(1, 0), 4).coeffs)
-    with pytest.raises(TypeError, match="FockRep"):
-        StateFunctional(dense, PARAMS)
+@pytest.mark.parametrize("cutoff", [8, 16])
+@pytest.mark.parametrize("label", ["wigner:3,2", "coherent:0.4,-0.3,0.2,0.5",
+                                   "gencoherent:2,1:0.4,-0.3,0.2,0.5"])
+def test_a_reloaded_state_answers_like_its_source(label, cutoff):
+    """A state document read back is the same state: every query agrees."""
+    rep = state_fock(parse_state_label(label), cutoff)
+    loaded = fock_from_json_dict(json.loads(json.dumps(fock_to_json_dict(rep))))
+    coords = coordinate_polynomials(PARAMS)
+    f = coords["q1"] * coords["p2"] + coords["p2"] * coords["q1"]
+    g = ABAR * A * BBAR
+
+    def answers(state):
+        s = StateFunctional(state, PARAMS)
+        return [expectation(f, s), expectation(g, s), variance(f, s), variance(coords["p1"], s),
+                robertson_schrodinger_slack(coords["q1"], coords["p1"], s),
+                robertson_schrodinger_slack(f, coords["q2"], s), state.trace()]
+
+    for want, got in zip(answers(rep), answers(loaded)):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    rng = np.random.default_rng(cutoff)
+    a, b = (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12) for _ in range(2))
+    np.testing.assert_allclose(fock_values(loaded, a, b), fock_values(rep, a, b),
+                               rtol=0, atol=1e-12)
 
 
 def test_functional_is_callable():
