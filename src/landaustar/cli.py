@@ -20,8 +20,10 @@ of the row-by-row document in JSON.  A grid holds at most
 ``MAX_GRID_POINTS`` points.
 
 The kernels return unit-free shapes and moments; physical units enter only
-here: each ``eval`` target is a shape at the grid in axis units times one
-prefactor, and ``uncertainty`` scales the second moment by the axis scales.
+here: every ``eval`` target, the state functions included, is a shape at the
+grid in axis units (``to_axis_units``) times one prefactor, and
+``uncertainty`` scales the second moment by the axis scales.  ``equalities``
+takes its samples in units of gamma and prints the same bytes at any units.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 configuration conflict.
@@ -48,7 +50,7 @@ from .marginals import (
     marginal_1d,
     marginal_2d,
 )
-from .phase_space import PhysParams, mode_coords_arrays
+from .phase_space import PhysParams, axis_mode_coords
 from .star import MAX_DOCUMENT_CUTOFF, fock_from_json_dict, fock_to_json_dict
 from .states import WignerLabel, parse_state_label, state_fock, state_values
 from .uncertainty import second_moment
@@ -174,8 +176,13 @@ def parse_axis_spec(text: str) -> np.ndarray:
     return np.linspace(*ends, count)
 
 
-def _refuse_far_values(grid: dict, params: PhysParams):
-    """Refuse values past _MAX_AXIS_UNITS axis units, compared in floats that cannot overflow."""
+def to_axis_units(grid: dict, params: PhysParams) -> dict:
+    """The grid in axis units, x / axis_scale(axis), where every target is evaluated.
+
+    Values past _MAX_AXIS_UNITS axis units are refused, compared in floats
+    that cannot overflow.
+    """
+    units = {}
     for axis, values in grid.items():
         s = axis_scale(axis, params)
         worst = float(np.max(np.abs(values)))
@@ -183,12 +190,8 @@ def _refuse_far_values(grid: dict, params: PhysParams):
             raise InputError(f"grid value {worst:g} on {axis} is out of range for these "
                              f"units: |{axis}| must be at most {_MAX_AXIS_UNITS * s:g} "
                              f"({_MAX_AXIS_UNITS:g} axis units)")
-
-
-def to_axis_units(grid: dict, params: PhysParams) -> dict:
-    """The grid in axis units, x / axis_scale(axis), where the shapes are evaluated."""
-    _refuse_far_values(grid, params)
-    return {axis: values / axis_scale(axis, params) for axis, values in grid.items()}
+        units[axis] = values / s
+    return units
 
 
 def unit_prefactor(factor: float, axes) -> float:
@@ -292,10 +295,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
     if target == "wigner":
         grid = parse_named_grid(args.grid, AXES)
-        _refuse_far_values(grid, params)
+        units = to_axis_units(grid, params)
         factor = unit_prefactor(1.0 / h / h if cfg.unit_norm else 1.0, AXES)
-        flat = [m.reshape(-1) for m in np.meshgrid(*grid.values(), indexing="ij")]
-        vals = factor * state_values(label, *mode_coords_arrays(*flat, params))
+        flat = [m.reshape(-1) for m in np.meshgrid(*units.values(), indexing="ij")]
+        vals = factor * state_values(label, *axis_mode_coords(*flat))
         meta = {"target": "wigner", "state": state_text, "params": params_doc(params)}
         emit(table_text((*AXES, "value"), (vals,), cfg.fmt, meta, axes=grid.values()),
              args.out)
@@ -407,16 +410,14 @@ def cmd_equalities(args, cfg: RunConfig) -> int:
     if not all(map(math.isfinite, samples)):
         raise InputError(f"samples must be finite, got {args.samples!r}")
     rows = []
-    g = cfg.params.gamma
     for (n, l), sample in itertools.product(pairs, samples):
         # the terms grow like sample^(2(n+l)); one that overflows is refused
         try:
             with np.errstate(over="raise", invalid="raise"):
-                ((q1, lag, herm),) = integral_equality_residuals(
-                    n, l, g * np.array([sample]), cfg.params)
+                ((y, lag, herm),) = integral_equality_residuals(n, l, [sample])
         except FloatingPointError as exc:
             raise InputError(f"sample {sample:g} overflows the terms of ({n}, {l})") from exc
-        rows.append((n, l, float(q1 / g), lag, herm))
+        rows.append((n, l, y, lag, herm))
     meta = {"params": params_doc(cfg.params)}
     emit(table_text(("n", "l", "q1_over_gamma", "residual_position_plane",
                      "residual_mixed_plane"), list(zip(*rows)), cfg.fmt, meta), args.out)

@@ -15,7 +15,8 @@ equalities and as the test oracle.  All six coordinate planes have closed
 forms, of three shapes (see marginal_2d).  Direct quadrature of the Wigner function is kept
 only as the oracle every closed form is checked against, and equating the
 two routes yields nontrivial integral identities between the classical
-orthogonal polynomials.
+orthogonal polynomials.  Those identities (integral_equality_residuals) are
+stated in axis units too, at samples y = q1/gamma, so they take no units.
 """
 
 from __future__ import annotations
@@ -249,13 +250,14 @@ def _complement_quadrature(n: int, l: int, fixed, values, params: PhysParams,
     return out if out.ndim else float(out)
 
 
-def integral_equality_residuals(n: int, l: int, q1_samples, params: PhysParams):
-    """Residuals of the two quadrature identities behind the 1D/2D consistency.
+def integral_equality_residuals(n: int, l: int, samples):
+    """Residuals of the two quadrature identities behind the 1D/2D consistency, unit-free.
 
-    For each sample the Hermite sum of the 1D density (Gaussian stripped) is
-    compared against the integral of each closed-form 2D density over its
-    second coordinate, likewise stripped of the shared Gaussian.  Returns a
-    list of (q1, |lhs - laguerre branch|, |lhs - hermite branch|).  Refuses
+    At each sample y = q1/gamma the Hermite sum of the 1D shape (Gaussian
+    stripped) is compared against the integral of each closed-form 2D shape
+    over its second axis unit, likewise stripped of the shared Gaussian, which
+    the raw Laguerre and Hermite-product integrands cancel exactly.  Returns a
+    list of (y, |lhs - laguerre branch|, |lhs - hermite branch|).  Refuses
     n + l > 16, where the alternating Hermite sum cancels to wrong digits.
     """
     if n < l:
@@ -263,34 +265,24 @@ def integral_equality_residuals(n: int, l: int, q1_samples, params: PhysParams):
     if n + l > _MAX_EQUALITY_ORDER:
         raise ValueError(f"integral equalities need n + l <= {_MAX_EQUALITY_ORDER}, got "
                          f"({n}, {l}): the paper's alternating sum cancels past that")
+    # the rule's weight exp(-t^2) is the second axis' share of the Gaussian
     rule = gauss_hermite(default_order(n, l))
-    g = params.gamma
-    nq = axis_norm("q1", params)
-    q2, w_q2 = rule.scaled(g)
-    p2, w_p2 = rule.scaled(params.hbar / g)
-    n_lag = 4.0 * math.pi * math.exp(log_factorial(l) - log_factorial(n))
-    n_herm = 4.0 * math.pi * math.exp(
+    t, w = rule.nodes, rule.weights
+    n_lag = 4.0 * math.exp(log_factorial(l) - log_factorial(n)) / math.sqrt(math.pi)
+    n_herm = 4.0 * math.exp(
         -log_factorial(n) - log_factorial(l) - (n + l) * math.log(2.0)
-    )
+    ) / math.sqrt(math.pi)
 
     out = []
-    for q1 in q1_samples:
-        y = q1 / g
+    for y in np.asarray(samples, dtype=float):
         lhs = _hermite_sum(n, l, y)
-
-        # position-plane branch, integrated over q2 with the Gaussian in q1 cancelled
-        rho2 = (q1 ** 2 + q2 ** 2) / g ** 2
-        integrand = rho2 ** (n - l) * np.exp(-(q2 / g) ** 2) * laguerre(l, n - l, rho2) ** 2
-        rhs_lag = (n_lag / nq) * (params.hbar / g) ** 2 * np.sum(w_q2 * integrand)
-
+        # position-plane branch, integrated over q2
+        rho2 = y * y + t * t
+        rhs_lag = n_lag * np.sum(w * rho2 ** (n - l) * laguerre(l, n - l, rho2) ** 2)
         # mixed-plane branch, integrated over p2
-        w = g * p2 / params.hbar
-        integrand = (np.exp(-w ** 2)
-                     * hermite(n, (y - w) / math.sqrt(2.0)) ** 2
-                     * hermite(l, (y + w) / math.sqrt(2.0)) ** 2)
-        rhs_herm = (n_herm / nq) * params.hbar * np.sum(w_p2 * integrand)
-
-        out.append((float(q1), abs(lhs - rhs_lag), abs(lhs - rhs_herm)))
+        rhs_herm = n_herm * np.sum(w * hermite(n, (y - t) / math.sqrt(2.0)) ** 2
+                                   * hermite(l, (y + t) / math.sqrt(2.0)) ** 2)
+        out.append((float(y), abs(lhs - rhs_lag), abs(lhs - rhs_herm)))
     return out
 
 

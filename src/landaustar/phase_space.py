@@ -4,6 +4,10 @@ A spinless charge moving in a plane, in a uniform perpendicular magnetic field
 (symmetric gauge).  Every quantity in this package is parametrized by hbar, the
 mass and the cyclotron frequency; the magnetic length gamma = sqrt(2*hbar/(m*omega))
 sets the Gaussian width of all densities.
+
+The mode map is written once, in axis units (u = q/gamma, v = p gamma/hbar),
+where it has no constant (axis_mode_coords); the physical-unit map divides by
+the axis scales gamma and hbar/gamma and calls it.
 """
 
 from __future__ import annotations
@@ -70,19 +74,23 @@ class ModeCoords:
         return self.b.conjugate()
 
 
-def mode_coords_arrays(q1, q2, p1, p2, params: PhysParams):
-    """Vectorized canonical -> mode map; returns the complex pair (a, b).
+def axis_mode_coords(u1, u2, v1, v2):
+    """Vectorized canonical -> mode map in axis units; returns the complex pair (a, b).
 
-    a = (p1 + i p2)/(m gamma omega) - i (q1 + i q2)/(2 gamma)
-    b = -(p1 - i p2)/(m gamma omega) + i (q1 - i q2)/(2 gamma)
+    With u = q/gamma and v = p gamma/hbar the map has no constant:
+    a - b = v1 - i u1 and a + b = u2 + i v2.
     """
-    g = params.gamma
-    kin = 1.0 / (params.mass * g * params.omega)
-    pos = 1.0 / (2.0 * g)
+    u1, u2, v1, v2 = (np.asarray(x, dtype=float) for x in (u1, u2, v1, v2))
+    d = v1 - 1j * u1
+    s = u2 + 1j * v2
+    return 0.5 * (s + d), 0.5 * (s - d)
+
+
+def mode_coords_arrays(q1, q2, p1, p2, params: PhysParams):
+    """Vectorized canonical -> mode map: axis_mode_coords of the point in axis units."""
+    sq, sp = params.gamma, params.hbar / params.gamma
     q1, q2, p1, p2 = (np.asarray(x, dtype=float) for x in (q1, q2, p1, p2))
-    a = kin * (p1 + 1j * p2) - 1j * pos * (q1 + 1j * q2)
-    b = -kin * (p1 - 1j * p2) + 1j * pos * (q1 - 1j * q2)
-    return a, b
+    return axis_mode_coords(q1 / sq, q2 / sq, p1 / sp, p2 / sp)
 
 
 def to_mode_coords(pt: PhasePoint, params: PhysParams) -> ModeCoords:
@@ -91,18 +99,10 @@ def to_mode_coords(pt: PhasePoint, params: PhysParams) -> ModeCoords:
 
 
 def from_mode_coords(mc: ModeCoords, params: PhysParams) -> PhasePoint:
-    """Inverse of to_mode_coords (the map is a linear bijection)."""
-    g = params.gamma
-    mgw = params.mass * g * params.omega
-    d = mc.a - mc.b
-    dbar = mc.abar - mc.bbar
-    s = mc.a + mc.b
-    sbar = mc.abar + mc.bbar
-    q1 = (1j * g / 2.0 * (d - dbar)).real
-    p1 = (mgw / 4.0 * (d + dbar)).real
-    q2 = (g / 2.0 * (s + sbar)).real
-    p2 = (-1j * mgw / 4.0 * (s - sbar)).real
-    return PhasePoint(q1, q2, p1, p2)
+    """Inverse of to_mode_coords: axis_mode_coords inverted, times the axis scales."""
+    d, s = mc.a - mc.b, mc.a + mc.b
+    sq, sp = params.gamma, params.hbar / params.gamma
+    return PhasePoint(-sq * d.imag, sq * s.real, sp * d.real, sp * s.imag)
 
 
 def velocities(pt: PhasePoint, params: PhysParams):

@@ -16,9 +16,10 @@ only tr(p * rep), which star_traces takes word by word as a product of one
 trace per mode, without building the applied state.  Its dense cutoff^4
 tensor is built only on request (``coeffs``).
 
-A state document holds that dense tensor (fock_to_json_dict).  Read back
-(fock_from_json_dict), it is an exact ProductRep again, one term per nonzero
-second-mode slice, so a loaded state answers every query its source does.
+A state document holds that dense tensor (fock_to_json_dict), and the
+overflow flag of a flagged state.  Read back (fock_from_json_dict), it is an
+exact ProductRep again, one term per nonzero second-mode slice, with the same
+flag, so a loaded state answers every query its source does.
 
 Representation B: one terminating bidifferential series on sparse
 polynomial (optionally times Gaussian) symbols, with two pairings: a against
@@ -187,8 +188,12 @@ def fock_to_entries(f: ProductRep):
 
 
 def fock_to_json_dict(f: ProductRep) -> dict:
-    """The state document of f: its cutoff and dense entries."""
-    return {"cutoff": f.cutoff, "entries": fock_to_entries(f)}
+    """The state document of f: its cutoff and dense entries, then ``"overflow": true``
+    for a flagged state only, so an unflagged document has no such key."""
+    doc = {"cutoff": f.cutoff, "entries": fock_to_entries(f)}
+    if f.overflow:
+        doc["overflow"] = True
+    return doc
 
 
 def fock_from_json_dict(d: Mapping) -> ProductRep:
@@ -207,6 +212,9 @@ def fock_from_json_dict(d: Mapping) -> ProductRep:
                          f"got {cutoff!r}")
     if not isinstance(entries, list):
         raise ValueError(f"entries must be a list, got {entries!r}")
+    overflow = "overflow" in d
+    if overflow and d["overflow"] is not True:
+        raise ValueError(f"overflow must be true when present, got {d['overflow']!r}")
     table = _entry_table(entries, cutoff)
     if table is None:
         _raise_at_first_bad_entry(entries, cutoff)
@@ -216,10 +224,10 @@ def fock_from_json_dict(d: Mapping) -> ProductRep:
     flat = np.ravel_multi_index(tuple(index), coeffs.shape)
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     coeffs.reshape(-1)[flat[last]] = values[last]
-    return _dense_product(coeffs)
+    return _dense_product(coeffs, overflow)
 
 
-def _dense_product(coeffs: np.ndarray) -> ProductRep:
+def _dense_product(coeffs: np.ndarray, overflow: bool = False) -> ProductRep:
     """The exact ProductRep of a dense tensor, whose ``coeffs`` is that tensor.
 
     One term (1, coeffs[:, :, m2, n2], E_{m2 n2}) per nonzero second-mode
@@ -228,7 +236,8 @@ def _dense_product(coeffs: np.ndarray) -> ProductRep:
     """
     eye = np.eye(len(coeffs))
     rep = ProductRep(len(coeffs), tuple((1.0, coeffs[:, :, m2, n2], np.outer(eye[m2], eye[n2]))
-                                     for m2, n2 in np.argwhere(np.any(coeffs != 0, axis=(0, 1)))))
+                                     for m2, n2 in np.argwhere(np.any(coeffs != 0, axis=(0, 1)))),
+                     overflow)
     rep.__dict__["coeffs"] = coeffs  # the storage of the cached property
     return rep
 

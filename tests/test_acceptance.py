@@ -62,7 +62,8 @@ def test_criterion_06_integral_equalities():
 
 
 def test_criterion_07_uncertainty_table():
-    """Quadrature uncertainty products equal hbar(n+l+1)/2; ground state saturates."""
+    """Uncertainty products equal hbar sqrt(var(u_j) var(v_j)) from the state functional;
+    none is below hbar/2, and the ground state saturates."""
     results = checks.uncertainty_table_checks(PARAMS)
     results.append(checks.check_uncertainty_lower_bound(PARAMS))
     ground = checks.uncertainty_table_checks(PARAMS, nmax=0)[0]

@@ -259,6 +259,30 @@ def test_state_dump_load_round_trip(tmp_path, capsys):
     assert reloaded == dumped
 
 
+# sha256 of unflagged state documents, captured before a document could carry
+# the overflow key: a state without the flag keeps its bytes
+@pytest.mark.parametrize("label, digest", [
+    ("wigner:3,2", "3ef520c58c5c593b05331ae2570940a7bf9ee5731cfb231c269cf32ef08aef12"),
+    ("gencoherent:2,1:0.4,-0.3,0.2,0.5",
+     "ca97dadb0e86cea25704ece8861a627555180333956d6e874ef403f63c2bae59"),
+])
+def test_unflagged_state_documents_keep_their_bytes(capsys, label, digest):
+    code, dumped, _ = run_cli(capsys, "--cutoff", "16", "state", "dump", label)
+    assert code == 0 and '"overflow"' not in dumped
+    assert hashlib.sha256(dumped.encode("utf-8")).hexdigest() == digest
+
+
+def test_a_flagged_state_keeps_its_flag_through_a_document(tmp_path, capsys):
+    """A document dropped the overflow flag, so a truncated state read as exact
+    after a dump and a load."""
+    code, dumped, _ = run_cli(capsys, "--cutoff", "16", "state", "dump", "coherent:5,0,0,0")
+    assert code == 0 and dumped.endswith('], "overflow": true}\n')
+    path = tmp_path / "state.json"
+    path.write_text(dumped, encoding="utf-8")
+    code, reloaded, _ = run_cli(capsys, "state", "load", str(path))
+    assert code == 0 and reloaded == dumped
+
+
 def test_state_load_truncated_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"cutoff": 4, "entries": [[0, 0, 0,', encoding="utf-8")
@@ -281,7 +305,12 @@ def test_state_load_bad_entry(tmp_path, capsys):
     '{"cutoff": 4, "entries": null}',
     '{"cutoff": 4, "entries": [[0.7, 0, 0, 1.9, 1.0, 0.0]]}',
     '{"cutoff": 0, "entries": []}',
-], ids=["entry-not-a-list", "entries-null", "fractional-index", "cutoff-zero"])
+    '{"cutoff": 2, "entries": [], "overflow": false}',
+    '{"cutoff": 2, "entries": [], "overflow": 1}',
+    '{"cutoff": 2, "entries": [], "overflow": "true"}',
+    '{"cutoff": 2, "entries": [], "overflow": null}',
+], ids=["entry-not-a-list", "entries-null", "fractional-index", "cutoff-zero",
+        "overflow-false", "overflow-one", "overflow-string", "overflow-null"])
 def test_state_load_rejects_malformed_document(tmp_path, capsys, text):
     path = tmp_path / "bad3.json"
     path.write_text(text, encoding="utf-8")
@@ -696,7 +725,6 @@ def test_grid_at_the_point_bound_is_accepted():
 @pytest.mark.parametrize("argv", [
     ("equalities", "--pairs", "2,1", "--samples", "1e308"),
     ("equalities", "--pairs", "16,0", "--samples", "0,1e10"),
-    ("--hbar", "1e300", "equalities", "--pairs", "2,1", "--samples", "1e4"),
 ])
 def test_equality_samples_that_overflow_are_input_errors(capsys, argv):
     """These printed nan with exit 0, after a RuntimeWarning."""
@@ -708,27 +736,43 @@ def test_equality_samples_that_overflow_are_input_errors(capsys, argv):
     assert f"sample {float(sample):g}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("equalities",),
+    ("equalities", "--pairs", "2,1", "--samples", "1e4"),
+])
+def test_equalities_print_the_same_bytes_at_any_units(capsys, argv):
+    """The identities are unit-free in y = q1/gamma; at --hbar 1e300 a sample of
+    1e4 gamma once overflowed (exit 2) only because of the units."""
+    _, want, _ = run_cli(capsys, *argv)
+    for units in (("--hbar", "1e-200"), ("--hbar", "1e200", "--mass", "3"),
+                  ("--hbar", "1e300")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, *units, *argv)
+        assert code == 0 and out == want
+
+
 # sha256 of stdout for a fixed command set, captured from the per-cell table
 # formatter; a digest moves only with a deliberate change to printed bytes
 _GRID4 = "q1=-2:2:3,q2=-1:1:2,p1=0:1.5:2,p2=-1:1:3"
 _GRID4_PINNED = "q1=-1:1:3,q2=0.25:0.25:2,p1=0.75,p2=-1.5:0:4"
 GOLDEN_OUTPUT = {
     "wigner-csv": (("--format", "csv", "eval", "wigner:2,1", "--grid", _GRID4),
-                   "d7d4df7e7b040089552d610418c1686889a81593f94eee3c36ec131fd9bf48d6"),
+                   "de96047856a257032e9bc3c421be150d52ce4c7775814b6e4aee3ae3a9a36b6c"),
     "wigner-json": (("--format", "json", "eval", "wigner:2,1", "--grid", _GRID4),
-                    "7fa8d12ac81e14468f46395548a107fe8e00886dd5f4256868947f88e1862c7c"),
+                    "940b0e6be14d2e37d4e2cc89845d62cad63eb2fe3c256103033b6dfe9e116586"),
     "coherent-csv": (("--format", "csv", "eval", "coherent:0.5,-0.3,0.2,0.1",
                       "--grid", _GRID4),
-                     "0e30abd3c21205c4800b9f4771234b2b24738212b86987804ab6d082c3c54a4f"),
+                     "b024ebc2a927a471aa1bf953a21c856eb8c36e22fc4a0f220ec8f0bd5b079422"),
     "coherent-json": (("--format", "json", "eval", "coherent:0.5,-0.3,0.2,0.1",
                        "--grid", _GRID4),
-                      "41a64a3cbbb74bdca3348576dd8cc85d03b6c516c1cfc4f71e3dadd40bee6d1c"),
+                      "500e677e05de9d505043512219e986d8c4142f56465a7dd617b34f58bb4efef2"),
     "gencoherent-csv": (("--format", "csv", "eval", "gencoherent:1,2:0.4,0,-0.3,0.7",
                          "--grid", _GRID4),
-                        "a53503ce5f2395e92db993c9bb1135f24ef3b2fc450f0c4809a3854da11f8013"),
+                        "159b49eea7e0c084a0656978f35bd2f911c64b9a61f290bc687e1adcd3a4424f"),
     "gencoherent-json": (("--format", "json", "eval", "gencoherent:1,2:0.4,0,-0.3,0.7",
                           "--grid", _GRID4),
-                         "650c1a0844cd718c90872fdf5b9e651441dac769651764f4ef8468d2165169de"),
+                         "40093d759f11d88a9968031b7bfda2b0c724799c6fa410750f8c4d5786128c3f"),
     "marginal1d-csv": (("--format", "csv", "eval", "marginal1d:p2", "wigner:3,1",
                         "--grid", "-3:3:13"),
                        "d2e1b20432f934a74f73a8b03140e8cc08c02b24a36ac27735104ca409e174be"),
@@ -744,7 +788,7 @@ GOLDEN_OUTPUT = {
     "uncertainty": (("uncertainty", "0..2", "0..1"),
                     "9ba9303e04818ec39eaf90406c9843d7f4487d02823a915eff979eccd1e0cd59"),
     "equalities": (("equalities",),
-                   "4b22cc7d556dd797b6dd3105138b3eb7226469244d424871d0fe0c094b3be09c"),
+                   "f82945de4b87a3459712510ae9d85eaee94455bd8d9a3fc65f2a6ee42bb9b75b"),
     "unit-norm": (("--unit-norm", "eval", "wigner:0,0", "--grid", "q1=0"),
                   "2ae08374fbb82645dd27091e06ba13991bb66778608382342e776c63189f8b29"),
     "uncertainty-hbar-1e200": (("--hbar", "1e200", "uncertainty", "0", "0"),
@@ -756,15 +800,15 @@ GOLDEN_OUTPUT = {
     # a repeated coordinate (q2), zeros on q1 and p2 and a pinned p1
     "coherent-pinned-csv": (("--format", "csv", "eval", "coherent:0.4,0,-0.6,0.3",
                              "--grid", _GRID4_PINNED),
-                            "e7de08d48bfe086c6a4189dbc07a401dac47819e2605443ce8dc9287fdea3f6d"),
+                            "169e172baad61eed085f3279014f543bde6e14ac7640ec4b8453be1acf25f17a"),
     "coherent-pinned-json": (("--format", "json", "eval", "coherent:0.4,0,-0.6,0.3",
                               "--grid", _GRID4_PINNED),
-                             "e3f21b65e6b90feb1986938dfd6baa8d7fa9fca247376595e3465b98bf210efd"),
+                             "ae8cbca51a66d54da536e692570630000d8e5c26ff32da3859a738074b48ae2c"),
     "marginal2d-3x5-json": (("--format", "json", "eval", "marginal2d:q1,q2", "wigner:2,0",
                              "--grid", "q1=-1:1:3,q2=-2:2:5"),
                             "2d0d753f17a92adda867f6c9fab77bd03c25fe20a29aefad56e22fa530dc5862"),
     "verify-marginals-json": (("--format", "json", "verify", "marginals"),
-                              "8890a1b314fe95a760ce60ec8abde9cff6eb3c8a0cbd6d68403dc0fc438f487d"),
+                              "4ca4cbf0fefb4d7ce32b8ff26213d182e37c9e3c55fab7f13ef80ed211df61c5"),
 }
 
 

@@ -360,7 +360,7 @@ def test_invalid_plane_rejected():
 # ---------------------------------------------------------------------------
 
 def test_integral_equality_ground_case():
-    rows = integral_equality_residuals(0, 0, [0.0], PARAMS)
+    rows = integral_equality_residuals(0, 0, [0.0])
     (_, res_lag, res_herm) = rows[0]
     assert res_lag <= 1e-10
     assert res_herm <= 1e-10
@@ -377,21 +377,22 @@ def test_integral_equality_ground_case():
     (2, 2, (0.0, 0.7, 1.4)),
 ])
 def test_integral_equality_residuals(n, l, samples):
-    q1s = GAMMA * np.array(samples)
-    for _, res_lag, res_herm in integral_equality_residuals(n, l, q1s, PARAMS):
+    rows = integral_equality_residuals(n, l, samples)
+    assert [y for y, _, _ in rows] == list(samples)
+    for _, res_lag, res_herm in rows:
         assert res_lag <= 1e-8
         assert res_herm <= 1e-8
 
 
 def test_integral_equality_requires_ordered_pair():
     with pytest.raises(ValueError):
-        integral_equality_residuals(1, 2, [0.0], PARAMS)
+        integral_equality_residuals(1, 2, [0.0])
 
 
 def test_integral_equality_refuses_n_plus_l_past_16():
-    integral_equality_residuals(16, 0, [0.0], PARAMS)
+    integral_equality_residuals(16, 0, [0.0])
     with pytest.raises(ValueError, match="n \\+ l <= 16"):
-        integral_equality_residuals(9, 8, [0.0], PARAMS)
+        integral_equality_residuals(9, 8, [0.0])
 
 
 @pytest.mark.parametrize("params", [PhysParams(hbar=0.7, mass=2.3, omega=1.9),

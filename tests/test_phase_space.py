@@ -9,7 +9,9 @@ from landaustar.phase_space import (
     PhysParams,
     classical_angular_momentum,
     classical_hamiltonian,
+    axis_mode_coords,
     from_mode_coords,
+    mode_coords_arrays,
     to_mode_coords,
 )
 
@@ -103,3 +105,27 @@ def test_mode_conjugates():
     mc = ModeCoords(1 + 2j, -0.5j)
     assert mc.abar == 1 - 2j
     assert mc.bbar == 0.5j
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
+def test_physical_map_is_the_axis_map_of_the_scaled_point(hbar):
+    """The mode map is written once, in axis units; the physical one divides by the
+    axis scales first, and from_mode_coords inverts it at any units."""
+    params = PhysParams(hbar=hbar, mass=0.7)
+    sq, sp = params.gamma, params.hbar / params.gamma
+    rng = np.random.default_rng(10)
+    u1, u2, v1, v2 = rng.uniform(-3, 3, size=(4, 50))
+    a, b = mode_coords_arrays(sq * u1, sq * u2, sp * v1, sp * v2, params)
+    a_axis, b_axis = axis_mode_coords(u1, u2, v1, v2)
+    assert np.allclose(a, a_axis, rtol=1e-15, atol=1e-15)
+    assert np.allclose(b, b_axis, rtol=1e-15, atol=1e-15)
+    # a - b = v1 - i u1 and a + b = u2 + i v2, with no constant
+    assert np.allclose(a_axis - b_axis, v1 - 1j * u1, rtol=1e-15, atol=1e-15)
+    assert np.allclose(a_axis + b_axis, u2 + 1j * v2, rtol=1e-15, atol=1e-15)
+    for point in zip(sq * u1, sq * u2, sp * v1, sp * v2):
+        pt = PhasePoint(*point)
+        back = from_mode_coords(to_mode_coords(pt, params), params)
+        assert back.q1 == pytest.approx(pt.q1, rel=1e-14, abs=1e-14 * sq)
+        assert back.q2 == pytest.approx(pt.q2, rel=1e-14, abs=1e-14 * sq)
+        assert back.p1 == pytest.approx(pt.p1, rel=1e-14, abs=1e-14 * sp)
+        assert back.p2 == pytest.approx(pt.p2, rel=1e-14, abs=1e-14 * sp)

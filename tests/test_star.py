@@ -600,6 +600,17 @@ def test_serialization_rejects_bad_docs():
     assert fock_from_json_dict({"cutoff": MAX_DOCUMENT_CUTOFF, "entries": []}).terms == ()
 
 
+def test_a_document_carries_the_overflow_flag():
+    flagged = coherent_fock(CoherentLabel(5.0, 0j), 16)
+    assert flagged.overflow
+    doc = fock_to_json_dict(flagged)
+    assert list(doc) == ["cutoff", "entries", "overflow"] and doc["overflow"] is True
+    assert fock_from_json_dict(doc).overflow
+    exact = coherent_fock(CoherentLabel(0.4 - 0.3j, 0.2 + 0.5j), 16)
+    assert not exact.overflow and list(fock_to_json_dict(exact)) == ["cutoff", "entries"]
+    assert not fock_from_json_dict(fock_to_json_dict(exact)).overflow
+
+
 def test_serialization_reads_entries_like_the_per_entry_rule():
     rep = fock_from_json_dict({"cutoff": 2, "entries": [
         [0, 0, 0, 0, 1.0, 0.0], [1, 0, 1, 0, -0.0, 2], [0, 0, 0, 0, -0.0, -3.0]]})
@@ -632,6 +643,19 @@ def test_displacement_matrix_routes_agree():
         via_expm = displacement_matrix(alpha, 32)
         closed = displacement_matrix_closed(alpha, 32)
         assert float(np.max(np.abs(via_expm[:9, :9] - closed[:9, :9]))) <= 1e-9
+
+
+def test_displacement_checks_read_the_closed_form(monkeypatch):
+    """Unitarity and conjugation were checked on expm, whose exponential of an
+    anti-Hermitian matrix is unitary whatever the closed form computes; a 1e-8
+    error on the diagonal of the closed form fails both."""
+    params = PhysParams()
+    runs = (checks.check_displacement_unitarity, checks.check_displacement_conjugation)
+    assert all(run(params).residual < 1e-13 for run in runs)
+    closed = checks.displacement_matrix_closed
+    monkeypatch.setattr(checks, "displacement_matrix_closed",
+                        lambda alpha, cutoff: closed(alpha, cutoff) + 1e-8 * np.eye(cutoff))
+    assert not any(run(params).passed for run in runs)
 
 
 def test_displacement_kernel_is_vectorized():

@@ -475,3 +475,15 @@ def test_axis_unit_checks_catch_a_1e8_error_at_any_units(monkeypatch, check, qua
     monkeypatch.setattr(checks, quantity,
                         _scaled_after(getattr(checks, quantity), factor, exact_calls))
     assert not run(params).passed
+
+
+@pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
+def test_uncertainty_table_reads_the_state_functional(monkeypatch, hbar):
+    """The table compared uncertainty_product with hbar (n + l + 1)/2, the same closed
+    form typed again; it now compares with variances from the state functional, so a
+    1e-8 error in variance fails every row."""
+    params = PhysParams(hbar=hbar)
+    results = uncertainty_table_checks(params)
+    assert len(results) == 49 and all(r.residual < 1e-14 for r in results)
+    monkeypatch.setattr(checks, "variance", _scaled_after(checks.variance, 1 + 1e-8, 0))
+    assert not any(r.passed for r in uncertainty_table_checks(params))
