@@ -11,10 +11,12 @@ function values.  It has one storage form, ProductRep: a short sum of
 per-mode products c A (x) B of N x N matrices.  Every state the package
 constructs has this form, and so does every matrix unit, because the two
 modes commute: star products, ladder actions and traces act on each mode's
-matrix separately, at N^2 or N^3 cost instead of N^4.  State queries need
-only tr(p * rep), which star_traces takes word by word as a product of one
-trace per mode, without building the applied state.  Its dense cutoff^4
-tensor is built only on request (``coeffs``).
+matrix separately, at N^2 or N^3 cost instead of N^4.  Ladder steps are
+exact, and only an applied state is cut back to the cutoff.  State queries
+need only tr(p * rep), which star_traces takes word by word as a product of
+one trace per mode, without building the applied state, so each is the
+exact functional of the state as stored.  Its dense cutoff^4 tensor is
+built only on request (``coeffs``).
 
 A state document holds that dense tensor (fock_to_json_dict), and the
 overflow flag of a flagged state.  Read back (fock_from_json_dict), it is an
@@ -142,7 +144,7 @@ def star(f: ProductRep, g: ProductRep) -> ProductRep:
 
 def left_star_generator(gen: str, f: ProductRep) -> ProductRep:
     """gen * f.  The annihilation function lowers the row index; the creation
-    function raises it (weight in the top row is dropped and flagged)."""
+    function raises it (weight it lifts past the cutoff is dropped and flagged)."""
     return apply_star_polynomial(StarPolynomial.generator(gen), f, "left")
 
 
@@ -157,18 +159,18 @@ def _raises(gen: str, side: str) -> bool:
 
 
 def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
-    """One ladder action on the row index of the N x N factor x.
+    """One exact ladder action on the row index of the factor x.
 
     The ladder matrices have one nonzero diagonal, so the action is a shifted,
     scaled copy: the same values as the matrix product, at the cost of a copy.
-    A right action acts on the column index and passes the transpose.
+    Raising adds a row, so no weight is dropped; lowering keeps the shape.
     """
-    s = np.sqrt(np.arange(1.0, x.shape[0]))[:, None]
-    out = np.zeros_like(x)
+    rows = len(x)
+    out = np.zeros((rows + raising, x.shape[1]), dtype=x.dtype)
     if raising:
-        out[1:] = s * x[:-1]
+        out[1:] = np.sqrt(np.arange(1.0, rows + 1))[:, None] * x
     else:
-        out[:-1] = s * x[1:]
+        out[:-1] = np.sqrt(np.arange(1.0, rows))[:, None] * x[1:]
     return out
 
 
@@ -207,6 +209,9 @@ def fock_from_json_dict(d: Mapping) -> ProductRep:
         entries = d["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    unknown = sorted(set(d) - {"cutoff", "entries", "overflow"})
+    if unknown:
+        raise ValueError(f"unknown key in state document: {', '.join(map(repr, unknown))}")
     if type(cutoff) is not int or not 2 <= cutoff <= MAX_DOCUMENT_CUTOFF:
         raise ValueError(f"cutoff must be an integer from 2 to {MAX_DOCUMENT_CUTOFF}, "
                          f"got {cutoff!r}")
@@ -394,13 +399,14 @@ def _normal_order_single(word, low: str, high: str) -> dict:
 
 def _word_factors(a0: np.ndarray, b0: np.ndarray, side: str):
     """factor(mode, letters): a term's first-mode ("a") or second-mode ("b")
-    factor after ``letters`` act on it from ``side``, in the order they act.
+    factor after ``letters`` act on its rows from ``side``, in the order they act.
 
-    Every prefix of the letters is cached, each one _ladder_step, with its
-    truncation at the cutoff, from the one before, so words whose letters act
-    alike at first (from the left: words that end alike) share that work.
-    The cache lives only as long as the returned function, which holds no
-    reference to itself, so it is freed as soon as its caller drops it.
+    A right action acts on columns, so its caller passes the transposed
+    factors.  Every prefix of the letters is cached, each one exact
+    _ladder_step from the one before, so words whose letters act alike at
+    first (from the left: words that end alike) share that work.  The cache
+    lives only as long as the returned function, which holds no reference to
+    itself, so it is freed as soon as its caller drops it.
     """
     done = {"a": {(): a0}, "b": {(): b0}}
 
@@ -411,56 +417,54 @@ def _word_factors(a0: np.ndarray, b0: np.ndarray, side: str):
             known -= 1
         x = cache[letters[:known]]
         for k in range(known, len(letters)):
-            raising = _raises(letters[k], side)
-            x = _ladder_step(x, raising) if side == "left" else _ladder_step(x.T, raising).T
+            x = _ladder_step(x, _raises(letters[k], side))
             cache[letters[:k + 1]] = x
         return x
 
     return factor
 
 
-def _mode_of(gen: str) -> str:
-    if gen not in GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}")
-    return "a" if gen in ("a", "abar") else "b"
+def _mode_letters(word, side: str = "left"):
+    """A word's first-mode and second-mode letters, each in the order they act
+    from ``side``: the modes commute, so each mode's letters act on its factor."""
+    letters = {"a": (), "b": ()}
+    for gen in (reversed(word) if side == "left" else word):
+        if gen not in GENERATORS:
+            raise ValueError(f"unknown generator {gen!r}")
+        letters["a" if gen in ("a", "abar") else "b"] += (gen,)
+    return letters["a"], letters["b"]
 
 
 def apply_star_polynomial(poly: StarPolynomial, f: ProductRep, side: str = "left") -> ProductRep:
     """Fold the ladder actions of each word over f's per-mode factors.
 
     The modes commute, so each word acts as its first-mode letters on A and
-    its second-mode letters on B.  Letters are applied one at a time, each
-    partial product cached per term, and the overflow flag follows them letter
-    by letter: a raising letter that meets a nonzero top row (column) of its
-    own factor while the other factor is nonzero drops weight.  The test is
-    per term, so it also flags terms whose top slices would cancel in the
+    its second-mode letters on B, each partial product cached per term.  The
+    steps are exact; each word's result is cut back to the cutoff once, and
+    the overflow flag is set if the cut drops weight: if both factors are
+    nonzero and either has a nonzero entry past the cutoff.  The test is per
+    term, so it also flags terms whose dropped entries would cancel in the
     sum.  Words sharing their second-mode letters share one output term.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    overflow = f.overflow
-    terms = []
+    n, overflow, terms = f.cutoff, f.overflow, []
+    words = [(c, *_mode_letters(word, side)) for c, word in poly.terms]
     for c0, a0, b0 in f.terms:
-        factor = _word_factors(a0, b0, side)
+        factor = _word_factors(a0, b0, side) if side == "left" else _word_factors(a0.T, b0.T, side)
         by_b_letters: dict = {}
-        for c, word in poly.terms:
-            applied = {"a": (), "b": ()}
-            for gen in (reversed(word) if side == "left" else word):
-                mode = _mode_of(gen)
-                other = "b" if mode == "a" else "a"
-                if _raises(gen, side) and not overflow:
-                    own = factor(mode, applied[mode])
-                    top = own[-1] if side == "left" else own[:, -1]
-                    overflow = bool(np.any(top != 0)
-                                    and np.any(factor(other, applied[other]) != 0))
-                applied[mode] += (gen,)
-            by_b_letters.setdefault(applied["b"], []).append((c, applied["a"]))
+        for c, la, lb in words:
+            if not overflow:
+                a, b = factor("a", la), factor("b", lb)
+                overflow = bool((np.any(a[n:] != 0) or np.any(b[n:] != 0))
+                                and np.any(a != 0) and np.any(b != 0))
+            by_b_letters.setdefault(lb, []).append((c, la))
         for b_letters, group in by_b_letters.items():
-            b = factor("b", b_letters)
-            a = sum(c * factor("a", a_letters) for c, a_letters in group)
+            b = factor("b", b_letters)[:n]
+            a = sum(c * factor("a", a_letters)[:n] for c, a_letters in group)
             if np.any(a != 0) and np.any(b != 0):
-                terms.append((c0, a, b))
-    return ProductRep(f.cutoff, tuple(terms), overflow)
+                terms.append((c0, a, b) if side == "left" else (c0, a.T, b.T))
+    return ProductRep(n, tuple(terms), overflow)
 
 
 def star_traces(polys, rep: ProductRep) -> list:
@@ -469,20 +473,13 @@ def star_traces(polys, rep: ProductRep) -> list:
     The modes commute, so a word w acts on a term c A (x) B as its first-mode
     letters w_a on A and its second-mode letters w_b on B, and the trace of the
     result factors: tr(w * rep) = sum over terms of c tr(w_a A) tr(w_b B).  Each
-    mode's letters go through the same truncated ladder steps as
-    apply_star_polynomial, memoized per term in one call, so the traces equal
-    apply_star_polynomial(p, rep).trace() up to summation order, truncation
-    included.
+    mode's letters go through the same exact ladder steps as
+    apply_star_polynomial, memoized per term in one call.  Rows past the
+    cutoff meet no column of the state, so they add nothing to a trace, and
+    the traces equal apply_star_polynomial(p, rep).trace() up to summation
+    order.
     """
-    words = []
-    for p in polys:
-        split = []
-        for c, word in p.terms:
-            letters = {"a": (), "b": ()}
-            for gen in reversed(word):
-                letters[_mode_of(gen)] += (gen,)
-            split.append((c, letters["a"], letters["b"]))
-        words.append(split)
+    words = [[(c, *_mode_letters(word)) for c, word in p.terms] for p in polys]
     totals = [0j] * len(words)
     for c0, a0, b0 in rep.terms:
         factor = _word_factors(a0, b0, "left")

@@ -3,8 +3,9 @@
 Every state query reduces to the state functional s(f) = tr(f * rho) on a
 per-mode product state (ProductRep): star.star_traces takes it word by word,
 as a product of one trace per mode, without building the applied state.
-Expectation, inner product and the Robertson-Schrodinger slack are each one
-call of it; variance is one inner product and two expectations.
+Expectation, inner product, variance and the Robertson-Schrodinger slack
+are each one call of it.  The ladder steps are exact, so every query is the
+exact functional of the state as stored.
 
 These relations are unit-free, so the coordinates are defined once, in axis
 units u = q/gamma and v = p gamma/hbar (axis_polynomials), and so are the
@@ -81,9 +82,10 @@ def inner_product(f: StarPolynomial, g: StarPolynomial, s: StateFunctional) -> c
 
 
 def variance(f: StarPolynomial, s: StateFunctional) -> float:
-    """<f|f> - <f><conj(f)>, real up to rounding for any f."""
-    val = inner_product(f, f, s) - expectation(f, s) * expectation(f.conjugate(), s)
-    return float(val.real)
+    """<f|f> - <f><conj(f)>, real up to rounding for any f: three traces, from one
+    star_traces call."""
+    ff, mean, mean_conj = star_traces([f.conjugate() * f, f, f.conjugate()], s.state)
+    return float((ff - mean * mean_conj).real)
 
 
 def axis_polynomials() -> dict:
@@ -201,20 +203,17 @@ def coherent_uncertainties(label: CoherentLabel, params: PhysParams):
     The moments of each coordinate are those of the displaced coordinate in
     the ground state, the displacement theorem of displaced_power_residual.  The
     ground state's mean of one letter is zero, so the mean is the constant term,
-    and the variance, of the coordinate minus it, cannot cancel.  A word of
-    length d lifts the ground state to level d, so cutoff 2d + 1 holds the
-    variance's words exactly.
+    and the variance, of the coordinate minus it, cannot cancel.  The ladder
+    steps are exact, so the base state needs only its own levels.
     """
     shifted = {name: displaced_polynomial(poly, label.alpha1, label.alpha2)
                for name, poly in coordinate_polynomials(params).items()}
-    degree = max(len(word) for poly in shifted.values() for _, word in poly.terms)
-    s = StateFunctional(wigner_fock(label.base, 2 * degree + 1), params)
+    base = label.base
+    s = StateFunctional(wigner_fock(base, max(base.n, base.l) + 1), params)
     reports = {}
     for name, poly in shifted.items():
         mean = {word: c for c, word in poly.terms}.get((), 0j)
-        centred = poly - mean
-        assert not apply_star_polynomial(centred, apply_star_polynomial(centred, s.state)).overflow
-        reports[name] = MomentReport(name, mean, variance(centred, s))
+        reports[name] = MomentReport(name, mean, variance(poly - mean, s))
     return reports
 
 

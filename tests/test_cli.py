@@ -309,8 +309,9 @@ def test_state_load_bad_entry(tmp_path, capsys):
     '{"cutoff": 2, "entries": [], "overflow": 1}',
     '{"cutoff": 2, "entries": [], "overflow": "true"}',
     '{"cutoff": 2, "entries": [], "overflow": null}',
+    '{"cutoff": 2, "entries": [[0, 0, 0, 0, 1.0, 0.0]], "overflw": true}',
 ], ids=["entry-not-a-list", "entries-null", "fractional-index", "cutoff-zero",
-        "overflow-false", "overflow-one", "overflow-string", "overflow-null"])
+        "overflow-false", "overflow-one", "overflow-string", "overflow-null", "misspelt-key"])
 def test_state_load_rejects_malformed_document(tmp_path, capsys, text):
     path = tmp_path / "bad3.json"
     path.write_text(text, encoding="utf-8")

@@ -528,7 +528,7 @@ def test_star_traces_match_applied_traces_on_multi_term_states():
 
 
 def test_star_traces_on_truncated_coherent_states():
-    """Truncation at the cutoff is the same ladder step on both routes."""
+    """A truncated state's words cross the cutoff, and both routes keep what they lift."""
     rng = np.random.default_rng(18)
     for label in (CoherentLabel(1.6 + 0.3j, -1.2 + 1.9j),
                   GeneralizedCoherentLabel(1.5 + 0.5j, -1.0j, WignerLabel(3, 2))):
@@ -536,6 +536,17 @@ def test_star_traces_on_truncated_coherent_states():
                else generalized_coherent_fock(label, 8))
         assert rep.overflow
         assert_traces_match_applied(random_polynomials(rng, 8), rep)
+
+
+def test_star_traces_of_words_that_cross_the_cutoff_and_return():
+    """Words that lift W(5, 4) past cutoff 6 and back keep their exact traces."""
+    rep = wigner_fock(WignerLabel(5, 4), 6)
+    want = {("a", "abar"): 6.0, ("a", "a", "abar", "abar"): 42.0, ("b", "bbar"): 5.0,
+            ("b", "b", "bbar", "bbar"): 30.0, ("a", "b", "bbar", "abar"): 30.0,
+            ("bbar", "b"): 4.0}
+    polys = [StarPolynomial(((1.0 + 0j, w),)) for w in want]
+    assert_traces_match_applied(polys, rep)
+    np.testing.assert_allclose(star_traces(polys, rep), list(want.values()), rtol=1e-14)
 
 
 def test_star_traces_of_constants_and_single_words():
@@ -593,6 +604,9 @@ def test_serialization_rejects_bad_docs():
         fock_from_json_dict({"cutoff": 4, "entries": [[0, 0, 0, 0, 1.0]]})
     with pytest.raises(ValueError):
         fock_from_json_dict({"cutoff": 4, "entries": [[0, 0, 0, 9, 1.0, 0.0]]})
+    # a misspelt flag is refused by name, not read as an unflagged state
+    with pytest.raises(ValueError, match="'overflw'"):
+        fock_from_json_dict({"cutoff": 2, "entries": [], "overflw": True})
     # a cutoff past the bound is refused before its tensor is allocated
     for cutoff in (MAX_DOCUMENT_CUTOFF + 1, 1000, 10 ** 30):
         with pytest.raises(ValueError, match=f"from 2 to {MAX_DOCUMENT_CUTOFF}"):

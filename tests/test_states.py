@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from landaustar.checks import dense_star_contraction, mixed_param_derivative
+from landaustar.checks import _word_mode_matrices, dense_star_contraction, mixed_param_derivative
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
     GENERATORS,
@@ -19,6 +19,7 @@ from landaustar.star import (
     left_star_generator,
     moyal_bracket,
     star,
+    star_traces,
 )
 from landaustar.states import (
     CoherentLabel,
@@ -462,32 +463,35 @@ def dense(rep):
     return Dense(rep.coeffs.copy(), rep.overflow)
 
 
-def dense_generator(gen, side, ref):
-    """One ladder action on the acted-on axis of the tensor; a raising action
-    drops its top slice and flags the drop if that slice was nonzero."""
-    axis = (0 if gen in ("a", "abar") else 2) + (side == "right")
-    raising = (gen in ("abar", "bbar")) == (side == "left")
-    c = np.moveaxis(ref.coeffs, axis, 0)
-    s = np.sqrt(np.arange(1.0, c.shape[0])).reshape(-1, 1, 1, 1)
-    out = np.zeros_like(c)
-    if raising:
-        out[1:] = s * c[:-1]
-    else:
-        out[:-1] = s * c[1:]
-    return Dense(np.moveaxis(out, 0, axis),
-                 ref.overflow or (raising and bool(np.any(c[-1] != 0))))
+def word_diagonal(m, n):
+    """(k, d) with column j < n of m nonzero at row j + k only, where it holds
+    d[j - max(-k, 0)]: a product of ladder matrices has one nonzero diagonal."""
+    rows, cols = np.nonzero(m[:, :n])
+    (k,) = set(rows - cols)
+    return k, np.diagonal(m[:, :n], offset=-k)
 
 
 def dense_apply(poly, ref, side="left"):
-    """Fold each word's ladder actions over the tensor, linearly in the polynomial."""
-    total, overflow = np.zeros_like(ref.coeffs), ref.overflow
+    """Each word as its per-mode ladder matrices at the cutoff plus its length,
+    a size its letters cannot leave, acting on the tensor's row axes (column
+    axes from the right); the result is cut back to the cutoff once, and the
+    cut is flagged if it drops weight."""
+    n = ref.coeffs.shape[0]
+    c4 = ref.coeffs if side == "left" else ref.coeffs.transpose(1, 0, 3, 2)
+    total, overflow = np.zeros_like(c4), ref.overflow
     for c, word in poly.terms:
-        cur = ref
-        for gen in (reversed(word) if side == "left" else word):
-            cur = dense_generator(gen, side, cur)
-        total = total + c * cur.coeffs
-        overflow = overflow or cur.overflow
-    return Dense(total, overflow)
+        ma, mb = _word_mode_matrices(word, n + len(word))
+        if side == "right":
+            ma, mb = ma.T, mb.T
+        (ka, da), (kb, db) = word_diagonal(ma, n), word_diagonal(mb, n)
+        # moved[i, :, j] is row lo_a + i, lo_b + j of the uncut result
+        lo_a, lo_b = max(ka, 0), max(kb, 0)
+        moved = np.multiply.outer(da, db)[:, None, :, None] * c4[max(-ka, 0):, :, max(-kb, 0):]
+        overflow = overflow or bool(np.any(moved[n - lo_a:] != 0)
+                                    or np.any(moved[:, :, n - lo_b:] != 0))
+        kept = moved[:n - lo_a, :, :n - lo_b]
+        total[lo_a:lo_a + kept.shape[0], :, lo_b:lo_b + kept.shape[2]] += c * kept
+    return Dense(total if side == "left" else total.transpose(1, 0, 3, 2), overflow)
 
 
 def dense_star(f, g):
@@ -515,7 +519,8 @@ def assert_same_rep(got, want):
 
 def product_state_labels(cutoff):
     # the first label fills the top row of the first mode, so raising letters
-    # overflow on both routes; below cutoff 32 the last starts out truncated
+    # lift it past the cutoff on both routes; below cutoff 32 the last starts
+    # out truncated
     return [
         WignerLabel(cutoff - 1, 2),
         WignerLabel(1, 3),
@@ -548,16 +553,31 @@ def test_product_apply_matches_dense_reference(cutoff):
 
 
 def test_product_overflow_needs_a_live_other_factor():
-    """A raising letter on the top row drops weight only if the other mode is nonzero."""
+    """The cut at the cutoff drops weight only if the other mode is nonzero."""
     rep = wigner_fock(WignerLabel(5, 0), 6)
-    # left action applies the last letter first: b empties the second mode
-    # before abar meets the filled top row of the first
+    # left action applies the last letter first: b empties the second mode,
+    # before or after abar lifts the first past the cutoff
     dead = StarPolynomial.from_terms([(1.0, ("abar", "b"))])
-    live = StarPolynomial.from_terms([(1.0, ("b", "abar"))])
-    for poly, flagged in ((dead, False), (live, True)):
+    dead_after = StarPolynomial.from_terms([(1.0, ("b", "abar"))])
+    live = StarPolynomial.from_terms([(1.0, ("abar",))])
+    for poly, flagged in ((dead, False), (dead_after, False), (live, True)):
         got = apply_star_polynomial(poly, rep)
         assert_same_rep(got, dense_apply(poly, dense(rep)))
+        assert got.terms == ()
         assert got.overflow is flagged
+
+
+def test_a_word_that_crosses_the_cutoff_and_returns_is_exact():
+    """a * abar lifts W(5, 0) to level 6 and back: 6 W, on both routes, unflagged."""
+    rep = wigner_fock(WignerLabel(5, 0), 6)
+    poly = StarPolynomial.from_terms([(1.0, ("a", "abar"))])
+    got = apply_star_polynomial(poly, rep)
+    assert not got.overflow
+    np.testing.assert_allclose(got.coeffs, 6.0 * rep.coeffs, rtol=1e-15, atol=0)
+    assert_same_rep(got, dense_apply(poly, dense(rep)))
+    (trace,) = star_traces([poly], rep)
+    assert trace == pytest.approx(6.0, rel=1e-15)
+    assert abs(trace - got.trace()) <= 1e-13 * abs(trace)
 
 
 @pytest.mark.parametrize("cutoff", [6, 16])

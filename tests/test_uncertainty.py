@@ -10,6 +10,7 @@ from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_c
 from landaustar.marginals import AXES, _mixture_weights, axis_scale
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
+    ProductRep,
     StarPolynomial,
     apply_star_polynomial,
     fock_from_json_dict,
@@ -320,6 +321,14 @@ def applied_references(f, g, state):
     return mean_f, inner, slack
 
 
+def padded(rep, cutoff):
+    """rep with zero rows and columns up to ``cutoff``: the same state, with room
+    that no word of the queries can leave."""
+    width = (0, cutoff - rep.cutoff)
+    return ProductRep(cutoff, tuple((c, np.pad(a, width), np.pad(b, width))
+                                    for c, a, b in rep.terms), rep.overflow)
+
+
 @pytest.mark.parametrize("label", [
     WignerLabel(2, 3),
     CoherentLabel(1.6 + 0.3j, -1.2 + 1.9j),  # truncated at cutoff 12
@@ -336,11 +345,22 @@ def test_queries_match_applied_state_traces(label):
         f, g = (checks._random_real_observable(rng) for _ in range(2))
         pairs.append((f, g))
     for f, g in pairs:
-        mean, inner, slack = applied_references(f, g, rep)
+        # two nested applications lift a state at most two words' lengths
+        longest = max(len(word) for poly in (f, g) for _, word in poly.terms)
+        mean, inner, slack = applied_references(f, g, padded(rep, 12 + 2 * longest))
         assert abs(expectation(f, s) - mean) <= 1e-13 * max(1.0, abs(mean))
         assert abs(inner_product(f, g, s) - inner) <= 1e-13 * max(1.0, abs(inner))
         got = robertson_schrodinger_slack(f, g, s)
         assert abs(got - slack) <= 1e-12 * max(1.0, abs(slack))
+
+
+def test_queries_on_a_filled_top_row_are_exact():
+    """Words that lift the (5, 5) state past cutoff 6 and bring it back lose
+    nothing: each axis variance is (n + l + 1)/2 and <a * abar> is n + 1."""
+    s = wigner_functional(5, 5, cutoff=6)
+    for axis, poly in axis_polynomials().items():
+        assert variance(poly, s) == pytest.approx(5.5, rel=1e-14), axis
+    assert expectation(A * ABAR, s) == pytest.approx(6.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("cutoff", [8, 16])
