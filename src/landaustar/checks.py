@@ -80,7 +80,7 @@ from .uncertainty import (
     axis_polynomials,
     coherent_moment_predictions,
     coordinate_moment,
-    displaced_power_residual,
+    displaced_power_residuals,
     expectation,
     hamiltonian_polynomial,
     inner_product,
@@ -227,11 +227,13 @@ def _stacked_values(reps, cutoff: int, a, b):
     """Values of every rep at mode coordinates (a, b), stacked on a trailing axis.
 
     Both modes' matrix_unit_values are formed once for all the reps, so an
-    integrand built on this hands integrate_nd one integral per rep.
+    integrand built on this hands integrate_nd one integral per rep.  Each rep
+    is contracted on its own: a quadrature slab holds many points, and
+    stacking every rep's terms there would hold them all at once.
     """
     wa = matrix_unit_values(cutoff, a.ravel())
     wb = matrix_unit_values(cutoff, b.ravel())
-    vals = np.stack([_fock_point_values(rep, wa, wb) for rep in reps], axis=-1)
+    vals = np.stack([_fock_point_values([rep], wa, wb)[0] for rep in reps], axis=-1)
     return vals.reshape(a.shape + (len(reps),))
 
 
@@ -298,9 +300,10 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
     Each root's words are expanded level by level: extending a word on the
     left means one more generator application on each route, so every word of
     length <= 4 is covered with one ladder step and one series step per node.
-    The ladder values are read node by node; a root's symbols share its
-    Gaussian, so their monomials and the Gaussian are evaluated once for all
-    of them (eval_symbols).
+    A root's nodes are evaluated together on each route: their ladder states
+    in one contraction per mode (_fock_point_values), and their symbols, which
+    share the root's Gaussian, on monomials and a Gaussian formed once
+    (eval_symbols).
     """
     from .star import bidifferential_star, eval_symbols, generator_symbol
 
@@ -314,16 +317,17 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
     for n in range(nmax + 1):
         for l in range(nmax + 1):
             level = [(wigner_fock(WignerLabel(n, l), cutoff), wigner_symbol(n, l))]
-            ladder, symbols = [], []
+            reps, symbols = [], []
             for depth in range(max_len + 1):
                 for rep, symbol in level:
-                    ladder.append(_fock_point_values(rep, wa, wb))
+                    reps.append(rep)
                     symbols.append(symbol)
                 if depth < max_len:
                     level = [(left_star_generator(g, rep),
                               bidifferential_star(gen_symbols[g], symbol))
                              for rep, symbol in level for g in GENERATORS]
-            worst = max(worst, _rel_residual(ladder, eval_symbols(symbols, a, b)))
+            worst = max(worst, _rel_residual(_fock_point_values(reps, wa, wb),
+                                             eval_symbols(symbols, a, b)))
     return CheckResult("oracle-equivalence", worst, 1e-10)
 
 
@@ -509,16 +513,25 @@ def check_displacement_closed_form(params: PhysParams) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult:
-    worst = 0.0
+    """Every (n, l) Wigner function integrates to (2 pi)^2 over the axis units.
+
+    The pairs that share a rule order are integrated in one integrate_nd call,
+    stacked on its trailing axis, so each slab's mode coordinates are formed
+    once for all of them.
+    """
+    by_order: dict = {}
     for n in range(nmax + 1):
         for l in range(nmax + 1):
-            rule = gauss_hermite(max(16, n + l + 8))
+            by_order.setdefault(max(16, n + l + 8), []).append((n, l))
+    worst = 0.0
+    for order, pairs in by_order.items():
 
-            def wfun(*u):
-                return wigner_values(n, l, *axis_mode_coords(*u))
+        def wfun(*u):
+            a, b = axis_mode_coords(*u)
+            return np.stack([wigner_values(n, l, a, b) for n, l in pairs], axis=-1)
 
-            got = integrate_nd(wfun, (1.0,) * 4, rule)
-            worst = max(worst, abs(got - WIGNER_NORM) / WIGNER_NORM)
+        got = integrate_nd(wfun, (1.0,) * 4, gauss_hermite(order))
+        worst = max(worst, float(np.max(np.abs(got - WIGNER_NORM))) / WIGNER_NORM)
     return CheckResult("normalization-wigner", worst, 1e-10)
 
 
@@ -609,7 +622,7 @@ def check_marginal_symmetry(params: PhysParams) -> CheckResult:
 def integral_equality_checks(params: PhysParams) -> list[CheckResult]:
     out = []
     for n, l in [(1, 0), (2, 1), (3, 3), (2, 2)]:
-        for y, res_lag, res_herm in integral_equality_residuals(n, l, [0.0, 0.7, 1.4]):
+        for y, _, res_lag, res_herm in integral_equality_residuals(n, l, [0.0, 0.7, 1.4]):
             out.append(CheckResult(
                 f"integral-equality n={n} l={l} q1={y:g}*gamma",
                 max(res_lag, res_herm), 1e-8))
@@ -1043,18 +1056,16 @@ def check_generalized_power_theorem(params: PhysParams) -> list[CheckResult]:
     abar = StarPolynomial.generator("abar")
     bbar = StarPolynomial.generator("bbar")
     observables = {"a": a, "abar*a": abar * a, "bbar*a": bbar * a}
-    out = []
-    for name, f in observables.items():
-        worst = 0.0
-        for n in range(3):
-            for l in range(3):
-                for a1, a2 in ((0.5 + 0j, -0.3j), (0.4 - 0.2j, 0.3 + 0.5j)):
-                    label = GeneralizedCoherentLabel(a1, a2, WignerLabel(n, l))
-                    for k in (1, 2, 3):
-                        worst = max(worst, displaced_power_residual(
-                            f, k, label, params, cutoff=16))
-        out.append(CheckResult(f"generalized-power-theorem f={name}", worst, 1e-9))
-    return out
+    worst = dict.fromkeys(observables, 0.0)
+    for n in range(3):
+        for l in range(3):
+            for a1, a2 in ((0.5 + 0j, -0.3j), (0.4 - 0.2j, 0.3 + 0.5j)):
+                label = GeneralizedCoherentLabel(a1, a2, WignerLabel(n, l))
+                rows = displaced_power_residuals(observables.values(), 3, label, cutoff=16)
+                for name, residuals in zip(observables, rows):
+                    worst[name] = max(worst[name], *residuals)
+    return [CheckResult(f"generalized-power-theorem f={name}", w, 1e-9)
+            for name, w in worst.items()]
 
 
 def check_generalized_variance_invariance(params: PhysParams) -> CheckResult:

@@ -414,10 +414,12 @@ def cmd_equalities(args, cfg: RunConfig) -> int:
         # the terms grow like sample^(2(n+l)); one that overflows is refused
         try:
             with np.errstate(over="raise", invalid="raise"):
-                ((y, lag, herm),) = integral_equality_residuals(n, l, [sample])
+                ((y, lhs, lag, herm),) = integral_equality_residuals(n, l, [sample])
         except FloatingPointError as exc:
             raise InputError(f"sample {sample:g} overflows the terms of ({n}, {l})") from exc
-        rows.append((n, l, y, lag, herm))
+        # relative to the left-hand side, which grows like sample^(2(n+l)),
+        # so an identity that holds reads the same at every sample
+        rows.append((n, l, y, lag / lhs, herm / lhs))
     meta = {"params": params_doc(cfg.params)}
     emit(table_text(("n", "l", "q1_over_gamma", "residual_position_plane",
                      "residual_mixed_plane"), list(zip(*rows)), cfg.fmt, meta), args.out)

@@ -257,7 +257,8 @@ def integral_equality_residuals(n: int, l: int, samples):
     stripped) is compared against the integral of each closed-form 2D shape
     over its second axis unit, likewise stripped of the shared Gaussian, which
     the raw Laguerre and Hermite-product integrands cancel exactly.  Returns a
-    list of (y, |lhs - laguerre branch|, |lhs - hermite branch|).  Refuses
+    list of (y, lhs, |lhs - laguerre branch|, |lhs - hermite branch|); lhs is a
+    positive mixture of squared Hermite functions, so it is never zero.  Refuses
     n + l > 16, where the alternating Hermite sum cancels to wrong digits.
     """
     if n < l:
@@ -282,7 +283,7 @@ def integral_equality_residuals(n: int, l: int, samples):
         # mixed-plane branch, integrated over p2
         rhs_herm = n_herm * np.sum(w * hermite(n, (y - t) / math.sqrt(2.0)) ** 2
                                    * hermite(l, (y + t) / math.sqrt(2.0)) ** 2)
-        out.append((float(y), abs(lhs - rhs_lag), abs(lhs - rhs_herm)))
+        out.append((float(y), float(lhs), abs(lhs - rhs_lag), abs(lhs - rhs_herm)))
     return out
 
 

@@ -145,12 +145,14 @@ def star(f: ProductRep, g: ProductRep) -> ProductRep:
 def left_star_generator(gen: str, f: ProductRep) -> ProductRep:
     """gen * f.  The annihilation function lowers the row index; the creation
     function raises it (weight it lifts past the cutoff is dropped and flagged)."""
-    return apply_star_polynomial(StarPolynomial.generator(gen), f, "left")
+    return apply_star_polynomial(_GENERATOR_POLYS.get(gen) or StarPolynomial.generator(gen),
+                                 f, "left")
 
 
 def right_star_generator(gen: str, f: ProductRep) -> ProductRep:
     """f * gen: the left action's mirror on the column index."""
-    return apply_star_polynomial(StarPolynomial.generator(gen), f, "right")
+    return apply_star_polynomial(_GENERATOR_POLYS.get(gen) or StarPolynomial.generator(gen),
+                                 f, "right")
 
 
 def _raises(gen: str, side: str) -> bool:
@@ -374,6 +376,11 @@ class StarPolynomial:
         return {k: v for k, v in out.items() if v != 0}
 
 
+# each generator's one-letter polynomial, built once; any other name falls
+# through to StarPolynomial.generator, which refuses it
+_GENERATOR_POLYS = {gen: StarPolynomial.generator(gen) for gen in GENERATORS}
+
+
 def _as_star_poly(x) -> StarPolynomial:
     if isinstance(x, StarPolynomial):
         return x
@@ -456,13 +463,12 @@ def apply_star_polynomial(poly: StarPolynomial, f: ProductRep, side: str = "left
         for c, la, lb in words:
             if not overflow:
                 a, b = factor("a", la), factor("b", lb)
-                overflow = bool((np.any(a[n:] != 0) or np.any(b[n:] != 0))
-                                and np.any(a != 0) and np.any(b != 0))
+                overflow = bool((a[n:].any() or b[n:].any()) and a.any() and b.any())
             by_b_letters.setdefault(lb, []).append((c, la))
         for b_letters, group in by_b_letters.items():
             b = factor("b", b_letters)[:n]
             a = sum(c * factor("a", a_letters)[:n] for c, a_letters in group)
-            if np.any(a != 0) and np.any(b != 0):
+            if a.any() and b.any():
                 terms.append((c0, a, b) if side == "left" else (c0, a.T, b.T))
     return ProductRep(n, tuple(terms), overflow)
 
@@ -734,14 +740,23 @@ def bidifferential_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     matrix-unit composition rule and the ladder actions.
 
     When f is one degree-one monomial c x_i, the series has two terms, f g and
-    w_i c d_partner(i) g, and they are formed directly.
+    w_i c d_partner(i) g, and both are formed in one pass over g's coefficients
+    and those of one derivative of g, in the series' key order.
     """
     weights, g_axes = (0.5, -0.5, 0.5, -0.5), (1, 0, 3, 2)
     if f.is_polynomial and len(f.coeffs) == 1:
-        (key,) = f.coeffs
+        ((key, c),) = f.coeffs.items()
         if sum(key) == 1:
             i = key.index(1)
-            return f.pointwise_mul(g) + weights[i] * f.diff(i).pointwise_mul(g.diff(g_axes[i]))
+            out = {}
+            for k, v in g.coeffs.items():  # f g: each key of g raised in x_i
+                v = c * v
+                if v != 0:  # a product that underflows is dropped, as by pointwise_mul
+                    out[k[:i] + (k[i] + 1,) + k[i + 1:]] = v
+            wc = weights[i] * c
+            for k, v in g.diff(g_axes[i]).coeffs.items():
+                out[k] = out.get(k, 0j) + wc * v
+            return f._with_coeffs(out, gaussian=g.gaussian, linear=g.linear)
     return _moyal_series(f, g, (0, 1, 2, 3), g_axes, weights)
 
 

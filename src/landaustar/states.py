@@ -106,22 +106,34 @@ def fock_values(rep: ProductRep, a, b):
     """Pointwise values of a ProductRep at mode coordinates (a, b), vectorized."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    vals = _fock_point_values(rep, matrix_unit_values(rep.cutoff, a.ravel()),
-                              matrix_unit_values(rep.cutoff, b.ravel()))
+    (vals,) = _fock_point_values([rep], matrix_unit_values(rep.cutoff, a.ravel()),
+                                 matrix_unit_values(rep.cutoff, b.ravel()))
     return vals.reshape(a.shape) if a.shape else complex(vals[0])
 
 
-def _fock_point_values(rep: ProductRep, wa, wb):
-    """Values of a ProductRep at every point p.
+def _fock_point_values(reps, wa, wb):
+    """Values of each ProductRep in ``reps`` at every point p, one row per rep.
 
     ``wa`` and ``wb`` are matrix_unit_values of the two modes at the points,
-    shape (N, N, points); each term contracts each mode's factor with that
-    mode's basis values.
+    shape (N, N, points).  The K terms of all the reps contract each mode's
+    factor with that mode's basis values in one (K, N^2) @ (N^2, points)
+    product per mode; each rep's row then sums its own terms in order.  Its
+    memory is K rows of points, so a caller with many points passes few reps.
     """
-    vals = np.zeros(wa.shape[2], dtype=complex)
-    for c, ma, mb in rep.terms:
-        vals += (c * np.tensordot(ma, wa, axes=([0, 1], [0, 1]))
-                 * np.tensordot(mb, wb, axes=([0, 1], [0, 1])))
+    terms = [term for rep in reps for term in rep.terms]
+    vals = np.zeros((len(reps), wa.shape[2]), dtype=complex)
+    if not terms:
+        return vals
+    n2 = wa.shape[0] * wa.shape[1]
+    # (c * first-mode values) * second-mode values, in place: no product array
+    by_term = np.stack([ma for _, ma, _ in terms]).reshape(-1, n2) @ wa.reshape(n2, -1)
+    by_term *= np.array([c for c, _, _ in terms], dtype=complex)[:, None]
+    by_term *= np.stack([mb for _, _, mb in terms]).reshape(-1, n2) @ wb.reshape(n2, -1)
+    stop = 0
+    for row, rep in zip(vals, reps):
+        start, stop = stop, stop + len(rep.terms)
+        for term_vals in by_term[start:stop]:
+            row += term_vals
     return vals
 
 

@@ -84,7 +84,8 @@ def inner_product(f: StarPolynomial, g: StarPolynomial, s: StateFunctional) -> c
 def variance(f: StarPolynomial, s: StateFunctional) -> float:
     """<f|f> - <f><conj(f)>, real up to rounding for any f: three traces, from one
     star_traces call."""
-    ff, mean, mean_conj = star_traces([f.conjugate() * f, f, f.conjugate()], s.state)
+    fbar = f.conjugate()
+    ff, mean, mean_conj = star_traces([fbar * f, f, fbar], s.state)
     return float((ff - mean * mean_conj).real)
 
 
@@ -201,7 +202,7 @@ def coherent_uncertainties(label: CoherentLabel, params: PhysParams):
     """Per-coordinate moment reports for a coherent state, exact at any displacement.
 
     The moments of each coordinate are those of the displaced coordinate in
-    the ground state, the displacement theorem of displaced_power_residual.  The
+    the ground state, the displacement theorem of displaced_power_residuals.  The
     ground state's mean of one letter is zero, so the mean is the constant term,
     and the variance, of the coordinate minus it, cannot cancel.  The ladder
     steps are exact, so the base state needs only its own levels.
@@ -217,19 +218,25 @@ def coherent_uncertainties(label: CoherentLabel, params: PhysParams):
     return reports
 
 
-def displaced_power_residual(f: StarPolynomial, k: int,
-                             label: GeneralizedCoherentLabel, params: PhysParams,
-                             cutoff: int) -> float:
-    """How far <f^k> in a displaced state is from <(displaced f)^k> in the base state.
+def displaced_power_residuals(observables, powers: int,
+                              label: GeneralizedCoherentLabel, cutoff: int) -> list:
+    """How far <f^k> in a displaced state is from <(displaced f)^k> in the base
+    state, for each observable f and k = 1 .. powers: one list per observable.
 
     Zero (up to rounding) for every smooth observable: conjugating the state
     by a displacement is the same as displacing the observable's arguments.
+    The displaced and base states are built once, and each power is one more
+    application of f to the previous one.
     """
     gen = generalized_coherent_fock(label, cutoff)
     base = wigner_fock(label.base, cutoff)
-    shifted = displaced_polynomial(f, label.alpha1, label.alpha2)
-    lhs, rhs = gen, base
-    for _ in range(k):
-        lhs = apply_star_polynomial(f, lhs, side="left")
-        rhs = apply_star_polynomial(shifted, rhs, side="left")
-    return abs(lhs.trace() - rhs.trace())
+    out = []
+    for f in observables:
+        shifted = displaced_polynomial(f, label.alpha1, label.alpha2)
+        lhs, rhs, residuals = gen, base, []
+        for _ in range(powers):
+            lhs = apply_star_polynomial(f, lhs, side="left")
+            rhs = apply_star_polynomial(shifted, rhs, side="left")
+            residuals.append(abs(lhs.trace() - rhs.trace()))
+        out.append(residuals)
+    return out

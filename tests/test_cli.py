@@ -788,8 +788,9 @@ GOLDEN_OUTPUT = {
                         "61690fb5bbd95d87ca7289dcfe57094d2e60b3bda99fa1b77f2bb4a3c49bdd56"),
     "uncertainty": (("uncertainty", "0..2", "0..1"),
                     "9ba9303e04818ec39eaf90406c9843d7f4487d02823a915eff979eccd1e0cd59"),
+    # residuals relative to each sample's left-hand side
     "equalities": (("equalities",),
-                   "f82945de4b87a3459712510ae9d85eaee94455bd8d9a3fc65f2a6ee42bb9b75b"),
+                   "25f1bac99a09b9792db70647570bda03d3798c5e1e5b9235bed3d5604ef6a8a6"),
     "unit-norm": (("--unit-norm", "eval", "wigner:0,0", "--grid", "q1=0"),
                   "2ae08374fbb82645dd27091e06ba13991bb66778608382342e776c63189f8b29"),
     "uncertainty-hbar-1e200": (("--hbar", "1e200", "uncertainty", "0", "0"),

@@ -361,12 +361,12 @@ def test_invalid_plane_rejected():
 
 def test_integral_equality_ground_case():
     rows = integral_equality_residuals(0, 0, [0.0])
-    (_, res_lag, res_herm) = rows[0]
+    (_, lhs, res_lag, res_herm) = rows[0]
     assert res_lag <= 1e-10
     assert res_herm <= 1e-10
     # both sides reduce to the constant 4
     y = 0.0
-    lhs = 4.0
+    assert lhs == pytest.approx(4.0)
     assert density_1d(0, 0, "q1", y, PARAMS) / (NQ * math.exp(-y * y)) == pytest.approx(lhs)
 
 
@@ -378,8 +378,8 @@ def test_integral_equality_ground_case():
 ])
 def test_integral_equality_residuals(n, l, samples):
     rows = integral_equality_residuals(n, l, samples)
-    assert [y for y, _, _ in rows] == list(samples)
-    for _, res_lag, res_herm in rows:
+    assert [y for y, _, _, _ in rows] == list(samples)
+    for _, _, res_lag, res_herm in rows:
         assert res_lag <= 1e-8
         assert res_herm <= 1e-8
 

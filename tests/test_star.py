@@ -335,11 +335,31 @@ def test_generator_short_path_matches_the_series(n):
                 for coeff in (1.0, 0.3 - 2.0j):
                     (key,) = generator_symbol(gen).coeffs
                     f = PolyGauss.monomial(key, coeff)
-                    got = bidifferential_star(f, sym)
-                    want = _moyal_series(f, sym, *_SERIES_AXES)
-                    assert got.coeffs == want.coeffs
-                    assert (got.gaussian, got.linear, type(got)) == \
-                        (want.gaussian, want.linear, type(want))
+                    _assert_same_symbol(bidifferential_star(f, sym),
+                                        _moyal_series(f, sym, *_SERIES_AXES))
+
+
+def _assert_same_symbol(got, want):
+    """The same coefficients in the same key order, and the same exponent."""
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert (got.gaussian, got.linear, type(got)) == (want.gaussian, want.linear, type(want))
+
+
+def test_generator_short_path_matches_the_series_on_random_symbols():
+    """Random symbols with linear exponents, with and without the Gaussian,
+    under each generator at unit and random complex scale."""
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        keys = {tuple(int(k) for k in rng.integers(0, 3, size=4)) for _ in range(6)}
+        coeffs = {key: complex(*rng.normal(size=2)) for key in keys}
+        linear = tuple(complex(*rng.normal(size=2)) * int(rng.integers(0, 2)) for _ in range(4))
+        sym = PolyGauss(coeffs, gaussian=bool(rng.integers(0, 2)), linear=linear)
+        for gen in GENERATORS:
+            (key,) = generator_symbol(gen).coeffs
+            for coeff in (1.0, complex(*rng.normal(size=2))):
+                f = PolyGauss.monomial(key, coeff)
+                _assert_same_symbol(bidifferential_star(f, sym),
+                                    _moyal_series(f, sym, *_SERIES_AXES))
 
 
 def test_only_a_degree_one_monomial_takes_the_short_path(monkeypatch):
@@ -413,9 +433,39 @@ def test_oracle_matches_ladder_route_spot():
         for n, l in [(0, 0), (2, 1), (3, 3)]:
             rep = apply_star_polynomial(StarPolynomial(((1.0 + 0j, word),)),
                                         wigner_fock(WignerLabel(n, l), cutoff))
-            ladder_vals = _fock_point_values(rep, wa, wb)
+            (ladder_vals,) = _fock_point_values([rep], wa, wb)
             oracle_vals = oracle_apply_word(word, wigner_symbol(n, l)).eval(pts_a, pts_b)
             np.testing.assert_allclose(ladder_vals, oracle_vals, rtol=1e-10, atol=1e-12)
+
+
+def _per_term_values(rep, wa, wb):
+    """A rep's values as a sum of per-term tensordot contractions."""
+    vals = np.zeros(wa.shape[2], dtype=complex)
+    for c, ma, mb in rep.terms:
+        vals += (c * np.tensordot(ma, wa, axes=([0, 1], [0, 1]))
+                 * np.tensordot(mb, wb, axes=([0, 1], [0, 1])))
+    return vals
+
+
+def test_stacked_point_values_equal_per_term_contractions():
+    """One stacked contraction for a loaded cutoff-8 document (one term per
+    second-mode slice, 64 here), a one-term state and a zero-term rep."""
+    cutoff = 8
+    rng = np.random.default_rng(15)
+    a, b = (rng.uniform(-1, 1, size=9) + 1j * rng.uniform(-1, 1, size=9) for _ in range(2))
+    wa, wb = matrix_unit_values(cutoff, a), matrix_unit_values(cutoff, b)
+    label = GeneralizedCoherentLabel(0.4 - 0.3j, 0.2 + 0.5j, WignerLabel(2, 1))
+    loaded = fock_from_json_dict(fock_to_json_dict(generalized_coherent_fock(label, cutoff)))
+    assert len(loaded.terms) == cutoff ** 2
+    reps = [loaded, wigner_fock(WignerLabel(3, 1), cutoff), ProductRep(cutoff, ())]
+    got = _fock_point_values(reps, wa, wb)
+    assert got.shape == (3, 9)
+    # the stacked product may sum each contraction in another order
+    for row, rep in zip(got[:2], reps):
+        want = _per_term_values(rep, wa, wb)
+        assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
+    assert not got[2].any()
+    assert _fock_point_values([], wa, wb).shape == (0, 9)
 
 
 def test_matrix_unit_rule_against_integral_oracle():

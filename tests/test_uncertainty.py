@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from landaustar import checks
+from landaustar import checks, uncertainty
 from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_checks
 from landaustar.marginals import AXES, _mixture_weights, axis_scale
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
@@ -21,7 +21,9 @@ from landaustar.states import (
     GeneralizedCoherentLabel,
     WignerLabel,
     coherent_fock,
+    displaced_polynomial,
     fock_values,
+    generalized_coherent_fock,
     parse_state_label,
     state_fock,
     wigner_fock,
@@ -35,7 +37,7 @@ from landaustar.uncertainty import (
     coherent_uncertainties,
     coordinate_moment,
     coordinate_polynomials,
-    displaced_power_residual,
+    displaced_power_residuals,
     expectation,
     hamiltonian_polynomial,
     inner_product,
@@ -288,12 +290,48 @@ def test_coherent_ground_case():
 
 def test_generalized_power_theorem_examples():
     label = GeneralizedCoherentLabel(0.5 + 0j, -0.3j, WignerLabel(1, 1))
-    assert displaced_power_residual(A, 1, label, PARAMS, cutoff=16) <= 1e-10
+    ((residual,),) = displaced_power_residuals([A], 1, label, cutoff=16)
+    assert residual <= 1e-10
     label2 = GeneralizedCoherentLabel(0.5 + 0j, -0.3j, WignerLabel(2, 1))
     f = ABAR * A
-    assert displaced_power_residual(f, 1, label2, PARAMS, cutoff=16) <= 1e-9
+    ((residual,),) = displaced_power_residuals([f], 1, label2, cutoff=16)
+    assert residual <= 1e-9
     const = StarPolynomial.constant(2.5)
-    assert displaced_power_residual(const, 2, label, PARAMS, cutoff=16) <= 1e-12
+    ((_, residual),) = displaced_power_residuals([const], 2, label, cutoff=16)
+    assert residual <= 1e-12
+
+
+def test_power_residuals_equal_each_power_computed_alone():
+    """Each power from the one before gives the residual of k fresh applications."""
+    label = GeneralizedCoherentLabel(0.4 - 0.2j, 0.3 + 0.5j, WignerLabel(2, 1))
+    observables = [A, ABAR * A, BBAR * A]
+    rows = displaced_power_residuals(observables, 3, label, cutoff=10)
+    for f, row in zip(observables, rows):
+        shifted = displaced_polynomial(f, label.alpha1, label.alpha2)
+        want = []
+        for k in (1, 2, 3):
+            lhs = generalized_coherent_fock(label, 10)
+            rhs = wigner_fock(label.base, 10)
+            for _ in range(k):
+                lhs = apply_star_polynomial(f, lhs)
+                rhs = apply_star_polynomial(shifted, rhs)
+            want.append(abs(lhs.trace() - rhs.trace()))
+        assert row == want
+
+
+def test_power_theorem_check_catches_a_ladder_error(monkeypatch):
+    """Applications of the observable itself, not of its displaced form, off by
+    1e-9 relative: the two sides of the theorem then disagree, and the check fails."""
+    assert all(r.passed for r in checks.check_generalized_power_theorem(PARAMS))
+    apply = uncertainty.apply_star_polynomial
+
+    def scaled(poly, rep, side="left"):
+        out = apply(poly, rep, side)
+        # a displaced observable has a constant word; the observables have none
+        return out if () in (w for _, w in poly.terms) else (1.0 + 1e-9) * out
+
+    monkeypatch.setattr(uncertainty, "apply_star_polynomial", scaled)
+    assert not all(r.passed for r in checks.check_generalized_power_theorem(PARAMS))
 
 
 def test_generalized_variance_matches_base():
