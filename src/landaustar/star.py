@@ -13,10 +13,11 @@ constructs has this form, and so does every matrix unit, because the two
 modes commute: star products, ladder actions and traces act on each mode's
 matrix separately, at N^2 or N^3 cost instead of N^4.  Ladder steps are
 exact, and only an applied state is cut back to the cutoff.  State queries
-need only tr(p * rep), which star_traces takes word by word as a product of
-one trace per mode, without building the applied state, so each is the
-exact functional of the state as stored.  Its dense cutoff^4 tensor is
-built only on request (``coeffs``).
+are bilinear forms on one table, word_pair_traces: T[i, j] = tr(l_i * r_j *
+rep) on pairs of words, each entry a product of one trace per mode, taken
+without building the applied state, so each query is the exact functional
+of the state as stored; star_traces is the table's one-sided case.  The
+dense cutoff^4 tensor is built only on request (``coeffs``).
 
 A state document holds that dense tensor (fock_to_json_dict), and the
 overflow flag of a flagged state.  Read back (fock_from_json_dict), it is an
@@ -160,6 +161,25 @@ def _raises(gen: str, side: str) -> bool:
     return (gen in ("abar", "bbar")) == (side == "left")
 
 
+# sqrt(1), sqrt(2), ...: the ladder matrices' one diagonal, read-only and
+# replaced by a longer table when a step needs more rows than it holds
+_ROOTS = np.sqrt(np.arange(1.0, 65.0))
+_ROOTS.flags.writeable = False
+
+
+def _roots(count: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(count), a read-only view of the module's root table.
+
+    Each root is correctly rounded, so the values do not depend on the
+    table's length."""
+    global _ROOTS
+    if len(_ROOTS) < count:
+        grown = np.sqrt(np.arange(1.0, 2.0 * count + 1.0))
+        grown.flags.writeable = False
+        _ROOTS = grown
+    return _ROOTS[:count]
+
+
 def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
     """One exact ladder action on the row index of the factor x.
 
@@ -170,9 +190,9 @@ def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
     rows = len(x)
     out = np.zeros((rows + raising, x.shape[1]), dtype=x.dtype)
     if raising:
-        out[1:] = np.sqrt(np.arange(1.0, rows + 1))[:, None] * x
+        out[1:] = _roots(rows)[:, None] * x
     else:
-        out[:-1] = np.sqrt(np.arange(1.0, rows))[:, None] * x[1:]
+        out[:-1] = _roots(rows - 1)[:, None] * x[1:]
     return out
 
 
@@ -473,33 +493,56 @@ def apply_star_polynomial(poly: StarPolynomial, f: ProductRep, side: str = "left
     return ProductRep(n, tuple(terms), overflow)
 
 
-def star_traces(polys, rep: ProductRep) -> list:
-    """tr(p * rep) for each star polynomial p in ``polys``, without applied states.
+def word_pair_traces(left, right, rep: ProductRep) -> np.ndarray:
+    """The table T[i, j] = tr(left[i] * right[j] * rep) of the state functional
+    on pairs of words (tuples of generator names), without applied states.
 
-    The modes commute, so a word w acts on a term c A (x) B as its first-mode
-    letters w_a on A and its second-mode letters w_b on B, and the trace of the
-    result factors: tr(w * rep) = sum over terms of c tr(w_a A) tr(w_b B).  Each
-    mode's letters go through the same exact ladder steps as
-    apply_star_polynomial, memoized per term in one call.  Rows past the
+    Every bilinear query is a small form on it: <f|g> = s(conj(f) * g) takes
+    the words of conj(f) on the left and those of g on the right.  The modes
+    commute, so the concatenated word acts on a term c A (x) B as its
+    first-mode letters on A and its second-mode letters on B, right[j]'s
+    letters first, and the trace factors: T[i, j] = sum over terms of
+    c tr(w_a A) tr(w_b B).  Each mode's letter sequence goes through the same
+    exact ladder steps as apply_star_polynomial, its prefixes memoized per
+    term, and is traced once however many pairs share it.  Rows past the
     cutoff meet no column of the state, so they add nothing to a trace, and
-    the traces equal apply_star_polynomial(p, rep).trace() up to summation
-    order.
+    each entry equals the trace of the applied concatenated word up to
+    summation order.
     """
-    words = [[(c, *_mode_letters(word)) for c, word in p.terms] for p in polys]
-    totals = [0j] * len(words)
+    split_left = [_mode_letters(word) for word in left]
+    seq_a, seq_b, index = {}, {}, []
+    for ra, rb in map(_mode_letters, right):
+        for la, lb in split_left:
+            index.append((seq_a.setdefault(ra + la, len(seq_a)),
+                          seq_b.setdefault(rb + lb, len(seq_b))))
+    # (2, left, right): each pair's first-mode and second-mode sequence
+    index = np.array(index, dtype=np.intp).reshape(len(right), len(left), 2).T
+    table = np.zeros((len(left), len(right)), dtype=complex)
     for c0, a0, b0 in rep.terms:
         factor = _word_factors(a0, b0, "left")
-        traces = {"a": {}, "b": {}}
+        ta, tb = (np.array([_sequence_trace(factor, mode, letters) for letters in seqs],
+                           dtype=complex) for mode, seqs in (("a", seq_a), ("b", seq_b)))
+        table += c0 * (ta[index[0]] * tb[index[1]])
+    return table
 
-        def trace(mode, letters):
-            known = traces[mode]
-            if letters not in known:
-                known[letters] = complex(factor(mode, letters).trace())
-            return known[letters]
 
-        for i, split in enumerate(words):
-            totals[i] += c0 * sum(c * trace("a", la) * trace("b", lb) for c, la, lb in split)
-    return totals
+def _sequence_trace(factor, mode: str, letters: tuple):
+    """tr(letters * x) for the factor x of a _word_factors closure, letters in the
+    order they act.  The last step is not built: the trace of a ladder step
+    of y is the root-weighted sum of y's first off-diagonal."""
+    if not letters:
+        return factor(mode, letters).trace()
+    shifted = factor(mode, letters[:-1]).diagonal(1 if _raises(letters[-1], "left") else -1)
+    return shifted.dot(_roots(len(shifted)))
+
+
+def star_traces(polys, rep: ProductRep) -> list:
+    """tr(p * rep) for each star polynomial p in ``polys``: the one-sided case of
+    word_pair_traces, with the empty word on the left and every distinct word
+    of the polynomials on the right."""
+    words = {word: None for p in polys for _, word in p.terms}
+    traces = dict(zip(words, word_pair_traces([()], list(words), rep)[0]))
+    return [complex(sum(c * traces[word] for c, word in p.terms)) for p in polys]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """State functional, moments, variances and uncertainty relations.
 
 Every state query reduces to the state functional s(f) = tr(f * rho) on a
-per-mode product state (ProductRep): star.star_traces takes it word by word,
-as a product of one trace per mode, without building the applied state.
-Expectation, inner product, variance and the Robertson-Schrodinger slack
-are each one call of it.  The ladder steps are exact, so every query is the
-exact functional of the state as stored.
+per-mode product state (ProductRep), and each is a bilinear form in the inner
+product <f|g> = s(conj(f) * g).  So each query takes one table from
+star.word_pair_traces, T[i, j] = s(l_i * r_j) on pairs of words, as a product
+of one trace per mode, and reads its answer as a small matrix product with
+the polynomials' coefficient vectors: no product polynomial and no applied
+state is built.  Expectation is the table's one-sided case (star_traces);
+the inner product, variance and Robertson-Schrodinger slack are each one
+table.  The ladder steps are exact, so every query is the exact functional
+of the state as stored.
 
 These relations are unit-free, so the coordinates are defined once, in axis
 units u = q/gamma and v = p gamma/hbar (axis_polynomials), and so are the
@@ -31,7 +35,13 @@ import numpy as np
 from .marginals import axis_scale, marginal_1d
 from .phase_space import PhysParams
 from .quadrature import default_order, gauss_hermite
-from .star import ProductRep, StarPolynomial, apply_star_polynomial, star_traces
+from .star import (
+    ProductRep,
+    StarPolynomial,
+    apply_star_polynomial,
+    star_traces,
+    word_pair_traces,
+)
 from .states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
@@ -67,26 +77,47 @@ class MomentReport:
 
 
 def expectation(f: StarPolynomial, s: StateFunctional) -> complex:
-    """tr(f * state), from per-mode word traces."""
+    """tr(f * state): the sum over f's words of c T[(), w], from star_traces."""
     return star_traces([f], s.state)[0]
+
+
+def _coefficients(poly: StarPolynomial, words: dict) -> np.ndarray:
+    """poly's coefficients as a vector over ``words`` (word -> position)."""
+    out = np.zeros(len(words), dtype=complex)
+    for c, word in poly.terms:
+        out[words[word]] += c
+    return out
+
+
+def _word_positions(*polys) -> dict:
+    """Each distinct word of the polynomials, in order of first appearance, at its position."""
+    return {word: i for i, word in enumerate(dict.fromkeys(
+        word for p in polys for _, word in p.terms))}
 
 
 def inner_product(f: StarPolynomial, g: StarPolynomial, s: StateFunctional) -> complex:
     """s(conj(f) * g); conjugate-symmetric and positive semidefinite.
 
-    One trace of the product polynomial: its words are those of conj(f)
-    followed by those of g, and each word's letters act in the same order
-    as g first, then conj(f).
+    The bilinear form of the word-pair table with the words of conj(f) on the
+    left and those of g on the right: no product polynomial is built.
     """
-    return star_traces([f.conjugate() * g], s.state)[0]
+    fbar = f.conjugate()
+    left, right = _word_positions(fbar), _word_positions(g)
+    table = word_pair_traces(list(left), list(right), s.state)
+    return complex(_coefficients(fbar, left) @ table @ _coefficients(g, right))
 
 
 def variance(f: StarPolynomial, s: StateFunctional) -> float:
-    """<f|f> - <f><conj(f)>, real up to rounding for any f: three traces, from one
-    star_traces call."""
+    """<f|f> - <f><conj(f)>, real up to rounding for any f: the form
+    conj(f)^T T f minus the product of the means, all read from one word-pair
+    table on the words W of f and conj(f), with the empty word and W on the
+    left and W on the right."""
     fbar = f.conjugate()
-    ff, mean, mean_conj = star_traces([fbar * f, f, fbar], s.state)
-    return float((ff - mean * mean_conj).real)
+    words = _word_positions(f, fbar)
+    table = word_pair_traces([()] + list(words), list(words), s.state)
+    vf, vfbar = _coefficients(f, words), _coefficients(fbar, words)
+    mean, mean_conj = complex(table[0] @ vf), complex(table[0] @ vfbar)
+    return float((complex(vfbar @ table[1:] @ vf) - mean * mean_conj).real)
 
 
 def axis_polynomials() -> dict:
@@ -156,20 +187,31 @@ def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,
                                 s: StateFunctional) -> float:
     """Slack of the two-observable uncertainty relation; non-negative when it holds.
 
-    (Df)^2 (Dg)^2 - [ -<{f,g}>^2/4 + <{df,dg}_+>^2/4 ].  For real observables
-    the bracket mean is purely imaginary and the anti-bracket mean purely
-    real; the stray components are asserted small and dropped before squaring.
-    A real observable equals its conjugate, so the variances need <f f> and
-    <g g>: six traces in all, from one star_traces call.
+    (Df)^2 (Dg)^2 - [ -<{f,g}>^2/4 + <{df,dg}_+>^2/4 ].  A real observable
+    equals its conjugate, so the two means and the four second moments
+    <fg>, <gf>, <ff> and <gg> are forms on one word-pair table, with the
+    empty word and every word W of f and g on the left and W on the right.
+    For real observables the bracket mean is purely imaginary and the
+    anti-bracket mean purely real; the stray components are checked against
+    the rounding of the sums that form them, the same forms on the entries'
+    magnitudes, and dropped before squaring.
     """
     if not f.is_real_observable() or not g.is_real_observable():
         raise ValueError("both observables must be real-valued star polynomials")
-    mean_f, mean_g, fg, gf, ff, gg = star_traces([f, g, f * g, g * f, f * f, g * g], s.state)
+    words = _word_positions(f, g)
+    table = word_pair_traces([()] + list(words), list(words), s.state)
+    v = np.array([_coefficients(f, words), _coefficients(g, words)])
+    (mean_f, mean_g), ((ff, fg), (gf, gg)) = ((table[0] @ v.T).tolist(),
+                                              (v @ table[1:] @ v.T).tolist())
+    # the same sums on magnitudes: what each would be if none of its terms cancelled
+    magnitudes, size = np.abs(table), np.abs(v)
+    (size_f, size_g), ((_, size_fg), (size_gf, _)) = ((magnitudes[0] @ size.T).tolist(),
+                                                     (size @ magnitudes[1:] @ size.T).tolist())
     bracket = fg - gf
-    if abs(bracket.real) > 1e-12 * max(1.0, abs(bracket)):
+    if abs(bracket.real) > 1e-12 * (size_fg + size_gf):
         raise ValueError(f"bracket mean not purely imaginary: {bracket}")
     anti = fg + gf - 2.0 * mean_f * mean_g
-    if abs(anti.imag) > 1e-12 * max(1.0, abs(anti)):
+    if abs(anti.imag) > 1e-12 * (size_fg + size_gf + 2.0 * size_f * size_g):
         raise ValueError(f"anti-bracket mean not purely real: {anti}")
     bound = 0.25 * (bracket.imag * bracket.imag + anti.real * anti.real)
     var_f = float((ff - mean_f * mean_f).real)

@@ -42,6 +42,7 @@ from landaustar.star import (
     right_star_generator,
     star,
     star_traces,
+    word_pair_traces,
 )
 from landaustar.states import (
     CoherentLabel,
@@ -55,6 +56,7 @@ from landaustar.states import (
     wigner_fock,
     wigner_symbol,
 )
+from landaustar.uncertainty import StateFunctional, coordinate_polynomials, variance
 
 PARAMS = PhysParams()
 
@@ -610,6 +612,116 @@ def test_star_traces_of_constants_and_single_words():
     assert_traces_match_applied(polys, rep)
     assert star_traces(polys[:2], rep) == [0j, (2.5 - 1j) * rep.trace()]
     assert star_traces([], rep) == []
+
+
+def padded(rep, cutoff):
+    """rep with zero rows and columns up to ``cutoff``: the same state, with room
+    that no word of the test can leave."""
+    width = (0, cutoff - rep.cutoff)
+    return ProductRep(cutoff, tuple((c, np.pad(a, width), np.pad(b, width))
+                                    for c, a, b in rep.terms), rep.overflow)
+
+
+def _table_states():
+    gen = GeneralizedCoherentLabel(0.7 + 0.1j, -0.6 + 0.2j, WignerLabel(2, 3))
+    coherent = CoherentLabel(0.5 - 0.4j, -0.3 + 0.6j)
+    states = {}
+    for cutoff in (6, 16, 32):
+        states[f"wigner-{cutoff}"] = wigner_fock(WignerLabel(2, 3), cutoff)
+        states[f"coherent-{cutoff}"] = coherent_fock(coherent, cutoff)
+        states[f"gencoherent-{cutoff}"] = generalized_coherent_fock(gen, cutoff)
+    states["loaded-8"] = fock_from_json_dict(json.loads(json.dumps(
+        fock_to_json_dict(coherent_fock(coherent, 8)))))
+    states["flagged-coherent-8"] = coherent_fock(CoherentLabel(1.6 + 0.3j, -1.2 + 1.9j), 8)
+    states["wigner-5-5-6"] = wigner_fock(WignerLabel(5, 5), 6)
+    return states
+
+
+TABLE_STATES = _table_states()
+
+
+def assert_table_matches_applied_words(left, right, rep):
+    """Each entry against the trace of the concatenated word applied to rep,
+    padded so that no step is cut: 1e-13 relative."""
+    table = word_pair_traces(left, right, rep)
+    assert table.shape == (len(left), len(right))
+    longest = max(len(w) for w in left) + max(len(w) for w in right)
+    room = padded(rep, rep.cutoff + longest)
+    for i, lw in enumerate(left):
+        for j, rw in enumerate(right):
+            want = apply_star_polynomial(StarPolynomial(((1.0 + 0j, lw + rw),)), room).trace()
+            assert abs(table[i, j] - want) <= 1e-13 * max(1.0, abs(want)), (lw, rw, table[i, j],
+                                                                           want)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_STATES))
+def test_word_pair_table_matches_applied_words(name):
+    rep = TABLE_STATES[name]
+    rng = np.random.default_rng(sorted(TABLE_STATES).index(name))
+    if name == "loaded-8":
+        assert len(rep.terms) == 64
+    if name.startswith("flagged"):
+        assert rep.overflow
+    left = [()] + random_words(rng, 6, max_len=3)
+    right = random_words(rng, 7, max_len=3)
+    assert_table_matches_applied_words(left, right, rep)
+
+
+def test_word_pair_table_of_words_that_cross_the_cutoff_and_return():
+    """On W(5, 5) at cutoff 6, right words raise past the cutoff and left words
+    bring the state back; the right word acts first, so a * abar reads n + 1."""
+    rep = TABLE_STATES["wigner-5-5-6"]
+    left = [(), ("a",), ("a", "a"), ("b", "a"), ("bbar",)]
+    right = [(), ("abar",), ("abar", "abar"), ("abar", "bbar"), ("b",)]
+    assert_table_matches_applied_words(left, right, rep)
+    table = word_pair_traces(left, right, rep)
+    assert table[1, 1] == pytest.approx(6.0, rel=1e-14)
+    assert table[2, 2] == pytest.approx(42.0, rel=1e-14)
+    assert table[3, 3] == pytest.approx(36.0, rel=1e-14)
+    assert table[4, 4] == pytest.approx(5.0, rel=1e-14)
+
+
+def test_word_pair_table_of_no_words():
+    rep = TABLE_STATES["wigner-6"]
+    assert word_pair_traces([], [()], rep).shape == (0, 1)
+    assert word_pair_traces([()], [], rep).shape == (1, 0)
+    assert word_pair_traces([()], [()], rep)[0, 0] == rep.trace()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("raising", [False, True])
+def test_ladder_step_reads_the_root_table_bit_for_bit(raising, dtype):
+    """The root table gives the same bytes as the roots computed per call."""
+    star_module = importlib.import_module("landaustar.star")
+    rng = np.random.default_rng(22)
+    for rows in range(1, 301):
+        x = rng.normal(size=(rows, 3)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.normal(size=(rows, 3))
+        want = np.zeros((rows + raising, 3), dtype=dtype)
+        if raising:
+            want[1:] = np.sqrt(np.arange(1.0, rows + 1))[:, None] * x
+        else:
+            want[:-1] = np.sqrt(np.arange(1.0, rows))[:, None] * x[1:]
+        got = star_module._ladder_step(x, raising)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rows
+
+
+def test_a_cutoff_128_variance_grows_the_root_table(monkeypatch):
+    star_module = importlib.import_module("landaustar.star")
+    monkeypatch.setattr(star_module, "_ROOTS", star_module._ROOTS[:8])
+    s = StateFunctional(coherent_fock(CoherentLabel(1.9 + 1.9j, 0.5 - 0.3j), 128), PARAMS)
+    q1 = coordinate_polynomials(PARAMS)["q1"]
+    assert variance(q1, s) == pytest.approx(0.5 * PARAMS.gamma ** 2, rel=1e-12)
+    assert len(star_module._ROOTS) >= 129
+
+
+def test_the_root_table_is_read_only():
+    star_module = importlib.import_module("landaustar.star")
+    with pytest.raises(ValueError):
+        star_module._ROOTS[0] = 2.0
+    with pytest.raises(ValueError):
+        star_module._roots(4)[1] = 2.0
 
 
 def test_serialization_round_trip():

@@ -15,6 +15,7 @@ from landaustar.star import (
     apply_star_polynomial,
     fock_from_json_dict,
     fock_to_json_dict,
+    star_traces,
 )
 from landaustar.states import (
     CoherentLabel,
@@ -224,6 +225,129 @@ def test_robertson_schrodinger_rejects_complex_observable():
     s = wigner_functional(0, 0, cutoff=6)
     with pytest.raises(ValueError):
         robertson_schrodinger_slack(A, A, s)
+
+
+# the coherent state of the scaled-observable cases: <u1> = -1.8, <u2> = 0.1
+SCALED_LABEL = CoherentLabel(1.4 + 2.7j, -1.3 + 0.9j)
+
+
+@pytest.mark.parametrize("k", [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6])
+def test_robertson_schrodinger_slack_of_scaled_observables(k):
+    """k u1 and k u2 commute and each has variance k^2/2 on a coherent state, so
+    the slack is k^4/4; the guards scale with the sums they test, not with 1."""
+    s = StateFunctional(coherent_fock(SCALED_LABEL, 64), PARAMS)
+    u = axis_polynomials()
+    got = robertson_schrodinger_slack(k * u["q1"], k * u["q2"], s)
+    assert got == pytest.approx(0.25 * k ** 4, rel=1e-12)
+
+
+def test_robertson_schrodinger_slack_of_physical_coordinates_at_large_hbar():
+    params = PhysParams(hbar=1e4)
+    coords = coordinate_polynomials(params)
+    s = StateFunctional(coherent_fock(SCALED_LABEL, 64), params)
+    got = robertson_schrodinger_slack(coords["q1"], coords["q2"], s)
+    assert got == pytest.approx(params.hbar ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1.0, 100.0])
+def test_robertson_schrodinger_slack_when_the_moments_cancel(k):
+    """With Im alpha1 = Im alpha2, <u1> = 0 and <u1 u2> = 0: both are sums that
+    cancel to rounding, so a guard relative to them alone would raise."""
+    s = StateFunctional(coherent_fock(CoherentLabel(1.4 + 0.9j, -1.3 + 0.9j), 64), PARAMS)
+    u = axis_polynomials()
+    got = robertson_schrodinger_slack(k * u["q1"], k * u["q2"], s)
+    assert got == pytest.approx(0.25 * k ** 4, rel=1e-12)
+
+
+def _stray_table(monkeypatch, f, g, delta_fg, delta_gf):
+    """Make the slack's table add delta_fg to <f g> and delta_gf to <g f>, and
+    nothing to the means, <f f> or <g g>."""
+    words = uncertainty._word_positions(f, g)
+    vf, vg = uncertainty._coefficients(f, words), uncertainty._coefficients(g, words)
+    rows = np.array([vf, vg])
+    p = np.linalg.lstsq(rows, np.array([1.0, 0.0]), rcond=None)[0]  # vf.p = 1, vg.p = 0
+    q = np.linalg.lstsq(rows, np.array([0.0, 1.0]), rcond=None)[0]  # vf.q = 0, vg.q = 1
+    table = uncertainty.word_pair_traces
+
+    def stray(left, right, rep):
+        out = table(left, right, rep)
+        out[1:] += delta_fg * np.outer(p, q) + delta_gf * np.outer(q, p)
+        return out
+
+    monkeypatch.setattr(uncertainty, "word_pair_traces", stray)
+
+
+def test_robertson_schrodinger_slack_refuses_a_stray_part(monkeypatch):
+    s = StateFunctional(coherent_fock(SCALED_LABEL, 64), PARAMS)
+    u = axis_polynomials()
+    f, g = 100.0 * u["q1"], 100.0 * u["q2"]
+    fg, gf = star_traces([f * g, g * f], s.state)
+    with monkeypatch.context() as m:
+        _stray_table(m, f, g, 1e-15 * abs(fg), 0.0)
+        assert robertson_schrodinger_slack(f, g, s) == pytest.approx(2.5e7, rel=1e-12)
+    with monkeypatch.context() as m:
+        _stray_table(m, f, g, 1e-9 * abs(fg), 0.0)
+        with pytest.raises(ValueError, match="bracket mean not purely imaginary"):
+            robertson_schrodinger_slack(f, g, s)
+    with monkeypatch.context() as m:
+        stray = 1e-9j * (abs(fg) + abs(gf))
+        _stray_table(m, f, g, stray, stray)
+        with pytest.raises(ValueError, match="anti-bracket mean not purely real"):
+            robertson_schrodinger_slack(f, g, s)
+
+
+def product_polynomial_answers(f, g, rep):
+    """The four queries as traces of product polynomials, the route before the
+    word-pair table: expectation, inner product and variance of f, and the RS
+    slack of (f, g) with its scale |<f f>| |<g g>|, which its rounding follows
+    when the variances cancel."""
+    fbar = f.conjugate()
+    mean_f, mean_g, fg, gf, ff, gg, inner, fbar_f, mean_fbar = star_traces(
+        [f, g, f * g, g * f, f * f, g * g, fbar * g, fbar * f, fbar], rep)
+    variances = (ff - mean_f * mean_f).real * (gg - mean_g * mean_g).real
+    slack = variances - 0.25 * ((fg - gf).imag ** 2 + (fg + gf - 2.0 * mean_f * mean_g).real ** 2)
+    return mean_f, inner, (fbar_f - mean_f * mean_fbar).real, slack, abs(ff) * abs(gg)
+
+
+@pytest.mark.parametrize("cutoff", [6, 16, 32])
+@pytest.mark.parametrize("label", ["wigner:2,3", "coherent:0.5,-0.4,-0.3,0.6",
+                                   "gencoherent:2,3:0.7,0.1,-0.6,0.2"])
+def test_queries_match_the_product_polynomial_route(label, cutoff):
+    rep = state_fock(parse_state_label(label), cutoff)
+    assert_queries_match_product_polynomials(rep, np.random.default_rng(cutoff))
+
+
+@pytest.mark.parametrize("name", ["loaded-8", "flagged-coherent-8"])
+def test_queries_match_the_product_polynomial_route_on_other_states(name):
+    if name == "loaded-8":
+        source = coherent_fock(CoherentLabel(0.5 - 0.4j, -0.3 + 0.6j), 8)
+        rep = fock_from_json_dict(json.loads(json.dumps(fock_to_json_dict(source))))
+        assert len(rep.terms) == 64
+    else:
+        rep = coherent_fock(CoherentLabel(1.6 + 0.3j, -1.2 + 1.9j), 8)
+        assert rep.overflow
+    assert_queries_match_product_polynomials(rep, np.random.default_rng(8))
+
+
+def assert_queries_match_product_polynomials(rep, rng):
+    s = StateFunctional(rep, PARAMS)
+    coords = coordinate_polynomials(PARAMS)
+    pairs = [(coords["q1"], coords["p1"]), (coords["q2"], coords["p2"])]
+    pairs += [(checks._random_real_observable(rng), checks._random_real_observable(rng))
+              for _ in range(3)]
+    for f, g in pairs:
+        mean, inner, var, slack, scale = product_polynomial_answers(f, g, rep)
+        assert abs(expectation(f, s) - mean) <= 1e-12 * max(1.0, abs(mean))
+        assert abs(inner_product(f, g, s) - inner) <= 1e-12 * max(1.0, abs(inner))
+        assert abs(variance(f, s) - var) <= 1e-12 * max(1.0, abs(var))
+        assert abs(robertson_schrodinger_slack(f, g, s) - slack) <= 1e-12 * max(1.0, scale)
+    # observables that are not real: the inner product and variance take conj(f)
+    for _ in range(3):
+        f, g = (checks._random_star_polynomial(rng, 3, 3) for _ in range(2))
+        mean, inner, var, _, _ = product_polynomial_answers(f, g, rep)
+        assert abs(expectation(f, s) - mean) <= 1e-12 * max(1.0, abs(mean))
+        assert abs(inner_product(f, g, s) - inner) <= 1e-12 * max(1.0, abs(inner))
+        assert abs(variance(f, s) - var) <= 1e-12 * max(1.0, abs(var))
 
 
 def test_semidefiniteness_and_kernel():
