@@ -40,7 +40,7 @@ from .marginals import (
     position_plane_generating,
 )
 from .phase_space import PhysParams, axis_mode_coords
-from .quadrature import gauss_hermite, integrate_nd
+from .quadrature import default_order, gauss_hermite, integrate_nd
 from .star import (
     CanonicalPoly,
     GENERATORS,
@@ -190,13 +190,6 @@ def _gap(f: ProductRep, g: ProductRep | None = None) -> float:
     return float(np.max(np.abs(_dense(f if g is None else f - g))))
 
 
-def _rel_residual(got, want, floor: float = 1.0) -> float:
-    got = np.asarray(got)
-    want = np.asarray(want)
-    denom = np.maximum(np.abs(want), floor)
-    return float(np.max(np.abs(got - want) / denom))
-
-
 def _random_star_polynomial(rng, n_terms: int = 3, max_len: int = 3) -> StarPolynomial:
     terms = []
     for _ in range(n_terms):
@@ -326,8 +319,8 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
                     level = [(left_star_generator(g, rep),
                               bidifferential_star(gen_symbols[g], symbol))
                              for rep, symbol in level for g in GENERATORS]
-            worst = max(worst, _rel_residual(_fock_point_values(reps, wa, wb),
-                                             eval_symbols(symbols, a, b)))
+            got, want = _fock_point_values(reps, wa, wb), eval_symbols(symbols, a, b)
+            worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
     return CheckResult("oracle-equivalence", worst, 1e-10)
 
 
@@ -522,7 +515,7 @@ def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult
     by_order: dict = {}
     for n in range(nmax + 1):
         for l in range(nmax + 1):
-            by_order.setdefault(max(16, n + l + 8), []).append((n, l))
+            by_order.setdefault(default_order(n, l), []).append((n, l))
     worst = 0.0
     for order, pairs in by_order.items():
 
@@ -537,7 +530,7 @@ def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult
 
 def check_marginal_normalization(params: PhysParams, nmax: int = 6) -> CheckResult:
     worst = max(abs(integrate_nd(lambda u: marginal_1d(n, l, u), (1.0,),
-                                 gauss_hermite(max(16, n + l + 8))) - 1.0)
+                                 gauss_hermite(default_order(n, l))) - 1.0)
                 for n in range(nmax + 1) for l in range(nmax + 1))
     return CheckResult("normalization-marginal-1d", worst, 1e-10)
 
@@ -597,8 +590,7 @@ def check_marginal_positivity(params: PhysParams, nmax: int = 6) -> CheckResult:
     us = np.linspace(-6.0, 6.0, 121)
     min_val = min(float(np.min(marginal_1d(n, l, us)))
                   for n in range(nmax + 1) for l in range(nmax + 1))
-    residual = max(0.0, -min_val) if min_val <= 0 else 0.0
-    return CheckResult("marginal-positivity-1d", residual, 0.0)
+    return CheckResult("marginal-positivity-1d", max(0.0, -min_val), 0.0)
 
 
 def check_plane_positivity(params: PhysParams, nmax: int = 4) -> CheckResult:
@@ -608,8 +600,7 @@ def check_plane_positivity(params: PhysParams, nmax: int = 4) -> CheckResult:
     min_val = min(float(np.min(marginal_2d(n, l, plane, U, V)))
                   for plane in PLANES if plane[0][1] != plane[1][1]
                   for n in range(nmax + 1) for l in range(nmax + 1))
-    residual = max(0.0, -min_val) if min_val <= 0 else 0.0
-    return CheckResult("marginal-positivity-2d", residual, 0.0)
+    return CheckResult("marginal-positivity-2d", max(0.0, -min_val), 0.0)
 
 
 def check_marginal_symmetry(params: PhysParams) -> CheckResult:
@@ -752,12 +743,16 @@ def check_robertson_schrodinger(params: PhysParams, n_pairs: int = 100) -> Check
 
 
 def check_rs_known_slack(params: PhysParams) -> CheckResult:
+    """Known slacks in axis units; (q1 + p1, q1) reads the covariance term, 0 for (q1, p1)."""
     coords = axis_polynomials()
     q1, p1 = coords["q1"], coords["p1"]
     s0 = StateFunctional(wigner_fock(WignerLabel(0, 0), 8), params)
     s11 = StateFunctional(wigner_fock(WignerLabel(1, 1), 8), params)
+    s21 = StateFunctional(wigner_fock(WignerLabel(2, 1), 8), params)
     worst = abs(robertson_schrodinger_slack(q1, p1, s0))
     worst = max(worst, abs(robertson_schrodinger_slack(q1, p1, s11) - 2.0))
+    worst = max(worst, abs(robertson_schrodinger_slack(q1 + p1, q1, s0)))
+    worst = max(worst, abs(robertson_schrodinger_slack(q1 + p1, q1, s21) - 3.75))
     return CheckResult("rs-known-slack", worst, 1e-10)
 
 
@@ -1013,7 +1008,7 @@ def check_coherent_positivity(params: PhysParams) -> CheckResult:
     grid = np.meshgrid(u, u, u, u, indexing="ij")
     vals = coherent_values(label, *axis_mode_coords(*grid))
     min_val = float(np.min(vals))
-    return CheckResult("coherent-positivity", max(0.0, -min_val) if min_val <= 0 else 0.0, 0.0)
+    return CheckResult("coherent-positivity", max(0.0, -min_val), 0.0)
 
 
 def check_only_ground_coherent(params: PhysParams, nmax: int = 3) -> CheckResult:

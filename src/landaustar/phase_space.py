@@ -65,14 +65,6 @@ class ModeCoords:
     a: complex
     b: complex
 
-    @property
-    def abar(self) -> complex:
-        return self.a.conjugate()
-
-    @property
-    def bbar(self) -> complex:
-        return self.b.conjugate()
-
 
 def axis_mode_coords(u1, u2, v1, v2):
     """Vectorized canonical -> mode map in axis units; returns the complex pair (a, b).
@@ -97,28 +89,3 @@ def to_mode_coords(pt: PhasePoint, params: PhysParams) -> ModeCoords:
     a, b = mode_coords_arrays(pt.q1, pt.q2, pt.p1, pt.p2, params)
     return ModeCoords(complex(a), complex(b))
 
-
-def from_mode_coords(mc: ModeCoords, params: PhysParams) -> PhasePoint:
-    """Inverse of to_mode_coords: axis_mode_coords inverted, times the axis scales."""
-    d, s = mc.a - mc.b, mc.a + mc.b
-    sq, sp = params.gamma, params.hbar / params.gamma
-    return PhasePoint(-sq * d.imag, sq * s.real, sp * d.real, sp * s.imag)
-
-
-def velocities(pt: PhasePoint, params: PhysParams):
-    """Kinematic velocity components in the symmetric gauge."""
-    m, w = params.mass, params.omega
-    v1 = (pt.p1 + m * w * pt.q2 / 2.0) / m
-    v2 = (pt.p2 - m * w * pt.q1 / 2.0) / m
-    return v1, v2
-
-
-def classical_hamiltonian(pt: PhasePoint, params: PhysParams) -> float:
-    """Kinetic energy m(v1^2 + v2^2)/2; equals hbar*omega*|a|^2 pointwise."""
-    v1, v2 = velocities(pt, params)
-    return 0.5 * params.mass * (v1 * v1 + v2 * v2)
-
-
-def classical_angular_momentum(pt: PhasePoint, params: PhysParams) -> float:
-    """Canonical angular momentum q1 p2 - q2 p1; equals hbar(|b|^2 - |a|^2)."""
-    return pt.q1 * pt.p2 - pt.q2 * pt.p1

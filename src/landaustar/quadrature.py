@@ -47,9 +47,9 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
-def default_order(n: int, l: int, minimum: int = 16) -> int:
+def default_order(n: int, l: int) -> int:
     """Per-axis order used for states with quantum numbers (n, l)."""
-    return max(minimum, n + l + 8)
+    return max(16, n + l + 8)
 
 
 def integrate_nd(f, scales, rule: QuadratureRule):

@@ -16,8 +16,8 @@ exact, and only an applied state is cut back to the cutoff.  State queries
 are bilinear forms on one table, word_pair_traces: T[i, j] = tr(l_i * r_j *
 rep) on pairs of words, each entry a product of one trace per mode, taken
 without building the applied state, so each query is the exact functional
-of the state as stored; star_traces is the table's one-sided case.  The
-dense cutoff^4 tensor is built only on request (``coeffs``).
+of the state as stored.  The dense cutoff^4 tensor is built only on request
+(``coeffs``).
 
 A state document holds that dense tensor (fock_to_json_dict), and the
 overflow flag of a flagged state.  Read back (fock_from_json_dict), it is an
@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -203,18 +202,14 @@ def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
 MAX_DOCUMENT_CUTOFF = 32
 
 
-def fock_to_entries(f: ProductRep):
-    """Nonzero coefficients of f as [m1, n1, m2, n2, re, im] rows in index order."""
+def fock_to_json_dict(f: ProductRep) -> dict:
+    """The state document of f: its cutoff and its nonzero coefficients as
+    [m1, n1, m2, n2, re, im] entries in index order, then ``"overflow": true``
+    for a flagged state only, so an unflagged document has no such key."""
     idx = np.argwhere(f.coeffs != 0)  # row-major, so already sorted
     vals = f.coeffs[tuple(idx.T)]
-    return [i + [re, im] for i, re, im in zip(idx.tolist(), vals.real.tolist(),
-                                              vals.imag.tolist())]
-
-
-def fock_to_json_dict(f: ProductRep) -> dict:
-    """The state document of f: its cutoff and dense entries, then ``"overflow": true``
-    for a flagged state only, so an unflagged document has no such key."""
-    doc = {"cutoff": f.cutoff, "entries": fock_to_entries(f)}
+    doc = {"cutoff": f.cutoff, "entries": [i + [re, im] for i, re, im in zip(
+        idx.tolist(), vals.real.tolist(), vals.imag.tolist())]}
     if f.overflow:
         doc["overflow"] = True
     return doc
@@ -338,12 +333,7 @@ class StarPolynomial:
 
     @staticmethod
     def from_terms(terms) -> "StarPolynomial":
-        merged: dict = {}
-        for c, w in terms:
-            w = tuple(w)
-            merged[w] = merged.get(w, 0j) + complex(c)
-        items = tuple((c, w) for w, c in sorted(merged.items()) if c != 0)
-        return StarPolynomial(items)
+        return StarPolynomial(tuple((c, w) for w, c in sorted(_word_map(terms).items())))
 
     def __add__(self, other):
         other = _as_star_poly(other)
@@ -371,13 +361,12 @@ class StarPolynomial:
 
     def conjugate(self) -> "StarPolynomial":
         """Complex conjugate: conjugate coefficients, reverse and bar each word."""
-        return StarPolynomial.from_terms(
-            (c.conjugate(), tuple(_CONJ_GEN[g] for g in reversed(w))) for c, w in self.terms
-        )
+        return StarPolynomial.from_terms((c.conjugate(), _bar(w)) for c, w in self.terms)
 
     def is_real_observable(self) -> bool:
-        """Word-level reality: the polynomial equals its formal conjugate."""
-        return self.terms == self.conjugate().terms
+        """Word-level reality: equal to its formal conjugate word by word, in any term order."""
+        words = _word_map(self.terms)
+        return words == {_bar(w): c.conjugate() for w, c in words.items()}
 
     def normal_form(self) -> dict:
         """Reduce modulo the star commutators to normally ordered monomials.
@@ -399,6 +388,20 @@ class StarPolynomial:
 # each generator's one-letter polynomial, built once; any other name falls
 # through to StarPolynomial.generator, which refuses it
 _GENERATOR_POLYS = {gen: StarPolynomial.generator(gen) for gen in GENERATORS}
+
+
+def _bar(word) -> tuple:
+    """The conjugate word: the letters reversed, each one barred."""
+    return tuple(_CONJ_GEN[g] for g in reversed(word))
+
+
+def _word_map(terms) -> dict:
+    """word -> the sum of its coefficients over ``terms``, words that sum to 0 dropped."""
+    merged: dict = {}
+    for c, w in terms:
+        w = tuple(w)
+        merged[w] = merged.get(w, 0j) + complex(c)
+    return {w: c for w, c in merged.items() if c != 0}
 
 
 def _as_star_poly(x) -> StarPolynomial:
@@ -536,38 +539,20 @@ def _sequence_trace(factor, mode: str, letters: tuple):
     return shifted.dot(_roots(len(shifted)))
 
 
-def star_traces(polys, rep: ProductRep) -> list:
-    """tr(p * rep) for each star polynomial p in ``polys``: the one-sided case of
-    word_pair_traces, with the empty word on the left and every distinct word
-    of the polynomials on the right."""
-    words = {word: None for p in polys for _, word in p.terms}
-    traces = dict(zip(words, word_pair_traces([()], list(words), rep)[0]))
-    return [complex(sum(c * traces[word] for c, word in p.terms)) for p in polys]
-
-
 # ---------------------------------------------------------------------------
 # Moyal bracket (dispatching on representation)
 # ---------------------------------------------------------------------------
 
-def _bracket(f, g, params: PhysParams | None, combine):
+def moyal_bracket(f, g, params: PhysParams | None = None):
+    """f * g - g * f for ProductRep, StarPolynomial or CanonicalPoly pairs."""
     if isinstance(f, StarPolynomial) and isinstance(g, StarPolynomial):
-        return combine(f * g, g * f)
+        return f * g - g * f
     if isinstance(f, CanonicalPoly) and isinstance(g, CanonicalPoly):
         if params is None:
             raise ValueError("canonical-coordinate bracket needs params")
-        return combine(canonical_star(f, g, params), canonical_star(g, f, params))
+        return canonical_star(f, g, params) - canonical_star(g, f, params)
     # any other pair composes as matrix-unit functions, which star checks
-    return combine(star(f, g), star(g, f))
-
-
-def moyal_bracket(f, g, params: PhysParams | None = None):
-    """f * g - g * f for ProductRep, StarPolynomial or CanonicalPoly pairs."""
-    return _bracket(f, g, params, operator.sub)
-
-
-def anti_moyal_bracket(f, g, params: PhysParams | None = None):
-    """f * g + g * f on the same supported pairs as moyal_bracket."""
-    return _bracket(f, g, params, operator.add)
+    return star(f, g) - star(g, f)
 
 
 # ---------------------------------------------------------------------------

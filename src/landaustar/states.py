@@ -32,7 +32,6 @@ from math import comb, factorial, isfinite
 
 import numpy as np
 
-from .phase_space import PhasePoint, PhysParams, to_mode_coords
 from .specfun import bounded_abs2, laguerre_function
 from .star import (
     PolyGauss,
@@ -137,11 +136,6 @@ def _fock_point_values(reps, wa, wb):
     return vals
 
 
-def fock_eval(rep, pt: PhasePoint, params: PhysParams) -> complex:
-    mc = to_mode_coords(pt, params)
-    return complex(fock_values(rep, mc.a, mc.b))
-
-
 def wigner_values(n: int, l: int, a, b):
     """Diagonal Wigner function at mode coordinates, vectorized.
 
@@ -152,11 +146,6 @@ def wigner_values(n: int, l: int, a, b):
     xb = 4.0 * bounded_abs2(np.asarray(b, dtype=complex))
     sign = (-1.0) ** (n + l)
     return sign * 4.0 * laguerre_function(n, xa) * laguerre_function(l, xb)
-
-
-def wigner_eval(label: WignerLabel, pt: PhasePoint, params: PhysParams) -> float:
-    mc = to_mode_coords(pt, params)
-    return float(wigner_values(label.n, label.l, mc.a, mc.b))
 
 
 def wigner_symbol(n: int, l: int) -> PolyGauss:
@@ -194,11 +183,6 @@ def coherent_values(label: CoherentLabel, a, b):
     da = bounded_abs2(np.asarray(a, dtype=complex) - label.alpha1)
     db = bounded_abs2(np.asarray(b, dtype=complex) - label.alpha2)
     return 4.0 * np.exp(-2.0 * (da + db))
-
-
-def coherent_eval(label: CoherentLabel, pt: PhasePoint, params: PhysParams) -> float:
-    mc = to_mode_coords(pt, params)
-    return float(coherent_values(label, mc.a, mc.b))
 
 
 def state_values(label, a, b):

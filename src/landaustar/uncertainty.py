@@ -6,10 +6,10 @@ product <f|g> = s(conj(f) * g).  So each query takes one table from
 star.word_pair_traces, T[i, j] = s(l_i * r_j) on pairs of words, as a product
 of one trace per mode, and reads its answer as a small matrix product with
 the polynomials' coefficient vectors: no product polynomial and no applied
-state is built.  Expectation is the table's one-sided case (star_traces);
-the inner product, variance and Robertson-Schrodinger slack are each one
-table.  The ladder steps are exact, so every query is the exact functional
-of the state as stored.
+state is built.  Expectation is the table's row of the empty word; the
+inner product, variance and Robertson-Schrodinger slack are each one table.
+The ladder steps are exact, so every query is the exact functional of the
+state as stored.
 
 These relations are unit-free, so the coordinates are defined once, in axis
 units u = q/gamma and v = p gamma/hbar (axis_polynomials), and so are the
@@ -39,7 +39,6 @@ from .star import (
     ProductRep,
     StarPolynomial,
     apply_star_polynomial,
-    star_traces,
     word_pair_traces,
 )
 from .states import (
@@ -65,20 +64,13 @@ class StateFunctional:
     state: ProductRep
     params: PhysParams
 
-    def __call__(self, f: StarPolynomial) -> complex:
-        return expectation(f, self)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    observable: str
-    mean: complex
-    variance: float
-
 
 def expectation(f: StarPolynomial, s: StateFunctional) -> complex:
-    """tr(f * state): the sum over f's words of c T[(), w], from star_traces."""
-    return star_traces([f], s.state)[0]
+    """tr(f * state): the sum over f's words of c T[(), w], the table's row of the
+    empty word against each distinct word of f."""
+    words = list(dict.fromkeys(word for _, word in f.terms))
+    traces = dict(zip(words, word_pair_traces([()], words, s.state)[0]))
+    return complex(sum(c * traces[word] for c, word in f.terms))
 
 
 def _coefficients(poly: StarPolynomial, words: dict) -> np.ndarray:
@@ -238,26 +230,6 @@ def coherent_moment_predictions(label: CoherentLabel) -> dict:
         "var_p": 0.5,
         "product": 0.5,
     }
-
-
-def coherent_uncertainties(label: CoherentLabel, params: PhysParams):
-    """Per-coordinate moment reports for a coherent state, exact at any displacement.
-
-    The moments of each coordinate are those of the displaced coordinate in
-    the ground state, the displacement theorem of displaced_power_residuals.  The
-    ground state's mean of one letter is zero, so the mean is the constant term,
-    and the variance, of the coordinate minus it, cannot cancel.  The ladder
-    steps are exact, so the base state needs only its own levels.
-    """
-    shifted = {name: displaced_polynomial(poly, label.alpha1, label.alpha2)
-               for name, poly in coordinate_polynomials(params).items()}
-    base = label.base
-    s = StateFunctional(wigner_fock(base, max(base.n, base.l) + 1), params)
-    reports = {}
-    for name, poly in shifted.items():
-        mean = {word: c for c, word in poly.terms}.get((), 0j)
-        reports[name] = MomentReport(name, mean, variance(poly - mean, s))
-    return reports
 
 
 def displaced_power_residuals(observables, powers: int,

@@ -19,17 +19,14 @@ from landaustar.star import (
     left_star_generator,
     moyal_bracket,
     star,
-    star_traces,
 )
 from landaustar.states import (
     CoherentLabel,
     GeneralizedCoherentLabel,
     WignerLabel,
-    coherent_eval,
     coherent_fock,
     coherent_values,
     displaced_polynomial,
-    fock_eval,
     fock_values,
     generalized_coherent_fock,
     generating_function,
@@ -37,14 +34,19 @@ from landaustar.states import (
     parse_state_label,
     state_fock,
     state_values,
-    wigner_eval,
     wigner_fock,
     wigner_values,
 )
-from landaustar.uncertainty import hamiltonian_polynomial
+from landaustar.uncertainty import StateFunctional, expectation, hamiltonian_polynomial
 
 PARAMS = PhysParams()
 ORIGIN = PhasePoint(0, 0, 0, 0)
+
+
+def at(pt):
+    """The mode coordinates (a, b) of a phase-space point."""
+    mc = to_mode_coords(pt, PARAMS)
+    return mc.a, mc.b
 
 
 def random_points(rng, count):
@@ -56,10 +58,10 @@ def random_points(rng, count):
 
 
 def test_wigner_at_origin():
-    assert wigner_eval(WignerLabel(0, 0), ORIGIN, PARAMS) == pytest.approx(4.0)
+    assert wigner_values(0, 0, *at(ORIGIN)) == pytest.approx(4.0)
     for n, l in [(1, 0), (2, 1), (3, 3)]:
         want = 4.0 * (-1.0) ** (n + l)
-        assert wigner_eval(WignerLabel(n, l), ORIGIN, PARAMS) == pytest.approx(want)
+        assert wigner_values(n, l, *at(ORIGIN)) == pytest.approx(want)
 
 
 def test_wigner_normalization_by_quadrature():
@@ -109,7 +111,7 @@ def test_generating_function_at_zero_parameters():
         got = generating_function(0, 0, 0, 0, av, bv)
         want = math.exp(-2.0 * (abs(av) ** 2 + abs(bv) ** 2))
         assert got == pytest.approx(want, rel=1e-13)
-        assert got == pytest.approx(wigner_eval(WignerLabel(0, 0), pt, PARAMS) / 4.0,
+        assert got == pytest.approx(wigner_values(0, 0, *at(pt)) / 4.0,
                                     rel=1e-13)
 
 
@@ -131,7 +133,7 @@ def test_generating_function_produces_wigner(n, l):
     pts, _, _ = random_points(rng, 3)
     for pt in pts:
         got = _wigner_from_generating(n, l, pt)
-        want = wigner_eval(WignerLabel(n, l), pt, PARAMS)
+        want = wigner_values(n, l, *at(pt))
         assert got.real == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert abs(got.imag) <= 1e-9
 
@@ -196,8 +198,8 @@ def test_coherent_zero_displacement_is_ground():
     pts, _, _ = random_points(rng, 10)
     label = CoherentLabel(0j, 0j)
     for pt in pts:
-        assert coherent_eval(label, pt, PARAMS) == pytest.approx(
-            wigner_eval(WignerLabel(0, 0), pt, PARAMS), rel=1e-13)
+        assert coherent_values(label, *at(pt)) == pytest.approx(
+            wigner_values(0, 0, *at(pt)), rel=1e-13)
 
 
 def test_coherent_positivity_on_grid():
@@ -230,13 +232,13 @@ def test_coherent_constant_reconciliation():
     pts, a, b = random_points(rng, 10)
     norm2 = abs(label.alpha1) ** 2 + abs(label.alpha2) ** 2
     for pt, av, bv in zip(pts, a, b):
-        closed = coherent_eval(label, pt, PARAMS)
-        via_fock = fock_eval(rep, pt, PARAMS)
+        closed = coherent_values(label, *at(pt))
+        via_fock = fock_values(rep, *at(pt))
         lin = (label.alpha1 * np.conj(av) + np.conj(label.alpha1) * av
                + label.alpha2 * np.conj(bv) + np.conj(label.alpha2) * bv)
         # literal quarter-prefactor expression for the real displaced Gaussian
         quarter_form = 0.25 * math.exp(-norm2) * cmath.exp(2.0 * lin).real \
-            * wigner_eval(WignerLabel(0, 0), pt, PARAMS)
+            * wigner_values(0, 0, *at(pt))
         # normalized projector = 4 e^{-|alpha|^2} times the quarter form
         assert closed == pytest.approx(4.0 * math.exp(-norm2) * quarter_form, rel=1e-11)
         assert via_fock.real == pytest.approx(closed, rel=1e-9, abs=1e-9)
@@ -575,7 +577,7 @@ def test_a_word_that_crosses_the_cutoff_and_returns_is_exact():
     assert not got.overflow
     np.testing.assert_allclose(got.coeffs, 6.0 * rep.coeffs, rtol=1e-15, atol=0)
     assert_same_rep(got, dense_apply(poly, dense(rep)))
-    (trace,) = star_traces([poly], rep)
+    trace = expectation(poly, StateFunctional(rep, PARAMS))
     assert trace == pytest.approx(6.0, rel=1e-15)
     assert abs(trace - got.trace()) <= 1e-13 * abs(trace)
 

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from landaustar.star import (
     apply_star_polynomial,
     fock_from_json_dict,
     fock_to_json_dict,
-    star_traces,
 )
 from landaustar.states import (
     CoherentLabel,
@@ -30,12 +28,9 @@ from landaustar.states import (
     wigner_fock,
 )
 from landaustar.uncertainty import (
-    MomentReport,
     StateFunctional,
     angular_momentum_polynomial,
     axis_polynomials,
-    coherent_moment_predictions,
-    coherent_uncertainties,
     coordinate_moment,
     coordinate_polynomials,
     displaced_power_residuals,
@@ -100,7 +95,7 @@ def test_coordinate_dictionary_matches_pointwise_map():
         for _ in range(20):
             pt = PhasePoint(**{axis: scales[axis] * rng.uniform(-2, 2) for axis in AXES})
             mc = to_mode_coords(pt, params)
-            values = {"a": mc.a, "abar": mc.abar, "b": mc.b, "bbar": mc.bbar}
+            values = {"a": mc.a, "abar": mc.a.conjugate(), "b": mc.b, "bbar": mc.b.conjugate()}
             for axis in AXES:
                 x, scale = getattr(pt, axis), scales[axis]
                 total = _evaluate(physical[axis], values)
@@ -227,6 +222,15 @@ def test_robertson_schrodinger_rejects_complex_observable():
         robertson_schrodinger_slack(A, A, s)
 
 
+def test_robertson_schrodinger_takes_a_real_observable_in_any_term_order():
+    """(bbar + b)/2 with its terms in this order was refused as not real-valued."""
+    s = wigner_functional(2, 1, cutoff=8)
+    f = StarPolynomial(((0.5, ("bbar",)), (0.5, ("b",))))
+    q1 = axis_polynomials()["q1"]
+    want = robertson_schrodinger_slack(StarPolynomial.from_terms(f.terms), q1, s)
+    assert robertson_schrodinger_slack(f, q1, s) == pytest.approx(want, rel=1e-14)
+
+
 # the coherent state of the scaled-observable cases: <u1> = -1.8, <u2> = 0.1
 SCALED_LABEL = CoherentLabel(1.4 + 2.7j, -1.3 + 0.9j)
 
@@ -281,7 +285,7 @@ def test_robertson_schrodinger_slack_refuses_a_stray_part(monkeypatch):
     s = StateFunctional(coherent_fock(SCALED_LABEL, 64), PARAMS)
     u = axis_polynomials()
     f, g = 100.0 * u["q1"], 100.0 * u["q2"]
-    fg, gf = star_traces([f * g, g * f], s.state)
+    fg, gf = expectation(f * g, s), expectation(g * f, s)
     with monkeypatch.context() as m:
         _stray_table(m, f, g, 1e-15 * abs(fg), 0.0)
         assert robertson_schrodinger_slack(f, g, s) == pytest.approx(2.5e7, rel=1e-12)
@@ -301,9 +305,9 @@ def product_polynomial_answers(f, g, rep):
     word-pair table: expectation, inner product and variance of f, and the RS
     slack of (f, g) with its scale |<f f>| |<g g>|, which its rounding follows
     when the variances cancel."""
-    fbar = f.conjugate()
-    mean_f, mean_g, fg, gf, ff, gg, inner, fbar_f, mean_fbar = star_traces(
-        [f, g, f * g, g * f, f * f, g * g, fbar * g, fbar * f, fbar], rep)
+    fbar, s = f.conjugate(), StateFunctional(rep, PARAMS)
+    mean_f, mean_g, fg, gf, ff, gg, inner, fbar_f, mean_fbar = (
+        expectation(p, s) for p in (f, g, f * g, g * f, f * f, g * g, fbar * g, fbar * f, fbar))
     variances = (ff - mean_f * mean_f).real * (gg - mean_g * mean_g).real
     slack = variances - 0.25 * ((fg - gf).imag ** 2 + (fg + gf - 2.0 * mean_f * mean_g).real ** 2)
     return mean_f, inner, (fbar_f - mean_f * mean_fbar).real, slack, abs(ff) * abs(gg)
@@ -363,53 +367,6 @@ def test_semidefiniteness_and_kernel():
     f = StarPolynomial(((1.0 + 0j, ("a", "a", "a")),))
     assert abs(inner_product(f, f, s)) == 0.0
     assert abs(expectation(f, s)) == 0.0
-
-
-def test_coherent_uncertainty_reports():
-    label = CoherentLabel(1j, 0j)
-    reports = coherent_uncertainties(label, PARAMS)
-    pred = coherent_moment_predictions(label)
-    assert isinstance(reports["q1"], MomentReport)
-    assert reports["q1"].mean.real == pytest.approx(-math.sqrt(2.0), abs=1e-10)
-    assert reports["q1"].mean.real == pytest.approx(PARAMS.gamma * pred["q1_mean"], abs=1e-10)
-    for j in (1, 2):
-        prod = math.sqrt(reports[f"q{j}"].variance * reports[f"p{j}"].variance)
-        assert prod == pytest.approx(0.5 * HBAR, abs=1e-9)
-
-
-def test_coherent_variance_independent_of_displacement():
-    values = []
-    for a1 in (0j, 1.0 + 0j, 1 + 1j, -2j):
-        reports = coherent_uncertainties(CoherentLabel(a1, 0j), PARAMS)
-        values.append(reports["q1"].variance)
-        assert reports["q1"].variance == pytest.approx(0.5 * PARAMS.gamma ** 2,
-                                                       abs=1e-9)
-    assert max(abs(v - values[0]) for v in values) <= 1e-10
-
-
-def test_coherent_uncertainties_refuse_a_truncating_cutoff():
-    """No cutoff truncates a coherent state's moments: |alpha| = 5 was refused at
-    the default cutoff 32, and the Fock route needs cutoff 180 at |alpha| = 10.
-    Far out the variances once cancelled to 0 (|alpha| = 1e8, 1e12) or nan (1e200)."""
-    far = [(x * (1 + 0.3j), -0.5 * x + 0j) for x in (1e3, 1e8, 1e12, 1e100, 1e200)]
-    for alphas in [(5.0 + 0j, 0j), (10.0 + 0j, 0j), (10.0 + 3.0j, -7.0j)] + far:
-        label = CoherentLabel(*alphas)
-        reports = coherent_uncertainties(label, PARAMS)
-        pred = coherent_moment_predictions(label)
-        for axis in ("q1", "p1", "q2", "p2"):
-            scale = axis_scale(axis, PARAMS)
-            want = scale * pred[f"{axis}_mean"]
-            assert abs(reports[axis].mean - want) <= 1e-10 * max(abs(want), scale)
-            want = pred["var_q"] if axis[0] == "q" else pred["var_p"]
-            assert reports[axis].variance / scale ** 2 == pytest.approx(want, rel=1e-10)
-
-
-def test_coherent_ground_case():
-    reports = coherent_uncertainties(CoherentLabel(0j, 0j), PARAMS)
-    for axis in ("q1", "q2"):
-        assert abs(reports[axis].mean) <= 1e-13
-        assert reports[axis].variance == pytest.approx(0.5 * PARAMS.gamma ** 2,
-                                                       rel=1e-12)
 
 
 def test_generalized_power_theorem_examples():
@@ -550,9 +507,9 @@ def test_a_reloaded_state_answers_like_its_source(label, cutoff):
                                rtol=0, atol=1e-12)
 
 
-def test_functional_is_callable():
+def test_expectation_of_a_constant():
     s = wigner_functional(1, 0, cutoff=8)
-    assert s(StarPolynomial.constant(2.0)) == pytest.approx(2.0)
+    assert expectation(StarPolynomial.constant(2.0), s) == pytest.approx(2.0)
 
 
 def test_overflow_propagates_through_expectation():
@@ -657,6 +614,20 @@ def test_axis_unit_checks_catch_a_1e8_error_at_any_units(monkeypatch, check, qua
     monkeypatch.setattr(checks, quantity,
                         _scaled_after(getattr(checks, quantity), factor, exact_calls))
     assert not run(params).passed
+
+
+def test_rs_known_slack_reads_the_covariance_term(monkeypatch):
+    """A slack without its covariance term passed while the check read only
+    (q1, p1), whose covariance is 0; (q1 + p1, q1) reads 0.25 more on W(0, 0)."""
+    assert checks.check_rs_known_slack(PARAMS).passed
+    slack = checks.robertson_schrodinger_slack
+
+    def without_covariance(f, g, s):
+        anti = expectation(f * g + g * f, s) - 2.0 * expectation(f, s) * expectation(g, s)
+        return slack(f, g, s) + 0.25 * anti.real ** 2
+
+    monkeypatch.setattr(checks, "robertson_schrodinger_slack", without_covariance)
+    assert not checks.check_rs_known_slack(PARAMS).passed
 
 
 @pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
