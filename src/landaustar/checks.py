@@ -190,6 +190,11 @@ def _gap(f: ProductRep, g: ProductRep | None = None) -> float:
     return float(np.max(np.abs(_dense(f if g is None else f - g))))
 
 
+def _rel_residual(got: np.ndarray, want: np.ndarray) -> float:
+    """max |got - want| / max(|want|, 1): relative where want is large, absolute elsewhere."""
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
+
+
 def _random_star_polynomial(rng, n_terms: int = 3, max_len: int = 3) -> StarPolynomial:
     terms = []
     for _ in range(n_terms):
@@ -319,8 +324,8 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
                     level = [(left_star_generator(g, rep),
                               bidifferential_star(gen_symbols[g], symbol))
                              for rep, symbol in level for g in GENERATORS]
-            got, want = _fock_point_values(reps, wa, wb), eval_symbols(symbols, a, b)
-            worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
+            worst = max(worst, _rel_residual(_fock_point_values(reps, wa, wb),
+                                             eval_symbols(symbols, a, b)))
     return CheckResult("oracle-equivalence", worst, 1e-10)
 
 
@@ -901,12 +906,8 @@ def check_displacement_unitarity(params: PhysParams) -> CheckResult:
     for a1, a2 in _ALPHA_SAMPLES[3:6]:
         for alpha in (a1, a2):
             d = displacement_matrix_closed(alpha, cutoff)
-            prod = d @ d.conj().T
-            worst = max(worst, float(np.max(np.abs(
-                prod[:block, :block] - np.eye(block)))))
-            prod = d.conj().T @ d
-            worst = max(worst, float(np.max(np.abs(
-                prod[:block, :block] - np.eye(block)))))
+            for prod in (d @ d.conj().T, d.conj().T @ d):
+                worst = max(worst, float(np.max(np.abs(prod[:block, :block] - np.eye(block)))))
     return CheckResult("displacement-unitarity", worst, 1e-10)
 
 
@@ -1034,15 +1035,13 @@ def check_only_ground_coherent(params: PhysParams, nmax: int = 3) -> CheckResult
 
 
 def check_state_reality(params: PhysParams) -> CheckResult:
-    worst = 0.0
     reps = [
         wigner_fock(WignerLabel(2, 1), 12),
         coherent_fock(CoherentLabel(0.7 + 0.2j, -0.4j), 12),
         generalized_coherent_fock(
             GeneralizedCoherentLabel(0.5 - 0.3j, 0.2j, WignerLabel(1, 2)), 12),
     ]
-    for rep in reps:
-        worst = max(worst, rep.reality_residual())
+    worst = max(rep.reality_residual() for rep in reps)
     return CheckResult("state-reality", worst, 0.0)
 
 
@@ -1181,10 +1180,7 @@ def run_suite(name: str, params: PhysParams) -> list[CheckResult]:
         "coherent": run_coherent_suite,
     }
     if name == "all":
-        out = []
-        for suite in SUITES:
-            out.extend(runners[suite](params))
-        return out
+        return [r for suite in SUITES for r in runners[suite](params)]
     if name not in runners:
         raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
     return runners[name](params)

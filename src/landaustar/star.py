@@ -202,14 +202,18 @@ def _ladder_step(x: np.ndarray, raising: bool) -> np.ndarray:
 MAX_DOCUMENT_CUTOFF = 32
 
 
-def fock_to_json_dict(f: ProductRep) -> dict:
-    """The state document of f: its cutoff and its nonzero coefficients as
-    [m1, n1, m2, n2, re, im] entries in index order, then ``"overflow": true``
-    for a flagged state only, so an unflagged document has no such key."""
+def fock_to_entries(f: ProductRep):
+    """Nonzero coefficients of f as [m1, n1, m2, n2, re, im] rows in index order."""
     idx = np.argwhere(f.coeffs != 0)  # row-major, so already sorted
     vals = f.coeffs[tuple(idx.T)]
-    doc = {"cutoff": f.cutoff, "entries": [i + [re, im] for i, re, im in zip(
-        idx.tolist(), vals.real.tolist(), vals.imag.tolist())]}
+    return [i + [re, im] for i, re, im in zip(idx.tolist(), vals.real.tolist(),
+                                              vals.imag.tolist())]
+
+
+def fock_to_json_dict(f: ProductRep) -> dict:
+    """The state document of f: its cutoff and dense entries, then ``"overflow": true``
+    for a flagged state only, so an unflagged document has no such key."""
+    doc = {"cutoff": f.cutoff, "entries": fock_to_entries(f)}
     if f.overflow:
         doc["overflow"] = True
     return doc

@@ -30,6 +30,7 @@ from landaustar.star import (
     displacement_matrix_closed,
     eval_symbols,
     fock_from_json_dict,
+    fock_to_entries,
     fock_to_json_dict,
     generator_symbol,
     ladder_matrices,
@@ -752,7 +753,7 @@ def test_entries_match_a_sorted_loop():
     coeffs.flat[[3, 40, 41]] = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0)]
     want = sorted([int(m1), int(n1), int(m2), int(n2), float(c.real), float(c.imag)]
                   for (m1, n1, m2, n2), c in np.ndenumerate(coeffs) if c != 0)
-    got = fock_to_json_dict(_dense_product(coeffs))["entries"]
+    got = fock_to_entries(_dense_product(coeffs))
     assert json.dumps(got) == json.dumps(want)
 
 

@@ -26,13 +26,15 @@ def test_all_is_what_the_package_root_exports():
     assert sorted(landaustar.__all__) == sorted(exported)
 
 
-
-def test_an_allowed_name_covers_the_functions_inside_it():
-    assert reach.allowed_by("PolyGauss.eval") == "PolyGauss.eval"
-    assert reach.allowed_by("PhasePoint.__post_init__") == "PhasePoint"
-    assert reach.allowed_by("PolyGauss.diff") == "PolyGauss"
-    assert reach.allowed_by("StarPolynomial.conjugate") is None
-    assert reach.allowed_by("star") is None
+def test_an_unreached_function_is_allowed_only_by_its_own_name():
+    """An allowed class covers none of its methods, and an entry that names
+    neither an unreached function nor an unnamed export is stale."""
+    assert "PolyGauss" in reach.ALLOWED and "PolyGauss.diff" not in reach.ALLOWED
+    refused, _ = reach.judge(["PolyGauss.eval", "PolyGauss.diff"], set())
+    assert refused == ["PolyGauss.diff"]
+    refused, stale = reach.judge(["PolyGauss.eval"], {"PolyGauss"})
+    assert refused == []
+    assert stale == sorted(set(reach.ALLOWED) - {"PolyGauss.eval", "PolyGauss"})
     assert reach.ranges([7, 1, 3, 2]) == "1-3, 7"
 
 

@@ -8,18 +8,17 @@ executable lines from the compiled code.  Prints, per module, the functions
 and lines reached out of those defined, then each unreached function and the
 unreached lines.
 
-With ``--check`` it exits 1 when a function is unreached and neither it nor
-an enclosing class or function is in ALLOWED, or when an entry of ALLOWED
-is needed for nothing: by no unreached function, and by no name of
+Exits 1 when an unreached function is not in ALLOWED under its own qualified
+name (an allowed class does not cover its methods), or when an entry of
+ALLOWED is needed for nothing: it names no unreached function and no name of
 ``landaustar.__all__`` that cli.py and checks.py leave unnamed (the rule of
 tests/test_surface.py).  Run from the repository root:
 
-    PYTHONPATH=src python tools/reach.py [--check]
+    PYTHONPATH=src python tools/reach.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import dis
@@ -33,10 +32,12 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "landaustar"
 
 # Unreached by the commands below, or exported and named in neither cli.py nor
-# checks.py, and kept: name (a function, a method or a class) -> why.
+# checks.py, and kept: name -> why.  A function or method is named by its
+# qualified name; a class entry serves only the export rule.
 ALLOWED = {
     "to_mode_coords": "perfbench/tracer.py LAYERS binds it (phase_space.mode_coords)",
     "PhasePoint": "the point type of to_mode_coords",
+    "PhasePoint.__post_init__": "refuses a non-finite point given to to_mode_coords",
     "ModeCoords": "the result type of to_mode_coords",
     "coordinate_polynomials": "perfbench's fock workload builds its observables with it",
     "oracle_apply_word": "test oracle of the ladder actions (tests/test_star.py)",
@@ -205,13 +206,12 @@ def static_surface() -> set:
     return set(exported) - named
 
 
-def allowed_by(qualname: str):
-    """The ALLOWED entry that covers qualname, itself or an enclosing name, or None."""
-    parts = qualname.split(".")
-    for k in range(len(parts), 0, -1):
-        if ".".join(parts[:k]) in ALLOWED:
-            return ".".join(parts[:k])
-    return None
+def judge(unreached, unnamed_exports) -> tuple:
+    """(the unreached qualified names not in ALLOWED, the ALLOWED entries that
+    name neither an unreached function nor an unnamed export)."""
+    refused = [name for name in unreached if name not in ALLOWED]
+    stale = sorted(set(ALLOWED) - set(unreached) - set(unnamed_exports))
+    return refused, stale
 
 
 def ranges(numbers) -> str:
@@ -225,12 +225,7 @@ def ranges(numbers) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on an unreached function outside ALLOWED, or a stale entry")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     if "landaustar" in sys.modules:
         sys.exit("error: landaustar is already imported, so its import would not be traced")
     recorder = Recorder()
@@ -255,24 +250,17 @@ def main(argv=None) -> int:
         if lines - run:
             unreached_lines[path.name] = ranges(lines - run)
 
-    needed, failures = set(), 0
+    refused, stale = judge([name for _, name in unreached], static_surface())
     print("\nunreached functions:")
     for module, name in unreached:
-        entry = allowed_by(name)
-        needed.add(entry)
-        failures += entry is None
-        reason = f"allowed ({entry}): {ALLOWED[entry]}" if entry else "NOT ALLOWED"
+        reason = "NOT ALLOWED" if name in refused else f"allowed: {ALLOWED[name]}"
         print(f"  {module}.{name}  {reason}")
-    needed |= static_surface()
-    stale = sorted(set(ALLOWED) - needed)
     for name in stale:
         print(f"stale ALLOWED entry: {name}")
     print("\nunreached lines:")
     for name, text in unreached_lines.items():
         print(f"  {name}: {text}")
-    if args.check and (failures or stale):
-        return 1
-    return 0
+    return 1 if refused or stale else 0
 
 
 if __name__ == "__main__":
