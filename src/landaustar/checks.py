@@ -108,6 +108,9 @@ class CheckResult:
     # wall time of the check, set by the suite runners; a check that reports
     # several results shares its time equally among them
     seconds: float | None = field(default=None, compare=False)
+    # "Type: message" of the exception a check raised; such a check is one
+    # FAIL with residual inf, named after its function (check_foo_bar: foo-bar)
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -1089,11 +1092,20 @@ def check_generalized_normalization(params: PhysParams) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _run(suite, params: PhysParams) -> list[CheckResult]:
-    """Run each check of a suite, in order, and record its wall time."""
+    """Run each check of a suite, in order, and record its wall time.
+
+    A check that raises does not end the run: it reads as one FAIL with
+    residual inf that carries the exception's text.
+    """
     out = []
     for check in suite:
         start = time.perf_counter()
-        got = check(params)
+        try:
+            got = check(params)
+        except Exception as exc:
+            name = check.__name__.removeprefix("check_").replace("_", "-")
+            text = " ".join(f"{type(exc).__name__}: {exc}".split())
+            got = CheckResult(name, math.inf, 0.0, error=text)
         got = got if isinstance(got, list) else [got]
         share = (time.perf_counter() - start) / len(got)
         out.extend(replace(r, seconds=share) for r in got)

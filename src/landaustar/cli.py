@@ -352,11 +352,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                 for r, ok in zip(results, passed)]
         meta = {"suite": args.suite, "params": params_doc(cfg.params),
                 "passed": n_pass, "total": len(results)}
+        errors = {r.name: r.error for r in results if r.error is not None}
+        if errors:
+            meta["errors"] = errors
         text = table_text(header, list(zip(*rows)), "json", meta)
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {r.name}: residual={fmt17(r.residual)} "
                  f"tolerance={fmt17(r.tolerance)}"
                  + (f" seconds={r.seconds:.3g}" if timings else "")
+                 + (f" error={r.error}" if r.error is not None else "")
                  for r, ok in zip(results, passed)]
         lines.append(f"{n_pass}/{len(results)} checks passed")
         text = "\n".join(lines) + "\n"
@@ -369,6 +373,8 @@ def parse_range(text: str):
         if ".." in text:
             lo_s, _, hi_s = text.partition("..")
             lo, hi = int(lo_s), int(hi_s)
+            if lo > hi:
+                raise InputError(f"reversed range {text!r}: need lo <= hi")
             return range(lo, hi + 1)
         v = int(text)
         return range(v, v + 1)

@@ -17,6 +17,9 @@ only as the oracle every closed form is checked against, and equating the
 two routes yields nontrivial integral identities between the classical
 orthogonal polynomials.  Those identities (integral_equality_residuals) are
 stated in axis units too, at samples y = q1/gamma, so they take no units.
+The oracle walks the order^3 (1D) or order^2 (2D) mesh of the integrated
+axes in blocks of _CHUNK Wigner values, so its memory has a fixed bound that
+grows neither with n + l nor with the number of points.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ AXES = ("q1", "q2", "p1", "p2")
 # Largest n + l of the integral equalities: the paper's alternating Hermite
 # sum keeps a relative residual of 3e-9 at 16 but 3e-7 at 20 and 3e-2 at 30.
 _MAX_EQUALITY_ORDER = 16
+# Wigner values per block of the quadrature oracle (_complement_quadrature).
+# About a dozen float and complex arrays of this length are live at once,
+# under 2 MB in all, which fits the 2 MB per-core L2 cache of the 2-core x86
+# host it was timed on; 2^15 values per block ran a third slower there.
+_CHUNK = 1 << 13
 
 
 def axis_scale(axis: str, params: PhysParams) -> float:
@@ -232,21 +240,34 @@ def _complement_quadrature(n: int, l: int, fixed, values, params: PhysParams,
 
     ``values`` holds one coordinate array per fixed axis, broadcast together
     to the output shape.  Each output point is one tensor-rule sum over the
-    mesh of the complementary axes.
+    mesh of the complementary axes, order^2 or order^3 nodes.  The mesh is
+    never built: it is walked in flat index order, a block of its nodes
+    against a block of output points at a time, _CHUNK Wigner values per
+    block, and each block is reduced by one weighted contraction.  So the
+    memory held is a fixed multiple of _CHUNK values, whatever the order
+    and the number of points.
     """
     if rule is None:
         rule = gauss_hermite(default_order(n, l))
     others = [ax for ax in AXES if ax not in fixed]
     nodes, weights = zip(*(rule.scaled(axis_scale(ax, params)) for ax in others))
-    coords = dict(zip(others, np.meshgrid(*nodes, indexing="ij")))
-    w = functools.reduce(np.multiply.outer, weights)
+    mesh = tuple(len(x) for x in nodes)
+    size = math.prod(mesh)
     values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-    out = np.empty(values[0].shape)
-    flat_out = out.reshape(-1)
-    for i, point in enumerate(zip(*(v.reshape(-1) for v in values))):
-        coords.update(zip(fixed, point))
-        a, b = mode_coords_arrays(*(coords[ax] for ax in AXES), params)
-        flat_out[i] = np.sum(w * np.real(wigner_values(n, l, a, b)))
+    points = [v.reshape(-1) for v in values]
+    out = np.zeros(points[0].size)
+    cols = max(1, min(out.size, _CHUNK))
+    rows = _CHUNK // cols
+    for p0 in range(0, out.size, cols):
+        block = slice(p0, p0 + cols)
+        coords = {ax: v[None, block] for ax, v in zip(fixed, points)}
+        for m0 in range(0, size, rows):
+            idx = np.unravel_index(np.arange(m0, min(m0 + rows, size)), mesh)
+            coords.update((ax, x[i][:, None]) for ax, x, i in zip(others, nodes, idx))
+            w = functools.reduce(np.multiply, (wt[i] for wt, i in zip(weights, idx)))
+            a, b = mode_coords_arrays(*(coords[ax] for ax in AXES), params)
+            out[block] += w @ np.real(wigner_values(n, l, a, b))
+    out = out.reshape(values[0].shape)
     return out if out.ndim else float(out)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -210,10 +211,13 @@ def test_uncertainty_single_cell(capsys):
     assert float(lines[1].split(",")[4]) == pytest.approx(0.5, rel=1e-10)
 
 
-def test_uncertainty_empty_range(capsys):
-    code, out, _ = run_cli(capsys, "uncertainty", "1..0", "0..2")
-    assert code == 0
-    assert out.strip() == "n,l,dq1,dp1,product,bound_gap"
+@pytest.mark.parametrize("argv", [("uncertainty", "1..0", "0..2"),
+                                  ("--format", "json", "uncertainty", "3..1", "0")])
+def test_uncertainty_reversed_range_is_refused(capsys, argv):
+    """A reversed range is an input error, not an empty table with exit 0."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "reversed range" in err and repr(argv[-2]) in err
 
 
 def test_uncertainty_range_conflict(capsys):
@@ -477,6 +481,52 @@ def test_verify_subset_via_entry_point(capsys):
     assert code == 0
     assert out == proc.stdout
 
+
+
+def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
+    """A check that raises is one FAIL with residual inf and its message; the
+    other checks still run and the run exits 1, in text and in JSON."""
+    def check_marginal_evenness(params):
+        raise RuntimeError("kernel broke\non two lines")
+
+    monkeypatch.setattr(checks, "check_marginal_evenness", check_marginal_evenness)
+    code, out, _ = run_cli(capsys, "verify", "marginals")
+    lines = out.splitlines()
+    fails = [line for line in lines if not line.startswith("PASS")]
+    assert code == 1
+    assert fails == ["FAIL marginal-evenness: residual=inf tolerance=0 "
+                     "error=RuntimeError: kernel broke on two lines",
+                     f"{len(lines) - 2}/{len(lines) - 1} checks passed"]
+
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "marginals")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] == doc["total"] - 1 == len(doc["points"]) - 1
+    assert doc["errors"] == {"marginal-evenness": "RuntimeError: kernel broke on two lines"}
+    assert ["marginal-evenness", False, math.inf, 0.0] in doc["points"]
+
+
+def test_verify_survives_the_lowering_root_mutant(capsys, monkeypatch):
+    """With the lowering step's roots off by one, a check raised "bracket mean
+    not purely imaginary" and the whole run ended with exit 2 and no report."""
+    star_module = importlib.import_module("landaustar.star")
+
+    def lowering_off_by_one(x, raising):
+        rows = len(x)
+        out = np.zeros((rows + raising, x.shape[1]), dtype=x.dtype)
+        if raising:
+            out[1:] = star_module._roots(rows)[:, None] * x
+        else:
+            out[:-1] = star_module._roots(rows)[1:][:, None] * x[1:]
+        return out
+
+    monkeypatch.setattr(star_module, "_ladder_step", lowering_off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "uncertainty")
+    lines = out.splitlines()
+    assert code == 1
+    assert any(line.startswith("FAIL ") and "bracket mean not purely imaginary" in line
+               for line in lines)
+    passed, total = (int(v) for v in lines[-1].split()[0].split("/"))
+    assert passed < total == len(lines) - 1
 
 
 def _rows(out):
@@ -810,7 +860,7 @@ GOLDEN_OUTPUT = {
                              "--grid", "q1=-1:1:3,q2=-2:2:5"),
                             "2d0d753f17a92adda867f6c9fab77bd03c25fe20a29aefad56e22fa530dc5862"),
     "verify-marginals-json": (("--format", "json", "verify", "marginals"),
-                              "4ca4cbf0fefb4d7ce32b8ff26213d182e37c9e3c55fab7f13ef80ed211df61c5"),
+                              "9e38bcf6b95d2d2af058486b900d2ff813ec91f170435125b4d5177f6fb4a83d"),
 }
 
 

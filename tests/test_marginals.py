@@ -1,8 +1,11 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from landaustar import marginals
 from landaustar.checks import WIGNER_NORM, mixed_param_derivative
 from landaustar.cli import to_axis_units
 from landaustar.marginals import (
@@ -19,7 +22,7 @@ from landaustar.marginals import (
 )
 from landaustar.phase_space import PhysParams, mode_coords_arrays
 from landaustar.quadrature import QuadratureRule, gauss_hermite
-from landaustar.states import generating_function
+from landaustar.states import generating_function, wigner_values
 
 PARAMS = PhysParams()
 NQ = axis_norm("q1", PARAMS)
@@ -353,6 +356,102 @@ def test_invalid_plane_rejected():
         marginal_2d_quadrature(0, 0, ("q1", "q1"), 0.0, 0.0, PARAMS)
     with pytest.raises(ValueError):
         marginal_1d_quadrature(0, 0, "q3", 0.0, PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature oracle, streamed in blocks
+# ---------------------------------------------------------------------------
+
+def _full_mesh_quadrature(n, l, fixed, values, params, rule=None):
+    """The oracle as first written: the whole complementary mesh, one sum per point."""
+    rule = rule or gauss_hermite(max(16, n + l + 8))
+    others = [ax for ax in AXES if ax not in fixed]
+    nodes, weights = zip(*(rule.scaled(axis_scale(ax, params)) for ax in others))
+    coords = dict(zip(others, np.meshgrid(*nodes, indexing="ij")))
+    w = functools.reduce(np.multiply.outer, weights)
+    values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    out = np.empty(values[0].shape)
+    for i, point in enumerate(zip(*(v.reshape(-1) for v in values))):
+        coords.update(zip(fixed, point))
+        a, b = mode_coords_arrays(*(coords[ax] for ax in AXES), params)
+        out.reshape(-1)[i] = np.sum(w * np.real(wigner_values(n, l, a, b)))
+    return out
+
+
+def _assert_matches_reference(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+OTHER_PARAMS = PhysParams(hbar=0.7, mass=2.3, omega=1.9)
+
+
+# 37 values per block take 3 mesh nodes at a time against the 11 points, and
+# the last block of the order^3 mesh is ragged
+@pytest.mark.parametrize("chunk", [None, 37])
+@pytest.mark.parametrize("params", [PARAMS, OTHER_PARAMS])
+def test_streamed_1d_oracle_matches_the_full_mesh(monkeypatch, params, chunk):
+    if chunk:
+        monkeypatch.setattr(marginals, "_CHUNK", chunk)
+    u = np.linspace(-2.0, 2.0, 11)
+    for axis, (n, l) in zip(AXES, [(0, 0), (2, 1), (1, 3), (4, 4)]):
+        x = u * axis_scale(axis, params)
+        want = _full_mesh_quadrature(n, l, (axis,), (x,), params)
+        _assert_matches_reference(marginal_1d_quadrature(n, l, axis, x, params), want)
+    # a rule other than the default one, through the shared route
+    rule = gauss_hermite(19)
+    x = u * axis_scale("p2", params)
+    _assert_matches_reference(
+        marginals._complement_quadrature(3, 2, ("p2",), (x,), params, rule),
+        _full_mesh_quadrature(3, 2, ("p2",), (x,), params, rule))
+
+
+# 7 values per block split the 9 points into blocks of 7 and 2
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("params", [PARAMS, OTHER_PARAMS])
+@pytest.mark.parametrize("plane", PLANES)
+def test_streamed_2d_oracle_matches_the_full_mesh(monkeypatch, plane, params, chunk):
+    if chunk:
+        monkeypatch.setattr(marginals, "_CHUNK", chunk)
+    rng = np.random.default_rng(34)
+    sx, sy = (axis_scale(ax, params) for ax in plane)
+    x = rng.uniform(-2.0, 2.0, 9) * sx
+    y = rng.uniform(-2.0, 2.0, 9) * sy
+    for rule in (None, gauss_hermite(21)):
+        want = _full_mesh_quadrature(2, 1, plane, (x, y), params, rule)
+        _assert_matches_reference(marginal_2d_quadrature(2, 1, plane, x, y, params, rule), want)
+        _assert_matches_reference(
+            marginal_2d_quadrature(2, 1, plane[::-1], y, x, params, rule), want)
+
+
+def test_streamed_oracle_keeps_input_shapes():
+    assert isinstance(marginal_1d_quadrature(1, 0, "q1", 0.3, PARAMS), float)
+    assert isinstance(marginal_1d_quadrature(1, 0, "q1", np.array(0.3), PARAMS), float)
+    assert marginal_1d_quadrature(1, 0, "q1", np.empty(0), PARAMS).shape == (0,)
+    assert marginal_1d_quadrature(1, 0, "q1", np.empty((2, 0)), PARAMS).shape == (2, 0)
+    x = np.linspace(-1.0, 1.0, 3)[:, None]
+    y = np.linspace(-0.5, 0.5, 4)[None, :]
+    got = marginal_2d_quadrature(1, 0, ("q1", "p1"), x, y, PARAMS)
+    assert got.shape == (3, 4)
+    _assert_matches_reference(
+        got, _full_mesh_quadrature(1, 0, ("q1", "p1"), (x, y), PARAMS))
+    assert isinstance(marginal_2d_quadrature(1, 0, ("q1", "p1"), 0.2, -0.1, PARAMS), float)
+    grid = marginal_1d_quadrature(1, 0, "q1", x * y, PARAMS)
+    _assert_matches_reference(grid, _full_mesh_quadrature(1, 0, ("q1",), (x * y,), PARAMS))
+
+
+def test_streamed_oracle_memory_is_bounded():
+    """Block by block the (30, 30) q1 marginal holds under 1 MB, where its
+    68^3 mesh for a single point takes 45 MB, so a few points show the bound;
+    CI checks it at 101 points, which take 5 s."""
+    x = np.linspace(-3.0, 3.0, 7)
+    tracemalloc.start()
+    try:
+        marginal_1d_quadrature(30, 30, "q1", x, PhysParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
