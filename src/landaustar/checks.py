@@ -98,6 +98,8 @@ WIGNER_NORM = (2.0 * math.pi) ** 2
 # a 1D density over its axis_norm is this times its shape; 1D residuals are
 # stated per axis_norm, so they read the same in every unit system
 PER_AXIS_NORM = 4.0 * math.sqrt(math.pi)
+# the (n, l) with n, l <= 6, in row order: the labels the table checks sample
+LABELS = tuple(itertools.product(range(7), repeat=2))
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class CheckResult:
 # Independent numeric oracles
 # ---------------------------------------------------------------------------
 
-def moyal_integral_star_single_mode(f, g, x1: float, x2: float, order: int = 56) -> complex:
+def moyal_integral_star_single_mode(f, g, x1: float, x2: float) -> complex:
     """Single-mode star product evaluated through its integral form.
 
     The mode-variable star is the canonical Moyal product on the real and
@@ -130,7 +132,7 @@ def moyal_integral_star_single_mode(f, g, x1: float, x2: float, order: int = 56)
     f and g take (re, im) arrays.  Completely independent of both the
     matrix-unit composition rule and the bidifferential series.
     """
-    u, cw = gauss_hermite(order).scaled(1.0 / math.sqrt(2.0))
+    u, cw = gauss_hermite(56).scaled(1.0 / math.sqrt(2.0))
     U1, U2 = np.meshgrid(u, u, indexing="ij")
     wf = np.outer(cw, cw) * np.asarray(f(x1 + U1, x2 + U2), dtype=complex)
     wg = np.outer(cw, cw) * np.asarray(g(x1 + U1, x2 + U2), dtype=complex)
@@ -198,18 +200,24 @@ def _rel_residual(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
 
 
-def _random_star_polynomial(rng, n_terms: int = 3, max_len: int = 3) -> StarPolynomial:
+def _random_polynomial(rng, count: int) -> StarPolynomial:
+    """A polynomial of ``count`` random terms, each a complex normal coefficient
+    on a word of at most three generators."""
     terms = []
-    for _ in range(n_terms):
-        length = int(rng.integers(0, max_len + 1))
+    for _ in range(count):
+        length = int(rng.integers(0, 4))
         word = tuple(GENERATORS[i] for i in rng.integers(0, 4, size=length))
         coef = complex(rng.normal(), rng.normal())
         terms.append((coef, word))
     return StarPolynomial.from_terms(terms)
 
 
-def _random_real_observable(rng, n_terms: int = 2, max_len: int = 3) -> StarPolynomial:
-    p = _random_star_polynomial(rng, n_terms, max_len)
+def _random_star_polynomial(rng) -> StarPolynomial:
+    return _random_polynomial(rng, 3)
+
+
+def _random_real_observable(rng) -> StarPolynomial:
+    p = _random_polynomial(rng, 2)
     return p + p.conjugate()
 
 
@@ -249,31 +257,27 @@ def _random_points(rng, count: int):
 # star suite
 # ---------------------------------------------------------------------------
 
-def check_projection(params: PhysParams, nmax: int = 6) -> CheckResult:
-    cutoff = nmax + 2
+def check_projection(params: PhysParams) -> CheckResult:
     worst = 0.0
-    for n in range(nmax + 1):
-        for l in range(nmax + 1):
-            w = wigner_fock(WignerLabel(n, l), cutoff)
-            worst = max(worst, _gap(star(w, w), w))
+    for n, l in LABELS:
+        w = wigner_fock(WignerLabel(n, l), 8)
+        worst = max(worst, _gap(star(w, w), w))
     return CheckResult("projection W*W=W", worst, 1e-12)
 
 
-def check_orthogonality(params: PhysParams, nmax: int = 6) -> CheckResult:
-    cutoff = nmax + 2
-    labels = [(n, l) for n in range(nmax + 1) for l in range(nmax + 1)]
+def check_orthogonality(params: PhysParams) -> CheckResult:
     worst = 0.0
-    for n, l in labels:
-        w1 = wigner_fock(WignerLabel(n, l), cutoff)
-        for n2, l2 in labels:
+    for n, l in LABELS:
+        w1 = wigner_fock(WignerLabel(n, l), 8)
+        for n2, l2 in LABELS:
             if (n, l) == (n2, l2):
                 continue
-            w2 = wigner_fock(WignerLabel(n2, l2), cutoff)
+            w2 = wigner_fock(WignerLabel(n2, l2), 8)
             worst = max(worst, _gap(star(w1, w2)))
     return CheckResult("orthogonality W*W'=0", worst, 1e-12)
 
 
-def check_associativity(params: PhysParams, triples: int = 200, cutoff: int = 12) -> CheckResult:
+def check_associativity(params: PhysParams, triples: int = 200) -> CheckResult:
     """(f * g) * h = f * (g * h) on random products, and each f * g against the
     dense contraction, each relative to the size of its result.
 
@@ -283,7 +287,7 @@ def check_associativity(params: PhysParams, triples: int = 200, cutoff: int = 12
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(triples):
-        f, g, h = (_random_product(rng, cutoff) for _ in range(3))
+        f, g, h = (_random_product(rng, 12) for _ in range(3))
         fg = star(f, g)
         dense = dense_star_contraction(f, g)
         worst = max(worst, float(np.max(np.abs(_dense(fg) - dense)))
@@ -294,8 +298,7 @@ def check_associativity(params: PhysParams, triples: int = 200, cutoff: int = 12
     return CheckResult("associativity", worst, 1e-13)
 
 
-def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4,
-                             n_points: int = 25) -> CheckResult:
+def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4) -> CheckResult:
     """Ladder route versus bidifferential route, pointwise, for all short words.
 
     Each root's words are expanded level by level: extending a word on the
@@ -309,7 +312,7 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
     from .star import bidifferential_star, eval_symbols, generator_symbol
 
     rng = np.random.default_rng(1002)
-    a, b = _random_points(rng, n_points)
+    a, b = _random_points(rng, 25)
     cutoff = nmax + max_len + 1
     wa = matrix_unit_values(cutoff, a)
     wb = matrix_unit_values(cutoff, b)
@@ -332,7 +335,7 @@ def check_oracle_equivalence(params: PhysParams, nmax: int = 3, max_len: int = 4
     return CheckResult("oracle-equivalence", worst, 1e-10)
 
 
-def check_trace_property(params: PhysParams, pairs: int = 3, cutoff: int = 3) -> CheckResult:
+def check_trace_property(params: PhysParams) -> CheckResult:
     """integral(f*g) equals integral of the pointwise product, by 4D quadrature.
 
     Integrated over the four axis units, where integral(f*g) = h^2 tr(f*g)
@@ -340,7 +343,8 @@ def check_trace_property(params: PhysParams, pairs: int = 3, cutoff: int = 3) ->
     """
     rng = np.random.default_rng(1003)
     rule = gauss_hermite(24)
-    reps = [_random_product(rng, cutoff) for _ in range(2 * pairs)]  # f, g of each pair
+    cutoff = 3
+    reps = [_random_product(rng, cutoff) for _ in range(6)]  # f, g of three pairs
 
     def pointwise(*u):
         vals = _stacked_values(reps, cutoff, *axis_mode_coords(*u))
@@ -355,54 +359,52 @@ def check_trace_property(params: PhysParams, pairs: int = 3, cutoff: int = 3) ->
     return CheckResult("trace-property", worst, 1e-9)
 
 
-def check_hermitian_involution(params: PhysParams, pairs: int = 20, cutoff: int = 6) -> CheckResult:
+def check_hermitian_involution(params: PhysParams) -> CheckResult:
     rng = np.random.default_rng(1004)
     worst = 0.0
-    for _ in range(pairs):
-        f = _random_product(rng, cutoff)
-        g = _random_product(rng, cutoff)
+    for _ in range(20):
+        f = _random_product(rng, 6)
+        g = _random_product(rng, 6)
         lhs = star(f, g).conjugate()
         rhs = star(g.conjugate(), f.conjugate())
         worst = max(worst, _gap(lhs, rhs))
     return CheckResult("hermitian-involution", worst, 1e-12)
 
 
-def check_ladder_consistency(params: PhysParams, nmax: int = 6) -> CheckResult:
-    cutoff = nmax + 2
+def check_ladder_consistency(params: PhysParams) -> CheckResult:
+    cutoff = 8
     worst = 0.0
-    for n in range(1, nmax + 1):
-        for l in range(nmax + 1):
-            w = wigner_fock(WignerLabel(n, l), cutoff)
-            wm = wigner_fock(WignerLabel(n - 1, l), cutoff)
-            worst = max(worst, _gap(left_star_generator("a", w), right_star_generator("a", wm)))
-            lhs = left_star_generator("b", wigner_fock(WignerLabel(l, n), cutoff))
-            rhs = right_star_generator("b", wigner_fock(WignerLabel(l, n - 1), cutoff))
-            worst = max(worst, _gap(lhs, rhs))
+    for n, l in itertools.product(range(1, 7), range(7)):
+        w = wigner_fock(WignerLabel(n, l), cutoff)
+        wm = wigner_fock(WignerLabel(n - 1, l), cutoff)
+        worst = max(worst, _gap(left_star_generator("a", w), right_star_generator("a", wm)))
+        lhs = left_star_generator("b", wigner_fock(WignerLabel(l, n), cutoff))
+        rhs = right_star_generator("b", wigner_fock(WignerLabel(l, n - 1), cutoff))
+        worst = max(worst, _gap(lhs, rhs))
     return CheckResult("ladder-consistency", worst, 1e-13)
 
 
-def _eigen_residual(poly: StarPolynomial, eigval, nmax: int) -> float:
-    cutoff = nmax + 3
+def _eigen_residual(poly: StarPolynomial, eigval) -> float:
+    """max |poly * W - eigval W| from either side, over the W of LABELS."""
     worst = 0.0
-    for n in range(nmax + 1):
-        for l in range(nmax + 1):
-            w = wigner_fock(WignerLabel(n, l), cutoff)
-            lam = eigval(n, l)
-            for side in ("left", "right"):
-                res = apply_star_polynomial(poly, w, side)
-                worst = max(worst, _gap(res, lam * w))
+    for n, l in LABELS:
+        w = wigner_fock(WignerLabel(n, l), 9)
+        lam = eigval(n, l)
+        for side in ("left", "right"):
+            res = apply_star_polynomial(poly, w, side)
+            worst = max(worst, _gap(res, lam * w))
     return worst
 
 
-def check_energy_eigenvalues(params: PhysParams, nmax: int = 6) -> CheckResult:
+def check_energy_eigenvalues(params: PhysParams) -> CheckResult:
     hw = params.hbar * params.omega
-    worst = _eigen_residual(hamiltonian_polynomial(params), lambda n, l: hw * (n + 0.5), nmax)
+    worst = _eigen_residual(hamiltonian_polynomial(params), lambda n, l: hw * (n + 0.5))
     return CheckResult("eigenvalue-energy", worst / hw, 1e-12)
 
 
-def check_angular_momentum_eigenvalues(params: PhysParams, nmax: int = 6) -> CheckResult:
+def check_angular_momentum_eigenvalues(params: PhysParams) -> CheckResult:
     hb = params.hbar
-    worst = _eigen_residual(angular_momentum_polynomial(params), lambda n, l: hb * (l - n), nmax)
+    worst = _eigen_residual(angular_momentum_polynomial(params), lambda n, l: hb * (l - n))
     return CheckResult("eigenvalue-angular-momentum", worst / hb, 1e-12)
 
 
@@ -513,7 +515,7 @@ def check_displacement_closed_form(params: PhysParams) -> CheckResult:
 # marginals suite
 # ---------------------------------------------------------------------------
 
-def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult:
+def check_wigner_normalization(params: PhysParams) -> CheckResult:
     """Every (n, l) Wigner function integrates to (2 pi)^2 over the axis units.
 
     The pairs that share a rule order are integrated in one integrate_nd call,
@@ -521,9 +523,8 @@ def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult
     once for all of them.
     """
     by_order: dict = {}
-    for n in range(nmax + 1):
-        for l in range(nmax + 1):
-            by_order.setdefault(default_order(n, l), []).append((n, l))
+    for n, l in LABELS:
+        by_order.setdefault(default_order(n, l), []).append((n, l))
     worst = 0.0
     for order, pairs in by_order.items():
 
@@ -536,25 +537,24 @@ def check_wigner_normalization(params: PhysParams, nmax: int = 6) -> CheckResult
     return CheckResult("normalization-wigner", worst, 1e-10)
 
 
-def check_marginal_normalization(params: PhysParams, nmax: int = 6) -> CheckResult:
+def check_marginal_normalization(params: PhysParams) -> CheckResult:
     worst = max(abs(integrate_nd(lambda u: marginal_1d(n, l, u), (1.0,),
                                  gauss_hermite(default_order(n, l))) - 1.0)
-                for n in range(nmax + 1) for l in range(nmax + 1))
+                for n, l in LABELS)
     return CheckResult("normalization-marginal-1d", worst, 1e-10)
 
 
-def check_marginal_wigner_consistency(params: PhysParams, nmax: int = 4) -> CheckResult:
+def check_marginal_wigner_consistency(params: PhysParams) -> CheckResult:
     """Closed-form 1D shapes versus 3D quadrature of the Wigner function, per axis_norm."""
     u = np.linspace(-2.0, 2.0, 11)
     worst = 0.0
     for axis in ("q1", "p1"):
         grid = u * axis_scale(axis, params)
         norm = axis_norm(axis, params)
-        for n in range(nmax + 1):
-            for l in range(nmax + 1):
-                closed = PER_AXIS_NORM * marginal_1d(n, l, u)
-                quad = marginal_1d_quadrature(n, l, axis, grid, params) / norm
-                worst = max(worst, float(np.max(np.abs(closed - quad))))
+        for n, l in itertools.product(range(5), repeat=2):
+            closed = PER_AXIS_NORM * marginal_1d(n, l, u)
+            quad = marginal_1d_quadrature(n, l, axis, grid, params) / norm
+            worst = max(worst, float(np.max(np.abs(closed - quad))))
     return CheckResult("marginal-wigner-consistency", worst, 1e-8)
 
 
@@ -587,27 +587,26 @@ def check_plane_quadrature_consistency(params: PhysParams) -> CheckResult:
     return CheckResult("plane-closed-vs-quadrature", worst, 1e-11)
 
 
-def check_marginal_evenness(params: PhysParams, nmax: int = 6) -> CheckResult:
+def check_marginal_evenness(params: PhysParams) -> CheckResult:
     us = np.linspace(0.1, 5.9, 30)
     worst = max(float(np.max(np.abs(marginal_1d(n, l, us) - marginal_1d(n, l, -us))))
-                for n in range(nmax + 1) for l in range(nmax + 1))
+                for n, l in LABELS)
     return CheckResult("marginal-evenness", worst, 1e-14)
 
 
-def check_marginal_positivity(params: PhysParams, nmax: int = 6) -> CheckResult:
+def check_marginal_positivity(params: PhysParams) -> CheckResult:
     us = np.linspace(-6.0, 6.0, 121)
-    min_val = min(float(np.min(marginal_1d(n, l, us)))
-                  for n in range(nmax + 1) for l in range(nmax + 1))
+    min_val = min(float(np.min(marginal_1d(n, l, us))) for n, l in LABELS)
     return CheckResult("marginal-positivity-1d", max(0.0, -min_val), 0.0)
 
 
-def check_plane_positivity(params: PhysParams, nmax: int = 4) -> CheckResult:
+def check_plane_positivity(params: PhysParams) -> CheckResult:
     # offset grids dodge the exact zero lines (rho = 0, tau = 0, Hermite roots);
     # the conjugate planes (q1, p1) and (q2, p2) are signed, so they are skipped
     U, V = np.meshgrid(np.linspace(-3.9, 4.1, 41), np.linspace(-3.8, 4.2, 41), indexing="ij")
     min_val = min(float(np.min(marginal_2d(n, l, plane, U, V)))
                   for plane in PLANES if plane[0][1] != plane[1][1]
-                  for n in range(nmax + 1) for l in range(nmax + 1))
+                  for n, l in itertools.product(range(5), repeat=2))
     return CheckResult("marginal-positivity-2d", max(0.0, -min_val), 0.0)
 
 
@@ -669,11 +668,11 @@ def check_generating_axis(params: PhysParams) -> CheckResult:
     return CheckResult("generating-axis-consistency", worst, 1e-9)
 
 
-def check_generating_derivatives(params: PhysParams, nlmax: int = 2) -> CheckResult:
+def check_generating_derivatives(params: PhysParams) -> CheckResult:
     """Parameter-derivative extraction of 1D shapes from the axis generating function."""
     worst = 0.0
-    for n in range(nlmax + 1):
-        for l in range(nlmax + 1):
+    for n in range(3):
+        for l in range(3):
             pref = 4.0 / (math.factorial(n) * math.factorial(l))
             for u in (0.0, 0.45, 1.1):
                 def fn(ps):
@@ -690,31 +689,29 @@ def check_generating_derivatives(params: PhysParams, nlmax: int = 2) -> CheckRes
 # uncertainty suite
 # ---------------------------------------------------------------------------
 
-def uncertainty_table_checks(params: PhysParams, nmax: int = 6) -> list[CheckResult]:
+def uncertainty_table_checks(params: PhysParams) -> list[CheckResult]:
     """uncertainty_product against the paper's route, hbar sqrt(var(u_j) var(v_j)) from
     the state functional, at a cutoff that truncates nothing."""
     out = []
     coords = axis_polynomials()
-    for n in range(nmax + 1):
-        for l in range(nmax + 1):
-            s = StateFunctional(wigner_fock(WignerLabel(n, l), max(n, l) + 3), params)
-            worst = 0.0
-            for j in (1, 2):
-                want = params.hbar * math.sqrt(variance(coords[f"q{j}"], s)
-                                               * variance(coords[f"p{j}"], s))
-                worst = max(worst, abs(uncertainty_product(n, l, j, params) - want) / want)
-            out.append(CheckResult(f"uncertainty-product n={n} l={l}", worst, 1e-10))
+    for n, l in LABELS:
+        s = StateFunctional(wigner_fock(WignerLabel(n, l), max(n, l) + 3), params)
+        worst = 0.0
+        for j in (1, 2):
+            want = params.hbar * math.sqrt(variance(coords[f"q{j}"], s)
+                                           * variance(coords[f"p{j}"], s))
+            worst = max(worst, abs(uncertainty_product(n, l, j, params) - want) / want)
+        out.append(CheckResult(f"uncertainty-product n={n} l={l}", worst, 1e-10))
     return out
 
 
-def check_uncertainty_lower_bound(params: PhysParams, nmax: int = 6) -> CheckResult:
+def check_uncertainty_lower_bound(params: PhysParams) -> CheckResult:
     hb = params.hbar
     worst = 0.0
-    for n in range(nmax + 1):
-        for l in range(nmax + 1):
-            for j in (1, 2):
-                gap = uncertainty_product(n, l, j, params) / hb - 0.5
-                worst = max(worst, max(0.0, -gap))
+    for n, l in LABELS:
+        for j in (1, 2):
+            gap = uncertainty_product(n, l, j, params) / hb - 0.5
+            worst = max(worst, max(0.0, -gap))
     return CheckResult("uncertainty-lower-bound", worst, 1e-12)
 
 
@@ -733,7 +730,7 @@ def check_moment_route_agreement(params: PhysParams) -> CheckResult:
     return CheckResult("moment-route-agreement", worst, 1e-9)
 
 
-def check_robertson_schrodinger(params: PhysParams, n_pairs: int = 100) -> CheckResult:
+def check_robertson_schrodinger(params: PhysParams) -> CheckResult:
     rng = np.random.default_rng(1008)
     states = [
         StateFunctional(wigner_fock(WignerLabel(0, 0), 10), params),
@@ -741,7 +738,7 @@ def check_robertson_schrodinger(params: PhysParams, n_pairs: int = 100) -> Check
         StateFunctional(coherent_fock(CoherentLabel(1 + 1j, -0.5), 20), params),
     ]
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(100):
         f = _random_real_observable(rng)
         g = _random_real_observable(rng)
         for s in states:
@@ -764,10 +761,10 @@ def check_rs_known_slack(params: PhysParams) -> CheckResult:
     return CheckResult("rs-known-slack", worst, 1e-10)
 
 
-def check_cbs(params: PhysParams, n_pairs: int = 100) -> CheckResult:
+def check_cbs(params: PhysParams) -> CheckResult:
     rng = np.random.default_rng(1009)
     worst = 0.0
-    for k in range(n_pairs):
+    for _ in range(100):
         n, l = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         s = StateFunctional(wigner_fock(WignerLabel(n, l), 10), params)
         f = _random_star_polynomial(rng)
@@ -778,10 +775,10 @@ def check_cbs(params: PhysParams, n_pairs: int = 100) -> CheckResult:
     return CheckResult("cauchy-schwarz", worst, 1e-10)
 
 
-def check_semidefiniteness(params: PhysParams, count: int = 200) -> CheckResult:
+def check_semidefiniteness(params: PhysParams) -> CheckResult:
     rng = np.random.default_rng(1010)
     worst = 0.0
-    for k in range(count):
+    for _ in range(200):
         n, l = int(rng.integers(0, 5)), int(rng.integers(0, 5))
         s = StateFunctional(wigner_fock(WignerLabel(n, l), 11), params)
         f = _random_star_polynomial(rng)
@@ -953,11 +950,9 @@ def check_displaced_polynomial(params: PhysParams) -> CheckResult:
     """
     big, small, block = 40, 16, 12
     rng = np.random.default_rng(1011)
-    polys = [
-        StarPolynomial.generator("a"),
-        StarPolynomial.generator("abar") * StarPolynomial.generator("a"),
-        _random_star_polynomial(rng, n_terms=3, max_len=3),
-    ]
+    a, abar, b, bbar = (StarPolynomial.generator(g) for g in GENERATORS)
+    # the random draw has first-mode words only; bbar * b + b shifts the second mode
+    polys = [a, abar * a, _random_star_polynomial(rng), bbar * b + b]
     e11 = np.zeros((big, big), dtype=complex)
     e11[1, 1] = 1.0
     worst = 0.0
@@ -1015,25 +1010,23 @@ def check_coherent_positivity(params: PhysParams) -> CheckResult:
     return CheckResult("coherent-positivity", max(0.0, -min_val), 0.0)
 
 
-def check_only_ground_coherent(params: PhysParams, nmax: int = 3) -> CheckResult:
+def check_only_ground_coherent(params: PhysParams) -> CheckResult:
     """Excited Wigner functions are not one-sided eigenfunctions of both annihilators."""
-    cutoff = nmax + 3
     failures = 0.0
-    for n in range(nmax + 1):
-        for l in range(nmax + 1):
-            if (n, l) == (0, 0):
-                continue
-            w = wigner_fock(WignerLabel(n, l), cutoff)
-            proportional = True
-            for gen in ("a", "b"):
-                res = left_star_generator(gen, w)
-                # residual after projecting res onto w
-                overlap = np.vdot(w.coeffs, res.coeffs) / np.vdot(w.coeffs, w.coeffs)
-                rem = float(np.max(np.abs(res.coeffs - overlap * w.coeffs)))
-                if rem > 1e-9:
-                    proportional = False
-            if proportional:
-                failures += 1.0
+    for n, l in itertools.product(range(4), repeat=2):
+        if (n, l) == (0, 0):
+            continue
+        w = wigner_fock(WignerLabel(n, l), 6)
+        proportional = True
+        for gen in ("a", "b"):
+            res = left_star_generator(gen, w)
+            # residual after projecting res onto w
+            overlap = np.vdot(w.coeffs, res.coeffs) / np.vdot(w.coeffs, w.coeffs)
+            rem = float(np.max(np.abs(res.coeffs - overlap * w.coeffs)))
+            if rem > 1e-9:
+                proportional = False
+        if proportional:
+            failures += 1.0
     return CheckResult("only-ground-state-coherent", failures, 0.0)
 
 

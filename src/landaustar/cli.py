@@ -22,8 +22,10 @@ of the row-by-row document in JSON.  A grid holds at most
 The kernels return unit-free shapes and moments; physical units enter only
 here: every ``eval`` target, the state functions included, is a shape at the
 grid in axis units (``to_axis_units``) times one prefactor, and
-``uncertainty`` scales the second moment by the axis scales.  ``equalities``
-takes its samples in units of gamma and prints the same bytes at any units.
+``uncertainty`` scales the second moment by the axis scales; its product
+column is ``uncertainty_product``, the function the checks verify.
+``equalities`` takes its samples in units of gamma and prints the same bytes
+at any units.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 configuration conflict.
@@ -53,7 +55,7 @@ from .marginals import (
 from .phase_space import PhysParams, axis_mode_coords
 from .star import MAX_DOCUMENT_CUTOFF, fock_from_json_dict, fock_to_json_dict
 from .states import WignerLabel, parse_state_label, state_fock, state_values
-from .uncertainty import second_moment
+from .uncertainty import second_moment, uncertainty_product
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -390,9 +392,10 @@ def cmd_uncertainty(args, cfg: RunConfig) -> int:
     rows = []
     for n, l in itertools.product(n_range, l_range):
         m = second_moment(n, l)
-        if not math.isfinite(hb * m):
+        product = uncertainty_product(n, l, 1, cfg.params)
+        if not math.isfinite(product):
             raise InputError(f"the uncertainty product of ({n}, {l}) overflows in these units")
-        rows.append((n, l, sq * math.sqrt(m), sp * math.sqrt(m), hb * m, hb * (m - 0.5)))
+        rows.append((n, l, sq * math.sqrt(m), sp * math.sqrt(m), product, hb * (m - 0.5)))
     meta = {"params": params_doc(cfg.params)}
     emit(table_text(("n", "l", "dq1", "dp1", "product", "bound_gap"),
                     list(zip(*rows)), cfg.fmt, meta), args.out)

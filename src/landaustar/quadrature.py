@@ -91,13 +91,13 @@ def integrate_nd(f, scales, rule: QuadratureRule):
 def _weighted_sums(w, vals):
     """np.sum(w * v) over the axes of w, one sum per trailing index of vals.
 
-    Each integrand is summed alone, so its sum is the same, to the last bit,
-    as the sum of that integrand passed by itself.
+    One product and one reduction serve every integrand, with no BLAS call.
+    The product is laid out integrand first, so each integrand's terms are
+    contiguous and summed in the order of that integrand passed by itself:
+    its sum is the same to the last bit.
     """
     extra = vals.shape[w.ndim:]
-    if not extra:
-        return np.sum(w * vals)
-    out = np.empty(extra, dtype=np.result_type(w, vals))
-    for k in np.ndindex(extra):
-        out[k] = np.sum(w * vals[(...,) + k])
-    return out
+    stacked = np.moveaxis(vals.reshape(w.shape + (-1,)), -1, 0)
+    prod = np.multiply(w, stacked, order="C")
+    sums = prod.reshape(len(prod), -1).sum(axis=1)
+    return sums.reshape(extra) if extra else sums[0]

@@ -565,18 +565,16 @@ def moyal_bracket(f, g, params: PhysParams | None = None):
 
 @dataclass(frozen=True)
 class PolyGauss:
-    """Symbol P(x) * exp(linear . x) * exp(-2(x0 x1 + x2 x3))? in four variables x.
+    """Symbol P(x) * exp(-2(x0 x1 + x2 x3))? in four variables x.
 
     ``coeffs`` maps exponent quadruples to coefficients; ``gaussian`` switches
-    the Gaussian factor on; ``linear`` holds the four exponent-linear
-    coefficients.  For mode-variable symbols x = (a, abar, b, bbar) and the
-    Gaussian is the two-mode ground Gaussian.  Closed under differentiation,
-    which is all the bidifferential series needs.
+    the Gaussian factor on.  For mode-variable symbols x = (a, abar, b, bbar)
+    and the Gaussian is the two-mode ground Gaussian.  Closed under
+    differentiation, which is all the bidifferential series needs.
     """
 
     coeffs: Mapping = field(default_factory=dict)
     gaussian: bool = False
-    linear: tuple = (0j, 0j, 0j, 0j)
 
     @classmethod
     def constant(cls, c):
@@ -587,24 +585,23 @@ class PolyGauss:
         return PolyGauss({tuple(exponents): complex(coeff)})
 
     @staticmethod
-    def standard_gaussian(coeff=1.0) -> "PolyGauss":
-        return PolyGauss({(0, 0, 0, 0): complex(coeff)}, gaussian=True)
+    def standard_gaussian() -> "PolyGauss":
+        return PolyGauss({(0, 0, 0, 0): 1.0 + 0j}, gaussian=True)
 
     @property
     def is_polynomial(self) -> bool:
-        return not self.gaussian and all(c == 0 for c in self.linear)
+        return not self.gaussian
 
     def total_degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
 
-    def _with_coeffs(self, coeffs: dict, gaussian=None, linear=None):
+    def _with_coeffs(self, coeffs: dict, gaussian=None):
         """Same type and exponent (unless overridden), zero coefficients dropped."""
         return type(self)({k: v for k, v in coeffs.items() if v != 0},
-                          self.gaussian if gaussian is None else gaussian,
-                          self.linear if linear is None else linear)
+                          self.gaussian if gaussian is None else gaussian)
 
     def __add__(self, other):
-        if (self.gaussian, self.linear) != (other.gaussian, other.linear):
+        if self.gaussian != other.gaussian:
             raise ValueError("cannot add symbols with different exponents")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
@@ -625,8 +622,7 @@ class PolyGauss:
             for k2, v2 in other.coeffs.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
                 out[key] = out.get(key, 0j) + v1 * v2
-        linear = tuple(cx + cy for cx, cy in zip(self.linear, other.linear))
-        return self._with_coeffs(out, gaussian=self.gaussian or other.gaussian, linear=linear)
+        return self._with_coeffs(out, gaussian=self.gaussian or other.gaussian)
 
     def diff(self, var: int):
         """Derivative with respect to x[var]; the Gaussian pairs x[var] with x[var ^ 1]."""
@@ -635,9 +631,7 @@ class PolyGauss:
             if k[var] > 0:
                 key = k[:var] + (k[var] - 1,) + k[var + 1:]
                 out[key] = out.get(key, 0j) + v * k[var]
-            # chain rule on the exponent: d/dvar exp(E) = (linear_var - 2*partner) exp(E)
-            if self.linear[var] != 0:
-                out[k] = out.get(k, 0j) + v * self.linear[var]
+            # chain rule on the Gaussian: d/dvar exp(E) = -2 partner exp(E)
             if self.gaussian:
                 partner = var ^ 1
                 key = k[:partner] + (k[partner] + 1,) + k[partner + 1:]
@@ -659,22 +653,21 @@ def eval_symbols(symbols, a, b) -> np.ndarray:
     coefficients with its own monomials, in its own order, so every row is bit
     for bit the value of that symbol alone.  a and b are 1D arrays.
     """
-    gaussian, linear = symbols[0].gaussian, symbols[0].linear
-    if any((s.gaussian, s.linear) != (gaussian, linear) for s in symbols):
+    gaussian = symbols[0].gaussian
+    if any(s.gaussian != gaussian for s in symbols):
         raise ValueError("symbols evaluated together must share one exponent")
     keys = list(dict.fromkeys(itertools.chain.from_iterable(s.coeffs for s in symbols)))
     row_of = {key: j for j, key in enumerate(keys)}
     vals = np.stack([a, np.conj(a), b, np.conj(b)])
     expo_mat = np.array(keys, dtype=int).reshape(-1, 4)
     mono = np.prod(vals[None, :, :] ** expo_mat[:, :, None], axis=1)
-    expo = np.asarray(linear, dtype=complex) @ vals
-    if gaussian:
-        expo = expo - 2.0 * (np.abs(vals[0]) ** 2 + np.abs(vals[2]) ** 2)
     out = np.zeros((len(symbols), vals.shape[1]), dtype=complex)
     for row, s in enumerate(symbols):
         if s.coeffs:
             out[row] = np.array(list(s.coeffs.values())) @ mono[[row_of[k] for k in s.coeffs]]
-    return out * np.exp(expo)
+    if gaussian:
+        out *= np.exp(-2.0 * (np.abs(vals[0]) ** 2 + np.abs(vals[2]) ** 2))
+    return out
 
 
 class CanonicalPoly(PolyGauss):
@@ -710,8 +703,7 @@ def _moyal_series(f: PolyGauss, g: PolyGauss, f_axes, g_axes, weights) -> PolyGa
 
     f_cache = {(0, 0, 0, 0): f}
     g_cache = {(0, 0, 0, 0): g}
-    linear = tuple(cf + cg for cf, cg in zip(f.linear, g.linear))
-    result = f._with_coeffs({}, gaussian=f.gaussian or g.gaussian, linear=linear)
+    result = f._with_coeffs({}, gaussian=f.gaussian or g.gaussian)
     for orders in itertools.product(range(bound + 1), repeat=4):
         if sum(orders) > bound:
             continue
@@ -788,7 +780,7 @@ def bidifferential_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
             wc = weights[i] * c
             for k, v in g.diff(g_axes[i]).coeffs.items():
                 out[k] = out.get(k, 0j) + wc * v
-            return f._with_coeffs(out, gaussian=g.gaussian, linear=g.linear)
+            return f._with_coeffs(out, gaussian=g.gaussian)
     return _moyal_series(f, g, (0, 1, 2, 3), g_axes, weights)
 
 

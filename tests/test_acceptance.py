@@ -65,9 +65,10 @@ def test_criterion_07_uncertainty_table():
     """Uncertainty products equal hbar sqrt(var(u_j) var(v_j)) from the state functional;
     none is below hbar/2, and the ground state saturates."""
     results = checks.uncertainty_table_checks(PARAMS)
-    results.append(checks.check_uncertainty_lower_bound(PARAMS))
-    ground = checks.uncertainty_table_checks(PARAMS, nmax=0)[0]
+    ground = results[0]
+    assert ground.name == "uncertainty-product n=0 l=0"
     assert ground.residual <= 1e-10
+    results.append(checks.check_uncertainty_lower_bound(PARAMS))
     report("criterion-7 uncertainty-table", results)
 
 

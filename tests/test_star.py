@@ -351,18 +351,17 @@ def test_generator_short_path_matches_the_series(n):
 def _assert_same_symbol(got, want):
     """The same coefficients in the same key order, and the same exponent."""
     assert list(got.coeffs.items()) == list(want.coeffs.items())
-    assert (got.gaussian, got.linear, type(got)) == (want.gaussian, want.linear, type(want))
+    assert (got.gaussian, type(got)) == (want.gaussian, type(want))
 
 
 def test_generator_short_path_matches_the_series_on_random_symbols():
-    """Random symbols with linear exponents, with and without the Gaussian,
-    under each generator at unit and random complex scale."""
+    """Random symbols, with and without the Gaussian, under each generator at
+    unit and random complex scale."""
     rng = np.random.default_rng(14)
     for _ in range(40):
         keys = {tuple(int(k) for k in rng.integers(0, 3, size=4)) for _ in range(6)}
         coeffs = {key: complex(*rng.normal(size=2)) for key in keys}
-        linear = tuple(complex(*rng.normal(size=2)) * int(rng.integers(0, 2)) for _ in range(4))
-        sym = PolyGauss(coeffs, gaussian=bool(rng.integers(0, 2)), linear=linear)
+        sym = PolyGauss(coeffs, gaussian=bool(rng.integers(0, 2)))
         for gen in GENERATORS:
             (key,) = generator_symbol(gen).coeffs
             for coeff in (1.0, complex(*rng.normal(size=2))):
@@ -384,8 +383,7 @@ def test_only_a_degree_one_monomial_takes_the_short_path(monkeypatch):
     for f in (PolyGauss({(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 2.0}),   # two monomials
               PolyGauss.monomial((1, 1, 0, 0)),                     # degree two
               PolyGauss.constant(3.0),                              # degree zero
-              PolyGauss({(1, 0, 0, 0): 1.0}, gaussian=True),        # Gaussian f
-              PolyGauss({(0, 0, 1, 0): 1.0}, linear=(0j, 0.5, 0j, 0j))):
+              PolyGauss({(1, 0, 0, 0): 1.0}, gaussian=True)):      # Gaussian f
         calls.clear()
         bidifferential_star(f, generator_symbol("a"))
         assert calls == [f]

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from landaustar import checks
 from landaustar.checks import _word_mode_matrices, dense_star_contraction, mixed_param_derivative
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
@@ -368,6 +369,15 @@ def test_displaced_polynomial_simple_shift():
 def test_displaced_polynomial_constant_unchanged():
     p = StarPolynomial.constant(3.5)
     assert displaced_polynomial(p, 1j, 2.0).terms == p.terms
+
+
+def test_displaced_polynomial_check_reads_the_second_mode_shift(monkeypatch):
+    """The conjugation check fails when the second mode is shifted the wrong
+    way: one of its polynomials has second-mode words."""
+    assert checks.check_displaced_polynomial(PhysParams()).passed
+    monkeypatch.setattr(checks, "displaced_polynomial",
+                        lambda poly, alpha1, alpha2: displaced_polynomial(poly, alpha1, -alpha2))
+    assert not checks.check_displaced_polynomial(PhysParams()).passed
 
 
 def test_displaced_polynomial_number_operator():

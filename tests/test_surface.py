@@ -1,8 +1,10 @@
-"""The supported API, landaustar.__all__, is what the commands and checks use.
+"""The supported API, landaustar.__all__, is what the commands and checks use,
+and every optional parameter of the package is one that some caller sets.
 
-The rule is static: it reads the sources with ast.
+The rules are static: they read the sources with ast.
 """
 
+import ast
 import importlib.util
 import types
 from pathlib import Path
@@ -48,3 +50,79 @@ def test_each_listed_function_is_a_code_object_at_its_first_line():
             code_objects.add((code.co_firstlineno, code.co_name))
             stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
         assert set(reach.defined_functions(path)) <= code_objects, path.name
+
+
+# the trees whose calls may set an optional parameter of the package
+CALLERS = ("src", "perfbench", "tools", "tests")
+
+
+def optional_parameters() -> dict:
+    """(function name, parameter) -> (module.function, positional index or None,
+    default source) for each parameter with a default in the package.  The
+    index counts the arguments a caller writes, so self and cls are not
+    counted; a keyword-only parameter has none."""
+    out = {}
+    for path in sorted(reach.PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = [arg.arg for arg in a.posonlyargs + a.args]
+            skip = int(positional[:1] in (["self"], ["cls"]))
+            first = len(positional) - len(a.defaults)
+            params = [(name, k - skip, default) for k, (name, default)
+                      in enumerate(zip(positional[first:], a.defaults), first)]
+            params += [(arg.arg, None, default) for arg, default
+                       in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            for name, index, default in params:
+                out[(node.name, name)] = (f"{path.stem}.{node.name}", index,
+                                          ast.unparse(default))
+    return out
+
+
+def set_arguments() -> dict:
+    """Called name -> {positional index or keyword name: sources of the values
+    its calls pass there}.
+
+    A ``**`` keyword passes the keywords of a ``dict(...)`` call, written in
+    place or bound to a name by an assignment in the same file."""
+    out: dict = {}
+    for tree in CALLERS:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            module = ast.parse(path.read_text())
+            dicts = {node.targets[0].id: node.value for node in ast.walk(module)
+                     if isinstance(node, ast.Assign) and len(node.targets) == 1
+                     and isinstance(node.targets[0], ast.Name)
+                     and isinstance(node.value, ast.Call)
+                     and getattr(node.value.func, "id", None) == "dict"}
+            for call in (n for n in ast.walk(module) if isinstance(n, ast.Call)):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                got = out.setdefault(name, {})
+                for k, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    got.setdefault(k, set()).add(ast.unparse(arg))
+                for kw in call.keywords:
+                    value = dicts.get(getattr(kw.value, "id", None), kw.value)
+                    if kw.arg is not None:
+                        inner = [kw]
+                    elif isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict":
+                        inner = value.keywords
+                    else:
+                        inner = []
+                    for item in inner:
+                        got.setdefault(item.arg, set()).add(ast.unparse(item.value))
+    return out
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    """A default that no call in the package, the benchmark, the tools or the
+    tests overrides with another value is a knob nobody turns: it belongs in
+    the body as a constant."""
+    calls = set_arguments()
+    unset = sorted(f"{qualname}({param})"
+                   for (name, param), (qualname, index, default) in optional_parameters().items()
+                   if not any(source != default
+                              for key in (param, index)
+                              for source in calls.get(name, {}).get(key, ())))
+    assert not unset, unset

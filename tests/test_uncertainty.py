@@ -347,7 +347,7 @@ def assert_queries_match_product_polynomials(rep, rng):
         assert abs(robertson_schrodinger_slack(f, g, s) - slack) <= 1e-12 * max(1.0, scale)
     # observables that are not real: the inner product and variance take conj(f)
     for _ in range(3):
-        f, g = (checks._random_star_polynomial(rng, 3, 3) for _ in range(2))
+        f, g = (checks._random_star_polynomial(rng) for _ in range(2))
         mean, inner, var, _, _ = product_polynomial_answers(f, g, rep)
         assert abs(expectation(f, s) - mean) <= 1e-12 * max(1.0, abs(mean))
         assert abs(inner_product(f, g, s) - inner) <= 1e-12 * max(1.0, abs(inner))
