@@ -142,14 +142,15 @@ def moyal_integral_star_single_mode(f, g, x1: float, x2: float) -> complex:
     return complex((4.0 / math.pi ** 2) * np.sum(acc * wg.T))
 
 
-def mixed_param_derivative(fn, orders, radius: float = 0.5, points: int = 10) -> complex:
+def mixed_param_derivative(fn, orders, points: int = 10) -> complex:
     """Mixed derivative of an entire function at zero via contour quadrature.
 
     ``fn`` maps a tuple of complex parameter arrays to an array of values,
     elementwise; it is called once, on the whole grid of contour nodes.
     ``orders`` gives the derivative order per parameter.  Trapezoidal samples
-    on circles of the given radius converge spectrally for entire integrands.
+    on circles of radius 0.5 converge spectrally for entire integrands.
     """
+    radius = 0.5
     nvars = len(orders)
     theta = 2.0 * math.pi * np.arange(points) / points
     ring = radius * np.exp(1j * theta)
@@ -200,7 +201,7 @@ def _rel_residual(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
 
 
-def _random_polynomial(rng, count: int) -> StarPolynomial:
+def _random_star_polynomial(rng, count: int = 3) -> StarPolynomial:
     """A polynomial of ``count`` random terms, each a complex normal coefficient
     on a word of at most three generators."""
     terms = []
@@ -212,12 +213,8 @@ def _random_polynomial(rng, count: int) -> StarPolynomial:
     return StarPolynomial.from_terms(terms)
 
 
-def _random_star_polynomial(rng) -> StarPolynomial:
-    return _random_polynomial(rng, 3)
-
-
 def _random_real_observable(rng) -> StarPolynomial:
-    p = _random_polynomial(rng, 2)
+    p = _random_star_polynomial(rng, 2)
     return p + p.conjugate()
 
 
@@ -679,7 +676,7 @@ def check_generating_derivatives(params: PhysParams) -> CheckResult:
                     a1, b1, a2, b2 = ps
                     return axis_generating("q1", (a1, a2), (b1, b2), u)
 
-                got = pref * mixed_param_derivative(fn, (n, n, l, l), radius=0.5, points=10)
+                got = pref * mixed_param_derivative(fn, (n, n, l, l))
                 want = marginal_1d(n, l, u)
                 worst = max(worst, PER_AXIS_NORM * abs(got - want))
     return CheckResult("generating-derivative-extraction", worst, 1e-6)

@@ -102,7 +102,7 @@ def test_plane_generating_derivative_gives_first_excited_density():
             a1, b1, a2, b2 = ps
             return position_plane_generating((a1, a2), (b1, b2), q1 / GAMMA, q2 / GAMMA)
 
-        got = 4.0 * mixed_param_derivative(fn, (1, 1, 0, 0), radius=0.5, points=12)
+        got = 4.0 * mixed_param_derivative(fn, (1, 1, 0, 0), points=12)
         want = marginal_2d(1, 0, ("q1", "q2"), q1 / GAMMA, q2 / GAMMA)
         assert got.real == pytest.approx(float(want), rel=1e-7, abs=1e-7 / plane_factor)
 
@@ -179,7 +179,7 @@ def test_axis_generating_derivatives_reproduce_densities():
                 a1, b1, a2, b2 = ps
                 return axis_generating("q1", (a1, a2), (b1, b2), x / GAMMA)
 
-            got = pref * mixed_param_derivative(fn, (n, n, l, l), radius=0.5, points=10)
+            got = pref * mixed_param_derivative(fn, (n, n, l, l))
             want = marginal_1d(n, l, x / GAMMA)
             # 1e-6 of the axis norm: a density is 4 sqrt(pi) N_axis times its shape
             assert abs(got - want) <= 1e-6 / (4.0 * math.sqrt(math.pi))

@@ -116,7 +116,7 @@ def test_generating_function_at_zero_parameters():
                                     rel=1e-13)
 
 
-def _wigner_from_generating(n, l, pt, radius=0.5, points=16):
+def _wigner_from_generating(n, l, pt):
     """Extract the (n, l) Wigner value from parameter contours of G."""
     mc = to_mode_coords(pt, PARAMS)
 
@@ -124,7 +124,7 @@ def _wigner_from_generating(n, l, pt, radius=0.5, points=16):
         a1, b1, a2, b2 = ps
         return generating_function(a1, b1, a2, b2, mc.a, mc.b)
 
-    deriv = mixed_param_derivative(fn, (n, n, l, l), radius=radius, points=points)
+    deriv = mixed_param_derivative(fn, (n, n, l, l), points=16)
     return 4.0 / (math.factorial(n) * math.factorial(l)) * deriv
 
 
