@@ -806,6 +806,23 @@ def check_expectation_identities(params: PhysParams) -> CheckResult:
     return CheckResult("expectation-identities", worst, 1e-12)
 
 
+def check_variance_non_real(params: PhysParams) -> CheckResult:
+    """variance(f) = <f|f> - |<f>|^2 for non-real f, relative to <f|f>: the one
+    check whose observables have complex means, so that the product of the
+    means must be |<f>|^2 and not <f>^2, which agree on real observables."""
+    rng = np.random.default_rng(1012)
+    states = [StateFunctional(wigner_fock(WignerLabel(2, 1), 8), params),
+              StateFunctional(coherent_fock(CoherentLabel(0.7 - 0.6j, 0.4 + 0.3j), 12), params)]
+    worst = 0.0
+    for _ in range(6):
+        f = _random_star_polynomial(rng)
+        for s in states:
+            norm = inner_product(f, f, s).real
+            want = norm - abs(expectation(f, s)) ** 2
+            worst = max(worst, abs(variance(f, s) - want) / max(norm, 1.0))
+    return CheckResult("variance-non-real", worst, 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # coherent suite
 # ---------------------------------------------------------------------------
@@ -1150,6 +1167,7 @@ def run_uncertainty_suite(params: PhysParams) -> list[CheckResult]:
         check_semidefiniteness,
         check_degenerate_kernel,
         check_expectation_identities,
+        check_variance_non_real,
     ), params)
 
 

@@ -11,13 +11,15 @@ function values.  It has one storage form, ProductRep: a short sum of
 per-mode products c A (x) B of N x N matrices.  Every state the package
 constructs has this form, and so does every matrix unit, because the two
 modes commute: star products, ladder actions and traces act on each mode's
-matrix separately, at N^2 or N^3 cost instead of N^4.  Ladder steps are
-exact, and only an applied state is cut back to the cutoff.  State queries
+matrix separately, at N^2 or N^3 cost instead of N^4.  A word's letters act
+on a factor's rows, each distinct prefix walked once, by exact ladder steps
+(_walk); a right action is the conjugate of a left one, f * p = conj(conj(p)
+* conj(f)).  Only an applied state is cut back to the cutoff.  State queries
 are bilinear forms on one table, word_pair_traces: T[i, j] = tr(l_i * r_j *
-rep) on pairs of words, each entry a product of one trace per mode, taken
-without building the applied state, so each query is the exact functional
-of the state as stored.  The dense cutoff^4 tensor is built only on request
-(``coeffs``).
+rep) on pairs of words, each entry a product of one trace per mode, taken on
+the same walk without building the applied state, so each query is the exact
+functional of the state as stored.  The dense cutoff^4 tensor is built only
+on request (``coeffs``).
 
 A state document holds that dense tensor (fock_to_json_dict), and the
 overflow flag of a flagged state.  Read back (fock_from_json_dict), it is an
@@ -150,14 +152,14 @@ def left_star_generator(gen: str, f: ProductRep) -> ProductRep:
 
 
 def right_star_generator(gen: str, f: ProductRep) -> ProductRep:
-    """f * gen: the left action's mirror on the column index."""
+    """f * gen, the conjugate of conj(gen) * conj(f): it acts on the column index."""
     return apply_star_polynomial(_GENERATOR_POLYS.get(gen) or StarPolynomial.generator(gen),
                                  f, "right")
 
 
-def _raises(gen: str, side: str) -> bool:
-    """Whether the generator's action from this side raises the acted-on index."""
-    return (gen in ("abar", "bbar")) == (side == "left")
+def _raises(gen: str) -> bool:
+    """Whether the generator's left action raises the row index."""
+    return gen in ("abar", "bbar")
 
 
 # sqrt(1), sqrt(2), ...: the ladder matrices' one diagonal, read-only and
@@ -396,7 +398,10 @@ _GENERATOR_POLYS = {gen: StarPolynomial.generator(gen) for gen in GENERATORS}
 
 def _bar(word) -> tuple:
     """The conjugate word: the letters reversed, each one barred."""
-    return tuple(_CONJ_GEN[g] for g in reversed(word))
+    try:
+        return tuple(_CONJ_GEN[g] for g in reversed(word))
+    except KeyError as exc:
+        raise ValueError(f"unknown generator {exc.args[0]!r}") from None
 
 
 def _word_map(terms) -> dict:
@@ -431,72 +436,53 @@ def _normal_order_single(word, low: str, high: str) -> dict:
     return results
 
 
-def _word_factors(a0: np.ndarray, b0: np.ndarray, side: str):
-    """factor(mode, letters): a term's first-mode ("a") or second-mode ("b")
-    factor after ``letters`` act on its rows from ``side``, in the order they act.
-
-    A right action acts on columns, so its caller passes the transposed
-    factors.  Every prefix of the letters is cached, each one exact
-    _ladder_step from the one before, so words whose letters act alike at
-    first (from the left: words that end alike) share that work.  The cache
-    lives only as long as the returned function, which holds no reference to
-    itself, so it is freed as soon as its caller drops it.
-    """
-    done = {"a": {(): a0}, "b": {(): b0}}
-
-    def factor(mode, letters):
-        cache = done[mode]
-        known = len(letters)
-        while letters[:known] not in cache:
-            known -= 1
-        x = cache[letters[:known]]
-        for k in range(known, len(letters)):
-            x = _ladder_step(x, _raises(letters[k], side))
-            cache[letters[:k + 1]] = x
-        return x
-
-    return factor
+def _walk(x: np.ndarray, sequences) -> dict:
+    """x after each letter sequence acts on its rows, letters in acting order, keyed
+    by every prefix walked: one exact _ladder_step per distinct prefix."""
+    walked = {(): x}
+    for letters in sequences:
+        for k in range(len(letters)):
+            if letters[:k + 1] not in walked:
+                walked[letters[:k + 1]] = _ladder_step(walked[letters[:k]], _raises(letters[k]))
+    return walked
 
 
-def _mode_letters(word, side: str = "left"):
+def _mode_letters(word):
     """A word's first-mode and second-mode letters, each in the order they act
-    from ``side``: the modes commute, so each mode's letters act on its factor."""
-    letters = {"a": (), "b": ()}
-    for gen in (reversed(word) if side == "left" else word):
+    from the left: the modes commute, so each mode's letters act on its factor."""
+    for gen in word:
         if gen not in GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
-        letters["a" if gen in ("a", "abar") else "b"] += (gen,)
-    return letters["a"], letters["b"]
+    return (tuple(g for g in reversed(word) if g in ("a", "abar")),
+            tuple(g for g in reversed(word) if g in ("b", "bbar")))
 
 
 def apply_star_polynomial(poly: StarPolynomial, f: ProductRep, side: str = "left") -> ProductRep:
-    """Fold the ladder actions of each word over f's per-mode factors.
-
-    The modes commute, so each word acts as its first-mode letters on A and
-    its second-mode letters on B, each partial product cached per term.  The
-    steps are exact; each word's result is cut back to the cutoff once, and
-    the overflow flag is set if the cut drops weight: if both factors are
-    nonzero and either has a nonzero entry past the cutoff.  The test is per
-    term, so it also flags terms whose dropped entries would cancel in the
-    sum.  Words sharing their second-mode letters share one output term.
+    """Fold each word's ladder actions over f's per-mode factors, its first-mode
+    letters on A and its second-mode ones on B, walked once per term (_walk).
+    Each word's result is cut back to the cutoff once, and the overflow flag is
+    set if a cut drops weight: per term, if both factors are nonzero and either
+    has a nonzero entry past the cutoff.  Words sharing their second-mode
+    letters share one output term.  A right action is a conjugated left one,
+    f * p = conj(conj(p) * conj(f)), with conj(p) in p's own term order.
     """
-    if side not in ("left", "right"):
+    if side == "right":
+        mirror = StarPolynomial(tuple((c.conjugate(), _bar(w)) for c, w in poly.terms))
+        return apply_star_polynomial(mirror, f.conjugate()).conjugate()
+    if side != "left":
         raise ValueError("side must be 'left' or 'right'")
-    n, overflow, terms = f.cutoff, f.overflow, []
-    words = [(c, *_mode_letters(word, side)) for c, word in poly.terms]
+    n, overflow, terms, groups = f.cutoff, f.overflow, [], {}
+    for c, word in poly.terms:
+        la, lb = _mode_letters(word)
+        groups.setdefault(lb, []).append((c, la))
     for c0, a0, b0 in f.terms:
-        factor = _word_factors(a0, b0, side) if side == "left" else _word_factors(a0.T, b0.T, side)
-        by_b_letters: dict = {}
-        for c, la, lb in words:
-            if not overflow:
-                a, b = factor("a", la), factor("b", lb)
-                overflow = bool((a[n:].any() or b[n:].any()) and a.any() and b.any())
-            by_b_letters.setdefault(lb, []).append((c, la))
-        for b_letters, group in by_b_letters.items():
-            b = factor("b", b_letters)[:n]
-            a = sum(c * factor("a", a_letters)[:n] for c, a_letters in group)
+        fa, fb = _walk(a0, (la for group in groups.values() for _, la in group)), _walk(b0, groups)
+        for lb, group in groups.items():
+            overflow = overflow or any((fa[la][n:].any() or fb[lb][n:].any())
+                                       and fa[la].any() and fb[lb].any() for _, la in group)
+            a, b = sum(c * fa[la][:n] for c, la in group), fb[lb][:n]
             if a.any() and b.any():
-                terms.append((c0, a, b) if side == "left" else (c0, a.T, b.T))
+                terms.append((c0, a, b))
     return ProductRep(n, tuple(terms), overflow)
 
 
@@ -506,41 +492,37 @@ def word_pair_traces(left, right, rep: ProductRep) -> np.ndarray:
 
     Every bilinear query is a small form on it: <f|g> = s(conj(f) * g) takes
     the words of conj(f) on the left and those of g on the right.  The modes
-    commute, so the concatenated word acts on a term c A (x) B as its
-    first-mode letters on A and its second-mode letters on B, right[j]'s
-    letters first, and the trace factors: T[i, j] = sum over terms of
-    c tr(w_a A) tr(w_b B).  Each mode's letter sequence goes through the same
-    exact ladder steps as apply_star_polynomial, its prefixes memoized per
-    term, and is traced once however many pairs share it.  Rows past the
-    cutoff meet no column of the state, so they add nothing to a trace, and
-    each entry equals the trace of the applied concatenated word up to
-    summation order.
+    commute, so T[i, j] = sum over terms c A (x) B of c tr(w_a A) tr(w_b B),
+    each mode's letters right[j]'s first, each such sequence traced once: up
+    to summation order, the trace of the applied concatenated word.
     """
-    split_left = [_mode_letters(word) for word in left]
-    seq_a, seq_b, index = {}, {}, []
-    for ra, rb in map(_mode_letters, right):
-        for la, lb in split_left:
-            index.append((seq_a.setdefault(ra + la, len(seq_a)),
-                          seq_b.setdefault(rb + lb, len(seq_b))))
-    # (2, left, right): each pair's first-mode and second-mode sequence
-    index = np.array(index, dtype=np.intp).reshape(len(right), len(left), 2).T
+    split_right = [_mode_letters(word) for word in right]
+    seq_a, seq_b, index_a, index_b = {}, {}, [], []
+    for la, lb in map(_mode_letters, left):
+        for ra, rb in split_right:
+            index_a.append(seq_a.setdefault(ra + la, len(seq_a)))
+            index_b.append(seq_b.setdefault(rb + lb, len(seq_b)))
+    index_a, index_b = np.array(index_a, dtype=np.intp), np.array(index_b, dtype=np.intp)
     table = np.zeros((len(left), len(right)), dtype=complex)
     for c0, a0, b0 in rep.terms:
-        factor = _word_factors(a0, b0, "left")
-        ta, tb = (np.array([_sequence_trace(factor, mode, letters) for letters in seqs],
-                           dtype=complex) for mode, seqs in (("a", seq_a), ("b", seq_b)))
-        table += c0 * (ta[index[0]] * tb[index[1]])
+        pairs = _traces(a0, seq_a)[index_a] * _traces(b0, seq_b)[index_b]
+        table += c0 * pairs.reshape(table.shape)
     return table
 
 
-def _sequence_trace(factor, mode: str, letters: tuple):
-    """tr(letters * x) for the factor x of a _word_factors closure, letters in the
-    order they act.  The last step is not built: the trace of a ladder step
-    of y is the root-weighted sum of y's first off-diagonal."""
-    if not letters:
-        return factor(mode, letters).trace()
-    shifted = factor(mode, letters[:-1]).diagonal(1 if _raises(letters[-1], "left") else -1)
-    return shifted.dot(_roots(len(shifted)))
+def _traces(x: np.ndarray, sequences) -> np.ndarray:
+    """tr(letters * x) for each letter sequence, with only its head walked: the
+    trace of a ladder step of y is the root-weighted sum of a first
+    off-diagonal of y.  Rows past the cutoff meet no column, so add nothing."""
+    heads = [letters[:-1] for letters in sequences]
+    walked, out = _walk(x, heads), []
+    for letters, head in zip(sequences, heads):
+        if letters:
+            shifted = walked[head].diagonal(1 if _raises(letters[-1]) else -1)
+            out.append(shifted.dot(_roots(len(shifted))))
+        else:
+            out.append(x.trace())
+    return np.array(out, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ of one trace per mode, and reads its answer as a small matrix product with
 the polynomials' coefficient vectors: no product polynomial and no applied
 state is built.  Expectation is the table's row of the empty word; the
 inner product, variance and Robertson-Schrodinger slack are each one table.
-The ladder steps are exact, so every query is the exact functional of the
+Its words act from the left only, by exact ladder steps, one per distinct
+letter prefix of each mode, so every query is the exact functional of the
 state as stored.
 
 These relations are unit-free, so the coordinates are defined once, in axis
@@ -249,8 +250,8 @@ def displaced_power_residuals(observables, powers: int,
         shifted = displaced_polynomial(f, label.alpha1, label.alpha2)
         lhs, rhs, residuals = gen, base, []
         for _ in range(powers):
-            lhs = apply_star_polynomial(f, lhs, side="left")
-            rhs = apply_star_polynomial(shifted, rhs, side="left")
+            lhs = apply_star_polynomial(f, lhs)
+            rhs = apply_star_polynomial(shifted, rhs)
             residuals.append(abs(lhs.trace() - rhs.trace()))
         out.append(residuals)
     return out

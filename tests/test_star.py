@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -730,6 +731,96 @@ def test_the_root_table_is_read_only():
         star_module._ROOTS[0] = 2.0
     with pytest.raises(ValueError):
         star_module._roots(4)[1] = 2.0
+
+
+def _golden_words(rng, count):
+    return [tuple(GENERATORS[i] for i in rng.integers(0, 4, size=rng.integers(0, 5)))
+            for _ in range(count)]
+
+
+def _golden_results():
+    """Seeded left and right applications and word-pair tables: random products at
+    cutoffs 4, 6 and 12 with 1-3 terms, and a Wigner state on the top level of
+    its first mode, under polynomials built as written (unsorted, words up to
+    length 4 that may repeat)."""
+    rng = np.random.default_rng(2900)
+    states = []
+    for cutoff in (4, 6, 12):
+        states += [_random_product(rng, cutoff, terms) for terms in (1, 2, 3)]
+        states.append(wigner_fock(WignerLabel(cutoff - 1, cutoff - 2), cutoff))
+    for rep in states:
+        for _ in range(3):
+            poly = StarPolynomial(tuple((complex(rng.normal(), rng.normal()), w)
+                                        for w in _golden_words(rng, rng.integers(1, 6))))
+            for side in ("left", "right"):
+                yield apply_star_polynomial(poly, rep, side)
+        yield word_pair_traces([()] + _golden_words(rng, 5), _golden_words(rng, 6), rep)
+
+
+def test_ladder_words_keep_their_bytes():
+    """The bytes of 72 applications, 54 of them flagged, and 12 tables, pinned
+    when each side of each word had a walk of its own.  An application is
+    hashed as its dense tensor and flag: a term's factors may hold a zero of
+    either sign, which every sum over them reads as the same zero."""
+    digest, flagged = hashlib.sha256(), 0
+    for out in _golden_results():
+        if isinstance(out, ProductRep):
+            digest.update(out.coeffs.tobytes() + bytes([out.overflow]))
+            flagged += out.overflow
+        else:
+            digest.update(out.tobytes())
+    assert flagged == 54
+    assert digest.hexdigest() == \
+        "8a38cfbbe5b9c6ab65ea946377265ef49eeaedd83811ae52544501c0f7420403"
+
+
+def _acting(word, mode):
+    """A word's letters of one mode ("a" or "b"), in the order they act from the left."""
+    return tuple(g for g in reversed(word) if g[0] == mode)
+
+
+def _distinct_prefixes(sequences):
+    return len({seq[:k] for seq in sequences for k in range(1, len(seq) + 1)})
+
+
+def test_each_distinct_prefix_takes_one_ladder_step_per_term(monkeypatch):
+    """The walk that fock queries rely on: words that share how they begin to
+    act share those steps, within each mode and each term of the state."""
+    star_module = importlib.import_module("landaustar.star")
+    steps = []
+    step = star_module._ladder_step
+    monkeypatch.setattr(star_module, "_ladder_step",
+                        lambda x, raising: steps.append(raising) or step(x, raising))
+    rep = _random_product(np.random.default_rng(29), 6, 2)
+    words = [("a", "abar"), ("b", "a", "abar"), ("abar", "abar"), ("a", "b", "abar"),
+             ("bbar", "b"), ("b", "bbar", "b"), (), ("b",)]
+    poly = StarPolynomial(tuple((1.0 + 0j, w) for w in words))
+    per_term = sum(_distinct_prefixes([_acting(w, m) for w in words]) for m in "ab")
+    apply_star_polynomial(poly, rep)
+    assert len(steps) == per_term * len(rep.terms) == 6 * 2
+    # a right action is the left action of each word's conjugate, whose letters
+    # act in the word's own order
+    steps.clear()
+    apply_star_polynomial(poly, rep, "right")
+    per_term = sum(_distinct_prefixes([_acting(w[::-1], m) for w in words]) for m in "ab")
+    assert len(steps) == per_term * len(rep.terms) == 9 * 2
+    # a table walks every letter of a pair but the last, the right word's first
+    steps.clear()
+    left, right = words[:5], words[3:]
+    word_pair_traces(left, right, rep)
+    heads = sum(_distinct_prefixes([(_acting(r, m) + _acting(l, m))[:-1]
+                                    for l in left for r in right]) for m in "ab")
+    assert len(steps) == heads * len(rep.terms)
+
+
+def test_ladder_words_refuse_an_unknown_generator():
+    rep = wigner_fock(WignerLabel(1, 0), 4)
+    poly = StarPolynomial(((1.0 + 0j, ("a", "c")),))
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="unknown generator 'c'"):
+            apply_star_polynomial(poly, rep, side)
+    with pytest.raises(ValueError, match="unknown generator 'c'"):
+        word_pair_traces([()], [("c",)], rep)
 
 
 def test_serialization_round_trip():

@@ -640,3 +640,19 @@ def test_uncertainty_table_reads_the_state_functional(monkeypatch, hbar):
     assert len(results) == 49 and all(r.residual < 1e-14 for r in results)
     monkeypatch.setattr(checks, "variance", _scaled_after(checks.variance, 1 + 1e-8, 0))
     assert not any(r.passed for r in uncertainty_table_checks(params))
+
+
+def test_variance_non_real_check_catches_the_squared_mean(monkeypatch):
+    """variance with <f>^2 in place of |<f>|^2 passed every check of verify,
+    whose other variances are of real observables, where the two agree; of
+    the uncertainty suite, variance-non-real alone fails on it."""
+    assert checks.check_variance_non_real(PARAMS).passed
+    right = checks.variance
+
+    def squared_mean(f, s):
+        mean = expectation(f, s)
+        return right(f, s) + abs(mean) ** 2 - (mean * mean).real
+
+    monkeypatch.setattr(checks, "variance", squared_mean)
+    failed = [r.name for r in checks.run_uncertainty_suite(PARAMS) if not r.passed]
+    assert failed == ["variance-non-real"]
