@@ -5,7 +5,9 @@ hbar/gamma on a momentum axis, and return unit-integral shapes; one factor
 per target turns a shape into a physical density (the CLI's unit boundary).
 Every coordinate axis mixes the two modes 50:50.  In the rotated modes the
 (n, l) state spreads over the states |k, n+l-k> with weights w_k, the squared
-components of a J_x eigenvector of spin (n+l)/2 (Wigner's small d at pi/2), so
+components of a J_x eigenvector of spin (n+l)/2 (Wigner's small d at pi/2),
+read off its three-term recurrence at the known eigenvalue with no
+eigensolver (_mixture_weights), so every closed form here needs numpy alone;
 all four 1D densities have the one shape sum_k w_k phi_k(u)^2, a positive
 mixture of squared normalized Hermite functions.  Every term is non-negative
 and every phi_k is bounded, so the sum neither cancels nor overflows at any
@@ -28,7 +30,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .phase_space import PhysParams, mode_coords_arrays
 from .quadrature import QuadratureRule, default_order, gauss_hermite
@@ -136,18 +137,28 @@ def marginal_1d(n: int, l: int, x):
 def _mixture_weights(n: int, l: int) -> np.ndarray:
     """Weights w_k, k = 0..n+l, of the 1D densities; non-negative, summing to 1.
 
-    w_k = V[k, n]^2, where V holds the eigenvectors (eigenvalues -j..j in
-    ascending order, j = (n+l)/2) of the tridiagonal J_x with zero diagonal
-    and off-diagonal sqrt((j-m)(j+m+1))/2, m = -j..j-1.  Only the eigenvector
-    for eigenvalue n - j is computed.
+    w_k = v_k^2 for the unit eigenvector v of the tridiagonal J_x (zero
+    diagonal, off-diagonal e_k = sqrt((n+l-k)(k+1))/2) at its eigenvalue
+    n - (n+l)/2.  That eigenvalue is known exactly, so v follows from the
+    three-term recurrence e_{k-1} v_{k-1} + e_k v_{k+1} = (n - (n+l)/2) v_k
+    with no eigensolver.  The run up from v_0 = 1 (w_0 = C(n+l, n)/2^(n+l)
+    is never zero) grows from the edge into the oscillating middle, the
+    direction in which it is stable.  The run down from k = n+l has the same
+    coefficients, since e_k = e_{n+l-1-k}, so it is the up run mirrored:
+    |v_k| = |v_{n+l-k}| (Wigner's small d at pi/2), and only the up run to
+    the middle is computed.  When n = l the odd entries are exact zeros.
+    The run grows by at most 2^((n+l)/2), so no step overflows.  Oracle:
+    scipy.linalg.eigh_tridiagonal of the same matrix (tests/test_marginals.py).
     """
-    if n + l == 0:
-        return np.ones(1)
-    j = 0.5 * (n + l)
-    m = np.arange(n + l) - j
-    _, v = eigh_tridiagonal(np.zeros(n + l + 1), 0.5 * np.sqrt((j - m) * (j + m + 1)),
-                            select="i", select_range=(n, n))
-    return v[:, 0] ** 2
+    top = n + l
+    twice_eig = 2.0 * n - top
+    v = [0.0, 1.0]
+    for k in range(top // 2):
+        v.append((twice_eig * v[-1] - math.sqrt(k * (top + 1 - k)) * v[-2])
+                 / math.sqrt((k + 1) * (top - k)))
+    half = np.square(v[1:])
+    w = np.concatenate((half, half[:top + 1 - len(half)][::-1]))
+    return w / w.sum()
 
 
 def _hermite_sum(n: int, l: int, u):

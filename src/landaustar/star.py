@@ -49,7 +49,6 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from .phase_space import PhysParams
 from .specfun import bounded_abs2
@@ -775,8 +774,11 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 
     Computed by scaling-and-squaring matrix exponential at the working cutoff:
     the truncated operator, kept as the independent oracle of the closed form
-    below, which the package computes with.
+    below, which the package computes with.  scipy.linalg is imported here, on
+    the first call, so no command but ``verify`` loads it.
     """
+    from scipy.linalg import expm
+
     lower, raise_ = ladder_matrices(cutoff)
     return expm(alpha * raise_ - np.conj(alpha) * lower)
 

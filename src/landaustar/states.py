@@ -272,28 +272,50 @@ def state_fock(label, cutoff: int) -> ProductRep:
     raise TypeError(f"unsupported state label: {label!r}")
 
 
+# The form of each kind of state label: ':'-separated fields of
+# comma-separated numbers, integers n, l and the displacements' float parts.
+_LABEL_FORMS = {
+    "wigner": "wigner:n,l",
+    "coherent": "coherent:re1,im1,re2,im2",
+    "gencoherent": "gencoherent:n,l:re1,im1,re2,im2",
+}
+
+
 def parse_state_label(text: str):
-    """Parse 'wigner:n,l', 'coherent:re1,im1,re2,im2' or
-    'gencoherent:n,l:re1,im1,re2,im2'."""
+    """Parse a label of one of the _LABEL_FORMS.
+
+    A label without its kind's form is refused with that form named, and one
+    of the right form with the reason its numbers are refused.
+    """
     kind, _, rest = text.partition(":")
+    if kind not in _LABEL_FORMS:
+        raise ValueError(f"unknown state kind {kind!r} in label {text!r}")
     try:
+        *nl, parts = _label_fields(rest, _LABEL_FORMS[kind])
         if kind == "wigner":
-            n, l = (int(x) for x in rest.split(","))
-            return WignerLabel(n, l)
+            return WignerLabel(*parts)
+        r1, i1, r2, i2 = parts
+        if not all(map(isfinite, parts)):
+            raise ValueError("displacement parts must be finite")
+        alphas = complex(r1, i1), complex(r2, i2)
         if kind == "coherent":
-            return CoherentLabel(*_parse_alphas(rest))
-        if kind == "gencoherent":
-            nl, _, alphas = rest.partition(":")
-            n, l = (int(x) for x in nl.split(","))
-            return GeneralizedCoherentLabel(*_parse_alphas(alphas), WignerLabel(n, l))
-    except (ValueError, TypeError) as exc:
+            return CoherentLabel(*alphas)
+        return GeneralizedCoherentLabel(*alphas, WignerLabel(*nl[0]))
+    except ValueError as exc:
         raise ValueError(f"malformed state label {text!r}: {exc}") from exc
-    raise ValueError(f"unknown state kind {kind!r} in label {text!r}")
 
 
-def _parse_alphas(text: str):
-    """'re1,im1,re2,im2' -> (alpha1, alpha2), all four parts finite."""
-    r1, i1, r2, i2 = (float(x) for x in text.split(","))
-    if not all(map(isfinite, (r1, i1, r2, i2))):
-        raise ValueError("displacement parts must be finite")
-    return complex(r1, i1), complex(r2, i2)
+def _label_fields(text: str, form: str) -> list:
+    """The numbers of a label after its kind, one tuple per field of ``form``.
+
+    Raises ValueError naming the form when text does not have it.
+    """
+    fields = [field.split(",") for field in text.split(":")]
+    names = [field.split(",") for field in form.split(":")[1:]]
+    try:
+        if [len(f) for f in fields] != [len(f) for f in names]:
+            raise ValueError
+        return [tuple((int if name == ["n", "l"] else float)(x) for x in field)
+                for field, name in zip(fields, names)]
+    except ValueError:
+        raise ValueError(f"expected {form}") from None

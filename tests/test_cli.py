@@ -117,6 +117,19 @@ def test_eval_rejects_marginal_of_coherent(capsys):
     assert "wigner" in err
 
 
+@pytest.mark.parametrize("label,form", [
+    ("wigner:2", "wigner:n,l"),
+    ("coherent:1,x,0,0", "coherent:re1,im1,re2,im2"),
+    ("gencoherent:1,1", "gencoherent:n,l:re1,im1,re2,im2"),
+])
+def test_malformed_label_names_its_form(capsys, label, form):
+    """A label without its kind's form is refused with that form, not with
+    the text of a failed number conversion."""
+    code, out, err = run_cli(capsys, "eval", label, "--grid", "q1=0")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: malformed state label {label!r}: expected {form}"
+
+
 def test_eval_label_cutoff_conflict(capsys):
     """n = 40 past the default cutoff 32 was refused, though eval reads no cutoff."""
     code, out, _ = run_cli(capsys, "eval", "wigner:40,0", "--grid", "q1=0:0.9:4")
@@ -840,7 +853,7 @@ GOLDEN_OUTPUT = {
                     "9ba9303e04818ec39eaf90406c9843d7f4487d02823a915eff979eccd1e0cd59"),
     # residuals relative to each sample's left-hand side
     "equalities": (("equalities",),
-                   "25f1bac99a09b9792db70647570bda03d3798c5e1e5b9235bed3d5604ef6a8a6"),
+                   "8bf667315601d6fbadf6eff7d73a8bfc0956e445ae9211e3c8029b647fc8da7f"),
     "unit-norm": (("--unit-norm", "eval", "wigner:0,0", "--grid", "q1=0"),
                   "2ae08374fbb82645dd27091e06ba13991bb66778608382342e776c63189f8b29"),
     "uncertainty-hbar-1e200": (("--hbar", "1e200", "uncertainty", "0", "0"),
@@ -860,7 +873,7 @@ GOLDEN_OUTPUT = {
                              "--grid", "q1=-1:1:3,q2=-2:2:5"),
                             "2d0d753f17a92adda867f6c9fab77bd03c25fe20a29aefad56e22fa530dc5862"),
     "verify-marginals-json": (("--format", "json", "verify", "marginals"),
-                              "9e38bcf6b95d2d2af058486b900d2ff813ec91f170435125b4d5177f6fb4a83d"),
+                              "ff89417288f50e6c3508a5034e05152b6b9ce9587c2f2c535a329ab44297826f"),
 }
 
 

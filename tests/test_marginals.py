@@ -530,6 +530,24 @@ def test_structural_identities_other_units(params):
 # the whole accepted range of quantum numbers
 # ---------------------------------------------------------------------------
 
+def test_mixture_weights_match_the_tridiagonal_eigensolver():
+    """The recurrence at the known eigenvalue against scipy's eigensolver, on
+    two seeded pairs for each n + l in 0..300 (the sweep of all 22,801 pairs
+    is in CHANGES.md)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(3003)
+    for top in range(301):
+        lo, hi = max(0, top - 150), min(150, top)
+        for n in rng.integers(lo, hi + 1, size=2).tolist():
+            j = 0.5 * top
+            m = np.arange(top) - j
+            _, v = eigh_tridiagonal(np.zeros(top + 1), 0.5 * np.sqrt((j - m) * (j + m + 1)),
+                                    select="i", select_range=(n, n))
+            got = marginals._mixture_weights(n, top - n)
+            assert np.max(np.abs(got - v[:, 0] ** 2)) <= 1e-14, (n, top - n)
+
+
 def _rule(order):
     """Gauss-Hermite rule past gauss_hermite's order cap, for degree-600 integrands."""
     from scipy.special import roots_hermite

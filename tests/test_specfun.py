@@ -121,6 +121,14 @@ def test_log_factorial():
         log_factorial(-1)
 
 
+def test_log_factorial_matches_scipy_gammaln():
+    from scipy.special import gammaln
+
+    for n in range(301):
+        want = float(gammaln(n + 1))
+        assert abs(log_factorial(n) - want) <= 1e-15 * want, n
+
+
 def test_marginal_coeff_anchor_values():
     for n in range(7):
         for l in range(7):

@@ -276,13 +276,14 @@ def test_displacement_past_every_kept_level_is_refused():
 
 def test_displaced_states_need_no_matrix_exponential(monkeypatch):
     """Coherent factors come from the closed displacement column alone."""
-    # the package re-exports the function star, which shadows the module name
+    # the package re-exports the function star, which shadows the module name;
+    # displacement_matrix is the one caller of the matrix exponential
     star_module = importlib.import_module("landaustar.star")
 
     def refuse(*args, **kwargs):
         raise AssertionError("matrix exponential called while building a state")
 
-    monkeypatch.setattr(star_module, "expm", refuse)
+    monkeypatch.setattr(star_module, "displacement_matrix", refuse)
     alphas = (1.9 + 1.9j, 0.3 - 1.2j)
     for cutoff in (16, 128):
         for rep in (coherent_fock(CoherentLabel(*alphas), cutoff),

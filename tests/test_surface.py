@@ -1,11 +1,16 @@
 """The supported API, landaustar.__all__, is what the commands and checks use,
-and every optional parameter of the package is one that some caller sets.
+every optional parameter of the package is one that some caller sets, and no
+command but verify loads scipy.
 
-The rules are static: they read the sources with ast.
+The first two rules are static: they read the sources with ast.
 """
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 from collections import ChainMap
 from pathlib import Path
@@ -39,6 +44,34 @@ def test_an_unreached_function_is_allowed_only_by_its_own_name():
     assert refused == []
     assert stale == sorted(set(reach.ALLOWED) - {"PolyGauss.eval", "PolyGauss"})
     assert reach.ranges([7, 1, 3, 2]) == "1-3, 7"
+
+
+def test_no_command_but_verify_loads_scipy(tmp_path):
+    """scipy serves verify's oracles and the tests: a fresh interpreter that
+    imports the CLI and runs every other command leaves it unloaded."""
+    state = str(tmp_path / "state.json")
+    commands = [
+        ["eval", "wigner:2,1", "--grid", "q1=-1:1:3,q2=0:1:2,p1=0.5,p2=-1:1:3"],
+        ["eval", "gencoherent:1,2:0.4,0,-0.3,0.7", "--grid", "q1=0:1:2,q2=0,p1=0,p2=0.5"],
+        ["eval", "marginal1d:q1", "wigner:3,2", "--grid", "-3:3:101"],
+        ["eval", "marginal2d:q1,q2", "wigner:2,1", "--grid", "q1=-1:1:3,q2=0.5"],
+        ["eval", "marginal2d:q1,p1", "wigner:2,1", "--grid", "q1=0:1:3,p1=1"],
+        ["uncertainty", "0..6", "0..6"],
+        ["equalities"],
+        ["--cutoff", "8", "--out", state, "state", "dump", "gencoherent:2,1:0.4,-0.3,0.2,0.5"],
+        ["state", "load", state],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import landaustar.cli as cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert json.loads(proc.stdout) == []
 
 
 def test_each_listed_function_is_a_code_object_at_its_first_line():
