@@ -28,6 +28,7 @@ import numpy as np
 
 from .marginals import (
     AXES,
+    PLANES,
     _mixture_weights,
     axis_generating,
     axis_norm,
@@ -91,8 +92,6 @@ from .uncertainty import (
 )
 
 SUITES = ("star", "marginals", "uncertainty", "coherent")
-# the six coordinate planes, each in the axis order of AXES
-PLANES = tuple(itertools.combinations(AXES, 2))
 # integral of every Wigner function over the four axis units: h^2/hbar^2
 WIGNER_NORM = (2.0 * math.pi) ** 2
 # a 1D density over its axis_norm is this times its shape; 1D residuals are

@@ -49,6 +49,7 @@ from .marginals import (
     axis_norm,
     axis_scale,
     integral_equality_residuals,
+    is_plane,
     marginal_1d,
     marginal_2d,
 )
@@ -323,7 +324,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
     if kind == "marginal2d":
         plane = tuple(detail.split(","))
-        if len(plane) != 2 or plane[0] == plane[1] or any(ax not in AXES for ax in plane):
+        if not is_plane(plane):
             raise InputError(f"unknown marginal plane {detail!r}")
         if not isinstance(label, WignerLabel):
             raise InputError("2D marginals are defined for wigner:n,l states")
@@ -409,8 +410,6 @@ def cmd_equalities(args, cfg: RunConfig) -> int:
             n, l = (int(v) for v in item.split(","))
         except ValueError as exc:
             raise InputError(f"malformed pair {item!r}: expected 'n,l'") from exc
-        if n < l:
-            raise InputError(f"pair {item!r}: need n >= l for the closed-form branch")
         pairs.append((n, l))
     try:
         samples = [float(v) for v in args.samples.split(",")]

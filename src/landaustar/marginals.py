@@ -27,6 +27,7 @@ grows neither with n + l nor with the number of points.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -47,6 +48,10 @@ from .star import displacement_amplitude
 from .states import _check_quantum_numbers, wigner_values
 
 AXES = ("q1", "q2", "p1", "p2")
+# The six coordinate planes, each in the axis order of AXES.  The checks draw
+# their seeded samples plane by plane in this order, so it is fixed; a plane
+# is accepted in either order (is_plane).
+PLANES = tuple(itertools.combinations(AXES, 2))
 # Largest n + l of the integral equalities: the paper's alternating Hermite
 # sum keeps a relative residual of 3e-9 at 16 but 3e-7 at 20 and 3e-2 at 30.
 _MAX_EQUALITY_ORDER = 16
@@ -114,6 +119,12 @@ def axis_generating(axis: str, alpha, beta, x):
     dot = a1 * b1 + a2 * b2
     out = np.exp(dot - (np.asarray(x) + shift) ** 2) / (4.0 * math.sqrt(math.pi))
     return out if out.ndim else complex(out)
+
+
+def is_plane(plane) -> bool:
+    """Whether ``plane`` is two distinct axes of AXES, in either order."""
+    plane = tuple(plane)
+    return plane in PLANES or plane[::-1] in PLANES
 
 
 def marginal_1d(n: int, l: int, x):
@@ -209,11 +220,11 @@ def _conjugate_shape(n: int, l: int, u, v):
 # rotation of (q, p) maps (q1, p2) onto (q2, -p1).
 _PLANE_SHAPES = {
     ("q1", "q2"): _radial_shape,
-    ("p1", "p2"): _radial_shape,
+    ("q1", "p1"): _conjugate_shape,
     ("q1", "p2"): _mixed_shape,
     ("q2", "p1"): lambda n, l, u, v: _mixed_shape(n, l, u, -v),
-    ("q1", "p1"): _conjugate_shape,
     ("q2", "p2"): _conjugate_shape,
+    ("p1", "p2"): _radial_shape,
 }
 
 
@@ -227,10 +238,10 @@ def marginal_2d(n: int, l: int, plane, x, y):
     conjugate planes (q1, p1) and (q2, p2).
     """
     plane = tuple(plane)
-    if plane[::-1] in _PLANE_SHAPES:
-        plane, x, y = plane[::-1], y, x
-    if plane not in _PLANE_SHAPES:
+    if not is_plane(plane):
         raise ValueError(f"invalid plane {plane!r}")
+    if plane not in PLANES:
+        plane, x, y = plane[::-1], y, x
     _check_quantum_numbers(n, l)
     out = _PLANE_SHAPES[plane](n, l, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return out if out.ndim else float(out)
@@ -239,8 +250,7 @@ def marginal_2d(n: int, l: int, plane, x, y):
 def marginal_2d_quadrature(n: int, l: int, plane, x, y, params: PhysParams,
                            rule: QuadratureRule | None = None):
     """Any-plane 2D marginal via quadrature over the complementary axes (oracle route)."""
-    plane = tuple(plane)
-    if len(plane) != 2 or plane[0] == plane[1] or any(ax not in AXES for ax in plane):
+    if not is_plane(plane):
         raise ValueError(f"invalid plane {plane!r}")
     return _complement_quadrature(n, l, plane, (x, y), params, rule)
 
@@ -294,7 +304,7 @@ def integral_equality_residuals(n: int, l: int, samples):
     n + l > 16, where the alternating Hermite sum cancels to wrong digits.
     """
     if n < l:
-        raise ValueError("the position-plane branch requires n >= l")
+        raise ValueError(f"pair ({n}, {l}): the position-plane branch requires n >= l")
     if n + l > _MAX_EQUALITY_ORDER:
         raise ValueError(f"integral equalities need n + l <= {_MAX_EQUALITY_ORDER}, got "
                          f"({n}, {l}): the paper's alternating sum cancels past that")

@@ -217,8 +217,8 @@ def robertson_schrodinger_slack(f: StarPolynomial, g: StarPolynomial,
 
 
 def coherent_moment_predictions(label: CoherentLabel) -> dict:
-    """Closed-form coherent-state moments of the axis_polynomials coordinates: means,
-    the second moment of q1, variances and the product Delta u Delta v."""
+    """Closed-form coherent-state moments of the axis_polynomials coordinates: the
+    four means and the second moment of q1."""
     a1, a2 = complex(label.alpha1), complex(label.alpha2)
     di = a1.imag - a2.imag
     return {
@@ -227,9 +227,6 @@ def coherent_moment_predictions(label: CoherentLabel) -> dict:
         "q2_mean": a1.real + a2.real,
         "p2_mean": a1.imag + a2.imag,
         "q1_sq": 0.5 + di * di,
-        "var_q": 0.5,
-        "var_p": 0.5,
-        "product": 0.5,
     }
 
 

@@ -173,10 +173,12 @@ def test_eval_builds_no_fock_state(capsys, monkeypatch):
 
 @pytest.mark.parametrize("label", ["wigner:151,0", "gencoherent:0,151:0,0,0,0"])
 def test_eval_refuses_quantum_numbers_past_150(capsys, label):
-    code, out, err = run_cli(capsys, "--cutoff", "200", "eval", label, "--grid", "q1=0")
-    assert code == 2
-    assert out == ""
-    assert "out of range" in err and "150" in err
+    """eval reads no cutoff: the bound is 150 at any cutoff, the default included."""
+    for cutoff in (("--cutoff", "200"), ()):
+        code, out, err = run_cli(capsys, *cutoff, "eval", label, "--grid", "q1=0")
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err and "150" in err
 
 
 def test_state_dump_refuses_a_label_past_the_cutoff(capsys):
@@ -197,6 +199,14 @@ def test_state_documents_past_the_cutoff_bound_are_refused_at_once(tmp_path, cap
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == want and out == "" and "1000" in err and "32" in err
+
+
+@pytest.mark.parametrize("plane", ["q1,q1", "q1", "q1,q2,p1", "q1,x1"])
+def test_eval_refuses_an_unknown_plane(capsys, plane):
+    code, out, err = run_cli(capsys, "eval", f"marginal2d:{plane}", "wigner:1,0",
+                             "--grid", "q1=0")
+    assert code == 2 and out == ""
+    assert err == f"error: unknown marginal plane {plane!r}\n"
 
 
 def test_eval_bad_grid(capsys):
@@ -225,7 +235,8 @@ def test_uncertainty_single_cell(capsys):
 
 
 @pytest.mark.parametrize("argv", [("uncertainty", "1..0", "0..2"),
-                                  ("--format", "json", "uncertainty", "3..1", "0")])
+                                  ("--format", "json", "uncertainty", "3..1", "0"),
+                                  ("uncertainty", "3..1", "0")])
 def test_uncertainty_reversed_range_is_refused(capsys, argv):
     """A reversed range is an input error, not an empty table with exit 0."""
     code, out, err = run_cli(capsys, *argv)
@@ -254,9 +265,9 @@ def test_equalities_sweep(capsys):
 
 
 def test_equalities_rejects_bad_pair(capsys):
-    code, _, err = run_cli(capsys, "equalities", "--pairs", "1,2")
-    assert code == 2
-    assert "n >= l" in err
+    code, out, err = run_cli(capsys, "equalities", "--pairs", "1,2")
+    assert code == 2 and out == ""
+    assert "pair (1, 2)" in err and "n >= l" in err
 
 
 def test_state_dump_load_round_trip(tmp_path, capsys):
@@ -283,21 +294,27 @@ def test_state_dump_load_round_trip(tmp_path, capsys):
     ("gencoherent:2,1:0.4,-0.3,0.2,0.5",
      "ca97dadb0e86cea25704ece8861a627555180333956d6e874ef403f63c2bae59"),
 ])
-def test_unflagged_state_documents_keep_their_bytes(capsys, label, digest):
-    code, dumped, _ = run_cli(capsys, "--cutoff", "16", "state", "dump", label)
-    assert code == 0 and '"overflow"' not in dumped
-    assert hashlib.sha256(dumped.encode("utf-8")).hexdigest() == digest
+def test_unflagged_state_documents_keep_their_bytes(tmp_path, capsys, label, digest):
+    """The document written by --out has these bytes, and loading it writes them again."""
+    dumped, reloaded = tmp_path / "state.json", tmp_path / "reloaded.json"
+    code, out, _ = run_cli(capsys, "--cutoff", "16", "--out", str(dumped), "state", "dump", label)
+    assert code == 0 and out == ""
+    text = dumped.read_bytes()
+    assert b'"overflow"' not in text
+    assert hashlib.sha256(text).hexdigest() == digest
+    code, _, _ = run_cli(capsys, "--out", str(reloaded), "state", "load", str(dumped))
+    assert code == 0 and reloaded.read_bytes() == text
 
 
 def test_a_flagged_state_keeps_its_flag_through_a_document(tmp_path, capsys):
     """A document dropped the overflow flag, so a truncated state read as exact
     after a dump and a load."""
-    code, dumped, _ = run_cli(capsys, "--cutoff", "16", "state", "dump", "coherent:5,0,0,0")
-    assert code == 0 and dumped.endswith('], "overflow": true}\n')
-    path = tmp_path / "state.json"
-    path.write_text(dumped, encoding="utf-8")
-    code, reloaded, _ = run_cli(capsys, "state", "load", str(path))
-    assert code == 0 and reloaded == dumped
+    flagged, reloaded = tmp_path / "flagged.json", tmp_path / "flagged_reloaded.json"
+    code, _, _ = run_cli(capsys, "--cutoff", "16", "--out", str(flagged), "state", "dump",
+                         "coherent:5,0,0,0")
+    assert code == 0 and flagged.read_bytes().endswith(b'], "overflow": true}\n')
+    code, _, _ = run_cli(capsys, "--out", str(reloaded), "state", "load", str(flagged))
+    assert code == 0 and reloaded.read_bytes() == flagged.read_bytes()
 
 
 def test_state_load_truncated_file(tmp_path, capsys):
@@ -405,13 +422,14 @@ def test_grid_values_beyond_1e305_axis_units_are_input_errors(capsys, argv):
     assert "axis units" in err
 
 
-@pytest.mark.parametrize("pairs", ["30,30;100,0", "150,0"])
+@pytest.mark.parametrize("pairs", ["30,30;100,0", "150,0", "30,30"])
 def test_equalities_past_n_plus_l_16_are_input_errors(capsys, pairs):
     """The alternating sum cancelled to residuals of 1e12 or nan with exit 0."""
-    code, out, err = run_cli(capsys, "equalities", "--pairs", pairs, "--samples", "0,1")
-    assert code == 2
-    assert out == ""
-    assert "n + l <= 16" in err
+    for samples in (("--samples", "0,1"), ()):
+        code, out, err = run_cli(capsys, "equalities", "--pairs", pairs, *samples)
+        assert code == 2
+        assert out == ""
+        assert "n + l <= 16" in err
 
 
 def test_equalities_at_n_plus_l_16_still_pass(capsys):
@@ -574,12 +592,43 @@ def test_eval_marginal_at_large_quantum_numbers(capsys):
     (("eval", "wigner:1,0", "--grid", "q1=1e200,q2=0,p1=0,p2=0"), 0.0),
     (("eval", "coherent:1,0,0,0", "--grid", "q1=1e200,q2=0,p1=0,p2=0"), 0.0),
     (("eval", "marginal1d:q1", "wigner:1,1", "--grid", "1e200"), 0.0),
+    (("eval", "marginal2d:q2,p2", "wigner:3,2", "--grid", "q2=1e200,p2=0"), 0.0),
+    # W(0) = 4 (-1)^(n + l)
+    (("eval", "wigner:150,150", "--grid", "q1=0:1:3"), 4.0),
+    # the momentum plane of (150, 0) is the Poisson weight in rho^2 = (gamma p1/hbar)^2
+    (("--cutoff", "152", "eval", "marginal2d:p2,p1", "wigner:150,0", "--grid", "p2=0:2:3,p1=1"),
+     4.0 * math.pi * PARAMS.gamma ** 2 * math.exp(-PARAMS.gamma ** 2
+                                                  + 150 * math.log(PARAMS.gamma ** 2)
+                                                  - math.lgamma(151))),
+    # references at 60 digits, from the exact mixture weights (rational Wigner
+    # small-d sums) and mpmath's Hermite and Laguerre polynomials: the 1D
+    # density h^2/s sum_k w_k phi_k(x/s)^2 at x = -3, and the conjugate plane
+    # h^2/hbar (1/pi) sum_k (-1)^k w_k e^(-r^2) L_k(2 r^2) at (q1, p1) = (0, 1)
+    (("--cutoff", "152", "eval", "marginal1d:q1", "wigner:100,0", "--grid", "-3:3:7"),
+     0.90825009954196215252),
+    (("--cutoff", "152", "eval", "marginal1d:p2", "wigner:150,150", "--grid", "-3:3:7"),
+     1.4786691075688675408),
+    (("eval", "marginal1d:p2", "wigner:150,150", "--grid", "-3:3:7"), 1.4786691075688675408),
+    (("--cutoff", "302", "eval", "marginal2d:q1,p1", "wigner:150,150",
+      "--grid", "q1=0:2:3,p1=1"), 0.14254147598858566141),
 ])
 def test_far_points_and_large_quantum_numbers_give_true_values(capsys, argv, want):
-    """Overflowing intermediates once printed nan or inf here with exit 0."""
+    """Overflowing intermediates once printed nan or inf here with exit 0.
+
+    The value checked is the table's first row."""
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert _rows(out)[0, -1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_json_grid_points_run_in_ij_order(capsys):
+    """A 4D JSON table holds one point per grid node, the first axis slowest."""
+    code, out, _ = run_cli(capsys, "--format", "json", "eval", "coherent:0.4,0,-0.6,0.3",
+                           "--grid", "q1=-1:1:3,q2=0:1:2,p1=0.5,p2=-2:2:5")
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert len(points) == 3 * 2 * 1 * 5
+    assert [p[:4] for p in points[:2]] == [[-1.0, 0.0, 0.5, -2.0], [-1.0, 0.0, 0.5, -1.0]]
 
 
 def test_closed_form_plane_needs_no_quadrature_rule(capsys):
@@ -725,12 +774,13 @@ def test_uncertainty_at_extreme_units(capsys, n, l, hbar, unit_norm):
     (("--cutoff", "202", "uncertainty", "100", "100"), 100.5),
     (("--hbar", "1e300", "uncertainty", "0", "0"), 5e299),
     (("--hbar", "1e-300", "uncertainty", "1", "1"), 1.5e-300),
+    (("uncertainty", "20..21", "20..21"), [20.5, 21.0, 21.0, 21.5]),
 ])
 def test_uncertainty_products_over_the_accepted_range(capsys, argv, want):
     """The quadrature route stopped at n + l = 191 (exit 2) and left the float range."""
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert _rows(out)[0, 4] == pytest.approx(want, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(_rows(out)[:, 4], want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -800,14 +850,18 @@ def test_equality_samples_that_overflow_are_input_errors(capsys, argv):
     assert f"sample {float(sample):g}" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("equalities",),
-    ("equalities", "--pairs", "2,1", "--samples", "1e4"),
-])
-def test_equalities_print_the_same_bytes_at_any_units(capsys, argv):
+@pytest.mark.parametrize("argv,bound", [
+    (("equalities",), 1e-13),
+    (("equalities", "--pairs", "2,1", "--samples", "1e4"), 1e-14),
+], ids=["default-sweep", "sample-1e4"])
+def test_equalities_print_the_same_bytes_at_any_units(capsys, argv, bound):
     """The identities are unit-free in y = q1/gamma; at --hbar 1e300 a sample of
-    1e4 gamma once overflowed (exit 2) only because of the units."""
-    _, want, _ = run_cli(capsys, *argv)
+    1e4 gamma once overflowed (exit 2) only because of the units.  The
+    residuals are relative to the left-hand side, so an identity that holds
+    reads as holding at 1e4 gamma too, where its terms are ~1e24."""
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert np.all(_rows(want)[:, 3:] <= bound)
     for units in (("--hbar", "1e-200"), ("--hbar", "1e200", "--mass", "3"),
                   ("--hbar", "1e300")):
         with warnings.catch_warnings():

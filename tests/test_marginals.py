@@ -7,7 +7,7 @@ import pytest
 
 from landaustar import marginals
 from landaustar.checks import WIGNER_NORM, mixed_param_derivative
-from landaustar.cli import to_axis_units
+from landaustar.cli import main, to_axis_units
 from landaustar.marginals import (
     AXES,
     axis_generating,
@@ -442,8 +442,7 @@ def test_streamed_oracle_keeps_input_shapes():
 
 def test_streamed_oracle_memory_is_bounded():
     """Block by block the (30, 30) q1 marginal holds under 1 MB, where its
-    68^3 mesh for a single point takes 45 MB, so a few points show the bound;
-    CI checks it at 101 points, which take 5 s."""
+    68^3 mesh for a single point takes 45 MB, so a few points show the bound."""
     x = np.linspace(-3.0, 3.0, 7)
     tracemalloc.start()
     try:
@@ -696,6 +695,20 @@ def test_huge_coordinates_give_zero_densities():
             assert density_2d(150, 150, order, 1e300, -1e300, PARAMS) == 0.0
 
 
+def test_planes_are_the_axis_pairs_in_axes_order():
+    """The checks walk the planes in this order, so their seeded draws stay
+    put; a plane is taken in either order, and nothing else is a plane."""
+    assert marginals.PLANES == PLANES
+    for plane in PLANES:
+        assert marginals.is_plane(plane) and marginals.is_plane(plane[::-1])
+    for bad in (("q1", "q1"), ("q1",), ("q1", "q2", "p1"), ("q1", "x")):
+        assert not marginals.is_plane(bad)
+        with pytest.raises(ValueError, match="invalid plane"):
+            marginal_2d(1, 0, bad, 0.0, 0.0)
+        with pytest.raises(ValueError, match="invalid plane"):
+            marginal_2d_quadrature(1, 0, bad, 0.0, 0.0, PARAMS)
+
+
 def test_closed_planes_share_the_range_guard():
     for plane in PLANES + tuple(p[::-1] for p in PLANES):
         for n, l in ((151, 0), (0, 151), (-1, 0)):
@@ -706,10 +719,9 @@ def test_closed_planes_share_the_range_guard():
 
 
 @pytest.mark.parametrize("hbar", [1e-200, 1e200])
-def test_marginals_suite_at_extreme_hbar(hbar):
+def test_marginals_suite_at_extreme_hbar(capsys, hbar):
     """The suite compares unit-free shapes; h^2 raised OverflowError at 1e200."""
-    from landaustar.checks import run_marginals_suite
-
-    results = run_marginals_suite(PhysParams(hbar=hbar))
-    assert len(results) == 24
-    assert [r.name for r in results if not r.passed] == []
+    code = main(["--hbar", str(hbar), "verify", "marginals"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines[:-1] if not line.startswith("PASS ")] == []
+    assert code == 0 and lines[-1] == "24/24 checks passed"

@@ -48,30 +48,32 @@ def test_an_unreached_function_is_allowed_only_by_its_own_name():
 
 def test_no_command_but_verify_loads_scipy(tmp_path):
     """scipy serves verify's oracles and the tests: a fresh interpreter that
-    imports the CLI and runs every other command leaves it unloaded."""
-    state = str(tmp_path / "state.json")
-    commands = [
-        ["eval", "wigner:2,1", "--grid", "q1=-1:1:3,q2=0:1:2,p1=0.5,p2=-1:1:3"],
-        ["eval", "gencoherent:1,2:0.4,0,-0.3,0.7", "--grid", "q1=0:1:2,q2=0,p1=0,p2=0.5"],
-        ["eval", "marginal1d:q1", "wigner:3,2", "--grid", "-3:3:101"],
-        ["eval", "marginal2d:q1,q2", "wigner:2,1", "--grid", "q1=-1:1:3,q2=0.5"],
-        ["eval", "marginal2d:q1,p1", "wigner:2,1", "--grid", "q1=0:1:3,p1=1"],
-        ["uncertainty", "0..6", "0..6"],
-        ["equalities"],
-        ["--cutoff", "8", "--out", state, "state", "dump", "gencoherent:2,1:0.4,-0.3,0.2,0.5"],
-        ["state", "load", state],
-    ]
+    imports the CLI and runs every other command of tools/reach.py, each to
+    its expected exit code, leaves it unloaded."""
+    rows = [(argv, want) for argv, want in reach.commands(tmp_path) if "verify" not in argv]
     script = (
         "import contextlib, io, json, sys\n"
+        "def step(name, code=None):\n"
+        "    loaded = any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+        "    steps.append((name, code, loaded))\n"
+        "steps = []\n"
         "import landaustar.cli as cli\n"
+        "step('import landaustar.cli')\n"
+        "sink = io.StringIO()\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0, argv\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+        "    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "        code = cli.main(argv)\n"
+        "    step(' '.join(argv), code)\n"
+        "print(json.dumps(steps))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([argv for argv, _ in rows])],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert json.loads(proc.stdout) == []
+    steps = json.loads(proc.stdout)
+    wrong = [(name, want, code) for (name, code, _), (_, want) in zip(steps[1:], rows, strict=True)
+             if code != want]
+    assert not wrong, wrong
+    loaded_after = [name for name, _, loaded in steps if loaded]
+    assert not loaded_after, f"scipy is loaded after: {loaded_after[0]}"
 
 
 def test_each_listed_function_is_a_code_object_at_its_first_line():

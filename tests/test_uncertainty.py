@@ -479,7 +479,8 @@ def test_queries_on_a_filled_top_row_are_exact():
     s = wigner_functional(5, 5, cutoff=6)
     for axis, poly in axis_polynomials().items():
         assert variance(poly, s) == pytest.approx(5.5, rel=1e-14), axis
-    assert expectation(A * ABAR, s) == pytest.approx(6.0, rel=1e-14)
+    mean = expectation(A * ABAR, s)
+    assert mean.real == pytest.approx(6.0, rel=1e-14) and mean.imag == 0
 
 
 @pytest.mark.parametrize("cutoff", [8, 16])

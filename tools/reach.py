@@ -12,10 +12,7 @@ Exits 1 when an unreached function is not in ALLOWED under its own qualified
 name (an allowed class does not cover its methods), or when an entry of
 ALLOWED is needed for nothing: it names no unreached function and no name of
 ``landaustar.__all__`` that cli.py and checks.py leave unnamed (the rule of
-tests/test_surface.py).  Exits 1 too when a scipy module is loaded before
-``verify`` runs: scipy serves verify's oracles only, so the import of the CLI
-and every other command must leave it unloaded.  The error names the first
-step after which one was loaded.  Run from the repository root:
+tests/test_surface.py).  Run from the repository root:
 
     PYTHONPATH=src python tools/reach.py
 """
@@ -126,22 +123,10 @@ class Recorder:
         return self._line
 
 
-def loaded_scipy() -> list:
-    """The names of the scipy modules this process has imported."""
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
-
-
-def run_commands(recorder: Recorder) -> tuple:
+def run_commands(recorder: Recorder) -> list:
     """Run every command under the recorder.  Returns the commands whose exit
-    code was not the expected one, and the first step before ``verify`` after
-    which a scipy module was loaded (None if there is none)."""
-    wrong, scipy_after = [], None
-
-    def note(step):
-        nonlocal scipy_after
-        if scipy_after is None and loaded_scipy():
-            scipy_after = step
-
+    code was not the expected one."""
+    wrong = []
     with tempfile.TemporaryDirectory() as tmp:
         listed = commands(Path(tmp))
         sink = io.StringIO()
@@ -149,7 +134,6 @@ def run_commands(recorder: Recorder) -> tuple:
         try:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 cli = importlib.import_module("landaustar.cli")
-                note("import landaustar.cli")
                 argv, sys.argv = sys.argv, ["landaustar", "uncertainty", "0", "0"]
                 try:  # python -m landaustar
                     runpy.run_module("landaustar", run_name="__main__")
@@ -157,7 +141,6 @@ def run_commands(recorder: Recorder) -> tuple:
                     if exc.code != 0:
                         wrong.append((["-m landaustar", *sys.argv[1:]], exc.code))
                 finally:
-                    note("python -m landaustar " + " ".join(sys.argv[1:]))
                     sys.argv = argv
                 for args, want in listed:
                     got = cli.main(args)
@@ -165,11 +148,9 @@ def run_commands(recorder: Recorder) -> tuple:
                     sink.truncate()
                     if got != want:
                         wrong.append((args, got))
-                    if "verify" not in args:  # verify runs last
-                        note(" ".join(args))
         finally:
             sys.settrace(None)
-    return wrong, scipy_after
+    return wrong
 
 
 def defined_functions(path: Path) -> dict:
@@ -248,7 +229,7 @@ def main() -> int:
     if "landaustar" in sys.modules:
         sys.exit("error: landaustar is already imported, so its import would not be traced")
     recorder = Recorder()
-    wrong, scipy_after = run_commands(recorder)
+    wrong = run_commands(recorder)
     for cmd, code in wrong:
         print(f"error: exit {code} from {' '.join(cmd)}", file=sys.stderr)
     if wrong:
@@ -279,9 +260,7 @@ def main() -> int:
     print("\nunreached lines:")
     for name, text in unreached_lines.items():
         print(f"  {name}: {text}")
-    if scipy_after is not None:
-        print(f"error: scipy loaded before verify, after: {scipy_after}", file=sys.stderr)
-    return 1 if refused or stale or scipy_after is not None else 0
+    return 1 if refused or stale else 0
 
 
 if __name__ == "__main__":
