@@ -90,10 +90,6 @@ class RunConfig:
     fmt: str = "csv"
     unit_norm: bool = False
 
-    def __post_init__(self):
-        if self.cutoff < 2:
-            raise ConfigConflict(f"cutoff must be at least 2, got {self.cutoff}")
-
     def require_labels_fit(self, label):
         """Cutoff must exceed both quantum numbers of the label's base by at least 2."""
         refs = [label.base.n, label.base.l]
@@ -126,7 +122,7 @@ def load_config_file(path: str) -> dict:
                     values[key] = allowed[key](val.strip())
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
     return values
 
@@ -232,8 +228,11 @@ def parse_named_grid(text: str, axes) -> dict:
 
 def emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -446,7 +445,7 @@ def cmd_state(args, cfg: RunConfig) -> int:
         try:
             with open(args.source, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read state file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed state file at line {exc.lineno}, "

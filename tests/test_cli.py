@@ -483,6 +483,36 @@ def test_output_file(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8").startswith("n,l,dq1")
 
 
+@pytest.mark.parametrize("argv", [("uncertainty", "0", "0"),
+                                  ("state", "dump", "wigner:0,0"),
+                                  ("verify", "marginals")])
+def test_an_unwritable_output_file_is_an_input_error(capsys, request, tmp_path, argv):
+    """--out to a directory or into a missing one exits 2 and names the output file."""
+    if "verify" in argv:
+        request.getfixturevalue("shared_verify")
+    for path in (tmp_path, tmp_path / "nodir" / "out.txt"):
+        code, out, err = run_cli(capsys, "--out", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output file: "), err
+
+
+def test_undecodable_config_and_state_files_are_named_input_errors(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"hbar = 1 # \xff\n")
+    code, _, err = run_cli(capsys, "--config", str(path), "uncertainty", "0", "0")
+    assert code == 2 and err.startswith("error: cannot read config file: "), err
+    code, _, err = run_cli(capsys, "state", "load", str(path))
+    assert code == 2 and err.startswith("error: cannot read state file: "), err
+
+
+def test_cutoff_is_checked_only_by_state_dump(capsys):
+    """Every command accepts --cutoff; only state dump reads it."""
+    assert (run_cli(capsys, "--cutoff", "1", "uncertainty", "0", "0")
+            == run_cli(capsys, "uncertainty", "0", "0"))
+    code, _, err = run_cli(capsys, "--cutoff", "1", "state", "dump", "wigner:0,0")
+    assert code == 3 and "need at least 2" in err, err
+
+
 def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(capsys, "eval", "marginal1d:p2", "wigner:3,2",
                           "--grid", "-2:2:21")
@@ -491,15 +521,17 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_verify_reports_are_reproducible(capsys):
-    _, first, _ = run_cli(capsys, "verify", "marginals")
-    _, second, _ = run_cli(capsys, "verify", "marginals")
-    assert first == second
+def test_verify_reports_are_reproducible(capsys, request):
+    """A fresh in-process run prints the bytes of the session's shared pass."""
+    _, fresh, _ = run_cli(capsys, "verify", "marginals")
+    request.getfixturevalue("shared_verify")
+    _, shared, _ = run_cli(capsys, "verify", "marginals")
+    assert fresh == shared
 
 
-def test_verify_subset_via_entry_point(capsys):
+def test_verify_subset_via_entry_point(capsys, shared_verify):
     """End-to-end console invocation, including exit status, and a byte-equal
-    report from an in-process run."""
+    report from the in-process shared pass."""
     proc = subprocess.run(
         [sys.executable, "-m", "landaustar", "verify", "marginals"],
         capture_output=True, text=True)
@@ -932,8 +964,10 @@ GOLDEN_OUTPUT = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUT))
-def test_golden_output_bytes(capsys, name):
+def test_golden_output_bytes(capsys, request, name):
     argv, digest = GOLDEN_OUTPUT[name]
+    if "verify" in argv:
+        request.getfixturevalue("shared_verify")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
@@ -1027,7 +1061,7 @@ def test_table_text_matches_per_cell_formatting(case, fmt):
             == _per_cell_table(header, rows, fmt, meta))
 
 
-def test_verify_json_format(capsys, monkeypatch):
+def test_verify_json_format(capsys, monkeypatch, shared_verify):
     code, out, _ = run_cli(capsys, "--format", "json", "verify", "marginals")
     doc = json.loads(out)
     assert code == 0
@@ -1050,7 +1084,7 @@ def test_verify_json_format(capsys, monkeypatch):
                    "1/2 checks passed\n")
 
 
-def test_verify_timings(capsys, monkeypatch):
+def test_verify_timings(capsys, monkeypatch, shared_verify):
     """--timings adds each check's wall time; without it the report is unchanged."""
     code, out, _ = run_cli(capsys, "--format", "json", "verify", "marginals", "--timings")
     doc = json.loads(out)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import padded
 from landaustar import checks
 from landaustar.checks import (
     _dense,
@@ -231,14 +232,6 @@ def test_dense_ladder_action_matches_ladder_matrix(gen, side):
     assert not act(gen, inner).overflow
     # the flag is sticky
     assert act(gen, ProductRep(cutoff, inner.terms, overflow=True)).overflow
-
-
-def test_moyal_bracket_generators_normal_form():
-    br = moyal_bracket(A, ABAR)
-    nf = br.normal_form()
-    assert nf == {(0, 0, 0, 0): 1.0 + 0j}
-    br = moyal_bracket(B, BBAR)
-    assert br.normal_form() == {(0, 0, 0, 0): 1.0 + 0j}
 
 
 def test_moyal_bracket_antisymmetry():
@@ -621,14 +614,6 @@ def test_expectations_of_constants_and_single_words():
     polys += [StarPolynomial(((1.0 + 0j, w),)) for w in words]
     assert_traces_match_applied(polys, rep)
     assert expectations(polys[:2], rep) == [0j, (2.5 - 1j) * rep.trace()]
-
-
-def padded(rep, cutoff):
-    """rep with zero rows and columns up to ``cutoff``: the same state, with room
-    that no word of the test can leave."""
-    width = (0, cutoff - rep.cutoff)
-    return ProductRep(cutoff, tuple((c, np.pad(a, width), np.pad(b, width))
-                                    for c, a, b in rep.terms), rep.overflow)
 
 
 def _table_states():

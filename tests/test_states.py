@@ -17,7 +17,6 @@ from landaustar.star import (
     displacement_matrix,
     fock_from_json_dict,
     fock_to_json_dict,
-    left_star_generator,
     moyal_bracket,
     star,
 )
@@ -303,32 +302,6 @@ def test_generalized_factors_match_expm_columns():
         # the exponential at cutoff 96 is untruncated on the 32 kept levels
         col = displacement_matrix(alpha, 96)[:32, k]
         np.testing.assert_allclose(factor, np.outer(col, np.conj(col)), rtol=0, atol=1e-13)
-
-
-def test_coherent_projection_property():
-    label = CoherentLabel(1 + 1j, -0.5 + 0j)
-    rep = coherent_fock(label, 24)
-    prod = star(rep, rep)
-    assert float(np.max(np.abs(prod.coeffs - rep.coeffs))) <= 1e-10
-
-
-def test_coherent_eigenvalue_property():
-    label = CoherentLabel(0.8 - 0.1j, 0.3j)
-    rep = coherent_fock(label, 24)
-    res = left_star_generator("a", rep)
-    assert float(np.max(np.abs(res.coeffs - label.alpha1 * rep.coeffs))) <= 1e-9
-
-
-def test_only_ground_state_is_coherent():
-    for n, l in [(1, 0), (0, 1), (2, 2)]:
-        rep = wigner_fock(WignerLabel(n, l), 8)
-        proportional = True
-        for gen in ("a", "b"):
-            res = left_star_generator(gen, rep)
-            overlap = np.vdot(rep.coeffs, res.coeffs) / np.vdot(rep.coeffs, rep.coeffs)
-            if float(np.max(np.abs(res.coeffs - overlap * rep.coeffs))) > 1e-9:
-                proportional = False
-        assert not proportional
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import padded
 from landaustar import checks, uncertainty
 from landaustar.checks import check_uncertainty_lower_bound, uncertainty_table_checks
 from landaustar.marginals import AXES, _mixture_weights, axis_scale
 from landaustar.phase_space import PhasePoint, PhysParams, to_mode_coords
 from landaustar.star import (
-    ProductRep,
     StarPolynomial,
     apply_star_polynomial,
     fock_from_json_dict,
@@ -144,26 +144,6 @@ def test_inner_product_identities():
     f = (0.5 + 1j) * A * BBAR + ABAR
     g = 2.0 * StarPolynomial.generator("b") - 1j * A
     assert inner_product(f, g, s) == pytest.approx(np.conj(inner_product(g, f, s)))
-
-
-def test_cbs_inequality_random():
-    rng = np.random.default_rng(42)
-    gens = ("a", "abar", "b", "bbar")
-    for _ in range(100):
-        n, l = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        s = wigner_functional(n, l, cutoff=10)
-        polys = []
-        for _ in range(2):
-            terms = []
-            for _ in range(2):
-                length = int(rng.integers(0, 4))
-                word = tuple(gens[i] for i in rng.integers(0, 4, size=length))
-                terms.append((complex(rng.normal(), rng.normal()), word))
-            polys.append(StarPolynomial.from_terms(terms))
-        f, g = polys
-        slack = (inner_product(f, f, s).real * inner_product(g, g, s).real
-                 - abs(inner_product(f, g, s)) ** 2)
-        assert slack >= -1e-10
 
 
 def test_uncertainty_products():
@@ -438,14 +418,6 @@ def applied_references(f, g, state):
     slack = var_f * var_g - 0.25 * ((fg - gf).imag ** 2 + (fg + gf - 2 * mean_f * mean_g).real ** 2)
     inner = apply_star_polynomial(f.conjugate(), gs).trace()
     return mean_f, inner, slack
-
-
-def padded(rep, cutoff):
-    """rep with zero rows and columns up to ``cutoff``: the same state, with room
-    that no word of the queries can leave."""
-    width = (0, cutoff - rep.cutoff)
-    return ProductRep(cutoff, tuple((c, np.pad(a, width), np.pad(b, width))
-                                    for c, a, b in rep.terms), rep.overflow)
 
 
 @pytest.mark.parametrize("label", [
